@@ -118,7 +118,8 @@ def bound_constants(
     s_min_int = min_integer_strictly_above(p, Fraction(N, e), n - 1)
     s0a_int = min_integer_strictly_above(p, Fraction(N, e * (p - 1)), n)
     s2b_int = min_integer_strictly_above(p, Fraction(b * (p - 1), e), n - 1)
-    assert s2b_int == s_min_int, "the two threshold expressions must agree"
+    if s2b_int != s_min_int:
+        raise AssertionError("the two threshold expressions must agree")
     alpha, beta = alpha_beta(Fraction(N, e * (p - 1)), p)
     relaxed_s = None
     if relaxed and a >= Fraction(p - 1, p - 2):

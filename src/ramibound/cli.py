@@ -254,10 +254,14 @@ def _parse_filtration(text: str, order: int) -> herbrand_mod.LowerFiltration:
     card must be the full group order."""
     entries = []
     for part in text.split(","):
-        lam_text, card_text = part.split(":")
-        entries.append((parse_rat(lam_text.strip()), int(card_text)))
-    if not entries:
-        raise InputError("empty filtration")
+        try:
+            lam_text, card_text = part.split(":")
+            card = int(card_text)
+        except ValueError:
+            raise InputError(
+                f"bad filtration segment {part!r}: expected 'lam:card'"
+            ) from None
+        entries.append((parse_rat(lam_text.strip()), card))
     if entries[0][1] != order:
         raise InputError("first segment order must equal the group order")
     breaks = []

@@ -182,7 +182,8 @@ def phi_from_filtration(filt: LowerFiltration) -> PLF:
         pts.append((lam, y))
         x_prev, y_prev, card = lam, y, o
     out = normalize_plf(pts, Fraction(card, denom))
-    assert out.is_concave(), "transition function of a filtration must be concave"
+    if not out.is_concave():
+        raise AssertionError("transition function of a filtration must be concave")
     return out
 
 
@@ -252,7 +253,8 @@ def cyclotomic_kummer_phi_estimate(p: int, e: int, s: int, e_nk: int, lam: Rat) 
     mu_break = cyclotomic_kummer_mu(p, e, s)
     est = mu_break + Fraction(lam - lam_break, e_nk)
     simplified = 1 + e * s + Fraction(lam, e_nk) - Fraction(1, p ** s)
-    assert est == simplified
+    if est != simplified:
+        raise AssertionError("concavity estimate disagrees with its simplified form")
     return est
 
 
@@ -274,5 +276,6 @@ def thm12_assembly(p: int, e: int, n: int, r: int, N: int) -> tuple[Rat, Rat]:
     candidate = cyclotomic_kummer_phi_estimate(p, e, s, e_nk, mu_wild)
     exact_max = max(cyclotomic_kummer_mu(p, e, s), candidate)
     mu = 1 + e * (s + max(beta, Fraction(1, p - 1)))
-    assert exact_max <= mu, "assembled pieces must stay under the closed form"
+    if exact_max > mu:
+        raise AssertionError("assembled pieces must stay under the closed form")
     return mu, diff

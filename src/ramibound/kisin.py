@@ -27,7 +27,12 @@ from .errors import (
 )
 from .padic import (
     EisensteinPoly,
+    divide_by_monic,
     eisenstein_validate,
+    poly_add,
+    poly_convolve,
+    poly_divmod_monic,
+    poly_mod,
     poly_trim,
 )
 
@@ -36,59 +41,20 @@ from .padic import (
 # ---------------------------------------------------------------------------
 
 
-def _fp_polmul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va:
-            for j, vb in enumerate(b):
-                out[i + j] = (out[i + j] + va * vb) % p
-    return poly_trim(tuple(out))
-
-
-def _fp_polmod(a: tuple, mod: tuple, p: int) -> tuple:
-    d = len(mod) - 1
-    rem = [v % p for v in a]
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(d + 1):
-                rem[i - d + j] = (rem[i - d + j] - c * mod[j]) % p
-    return poly_trim(tuple(rem[:d]))
-
-
-def _fp_polpow_mod(a: tuple, k: int, mod: tuple, p: int) -> tuple:
-    out: tuple = (1,)
-    base = _fp_polmod(a, mod, p)
-    while k:
-        if k & 1:
-            out = _fp_polmod(_fp_polmul(out, base, p), mod, p)
-        base = _fp_polmod(_fp_polmul(base, base, p), mod, p)
-        k >>= 1
-    return out
-
-
 def _fp_polgcd(a: tuple, b: tuple, p: int) -> tuple:
     a, b = poly_trim(a), poly_trim(b)
     while b:
         inv = pow(b[-1], -1, p)
-        bb = tuple((inv * c) % p for c in b)
-        d = len(bb) - 1
-        rem = [v % p for v in a]
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(d + 1):
-                    rem[i - d + j] = (rem[i - d + j] - c * bb[j]) % p
-        a, b = b, poly_trim(tuple(rem[:d]))
+        a, b = b, poly_divmod_monic(a, tuple((inv * c) % p for c in b), p)[1]
     return a
 
 
 def _is_irreducible(mod: tuple, p: int) -> bool:
+    """Rabin's test for a monic polynomial of degree f >= 2 over F_p."""
     f = len(mod) - 1
-    x: tuple = (0, 1)
-    if _fp_polpow_mod(x, p ** f, mod, p) != x:
+    R = GF(p, f, mod)  # the ring F_p[y]/(mod), a field iff the test passes
+    y = (0, 1) + (0,) * (f - 2)
+    if R.pow(y, p ** f) != y:
         return False
     primes = set()
     ff = f
@@ -102,13 +68,7 @@ def _is_irreducible(mod: tuple, p: int) -> bool:
     if ff > 1:
         primes.add(ff)
     for t in primes:
-        xp = _fp_polpow_mod(x, p ** (f // t), mod, p)
-        diff = tuple(
-            ((xp[i] if i < len(xp) else 0) - (x[i] if i < len(x) else 0)) % p
-            for i in range(max(len(xp), len(x)))
-        )
-        g = _fp_polgcd(mod, diff, p)
-        if len(poly_trim(g)) - 1 > 0:
+        if len(_fp_polgcd(mod, R.sub(R.pow(y, p ** (f // t)), y), p)) > 1:
             return False
     return True
 
@@ -160,8 +120,8 @@ class GF:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        r = _fp_polmod(_fp_polmul(a, b, self.p), self.modulus, self.p)
-        return tuple(r[i] if i < len(r) else 0 for i in range(self.f))
+        r = poly_divmod_monic(poly_convolve(a, b), self.modulus, self.p)[1]
+        return r + (0,) * (self.f - len(r))
 
     def pow(self, a, k: int):
         out = self.one()
@@ -194,13 +154,6 @@ class GF:
 # ---------------------------------------------------------------------------
 # A series is a plain list of field elements (index = u-exponent), always
 # read modulo u^prec for an explicitly tracked prec.
-
-
-def series_trim(F: GF, a: list) -> list:
-    i = len(a)
-    while i > 0 and F.is_zero(a[i - 1]):
-        i -= 1
-    return a[:i]
 
 
 def series_mul(F: GF, a: list, b: list, prec: int) -> list:
@@ -324,18 +277,6 @@ def series_solve(F: GF, A, M, prec: int):
 # ---------------------------------------------------------------------------
 
 
-def _zq_series_mul(a: tuple, b: tuple, q: int, prec: int) -> tuple:
-    out = [0] * min(prec, max(len(a) + len(b) - 1, 0))
-    for i, va in enumerate(a):
-        if va == 0 or i >= prec:
-            continue
-        for j, vb in enumerate(b):
-            if i + j >= prec:
-                break
-            out[i + j] = (out[i + j] + va * vb) % q
-    return poly_trim(tuple(out))
-
-
 @dataclass(frozen=True)
 class KisinModule:
     """Rank-d Frobenius matrix over (Z/p^n)[u] truncated at u^uprec."""
@@ -353,21 +294,6 @@ class KisinModule:
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
         return self.entries[i][j]
-
-    def entries_mod_p(self) -> tuple:
-        return tuple(
-            tuple(tuple(c % self.p for c in e) for e in row) for row in self.entries
-        )
-
-    def truncate_n(self, n_new: int) -> "KisinModule":
-        if n_new > self.n:
-            raise InputError("cannot increase p-adic length")
-        qn = self.p ** n_new
-        ent = tuple(
-            tuple(poly_trim(tuple(c % qn for c in e)) for e in row)
-            for row in self.entries
-        )
-        return KisinModule(self.p, n_new, self.E, self.rank, ent, self.uprec)
 
 
 def kisin_new(
@@ -412,18 +338,8 @@ def _mat_mul_series(A, B, q: int, prec: int):
         for j in range(d):
             acc: tuple = ()
             for k in range(d):
-                term = _zq_series_mul(A[i][k], B[k][j], q, prec)
-                n = max(len(acc), len(term))
-                acc = poly_trim(
-                    tuple(
-                        (
-                            (acc[t] if t < len(acc) else 0)
-                            + (term[t] if t < len(term) else 0)
-                        )
-                        % q
-                        for t in range(n)
-                    )
-                )
+                term = poly_mod(poly_convolve(A[i][k], B[k][j], prec), q)
+                acc = poly_add(acc, term, q)
             row.append(acc)
         out.append(row)
     return out
@@ -504,18 +420,7 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
         for i in range(d):
             for j in range(d):
                 lifted = tuple(c[0] * pk for c in Ck[i][j])
-                base = B[i][j]
-                nlen = max(len(base), len(lifted))
-                B[i][j] = poly_trim(
-                    tuple(
-                        (
-                            (base[t] if t < len(base) else 0)
-                            + (lifted[t] if t < len(lifted) else 0)
-                        )
-                        % q
-                        for t in range(nlen)
-                    )
-                )
+                B[i][j] = poly_add(B[i][j], lifted, q)
 
     if avail < mod.E.e * r + 1:
         raise PrecisionError("witness certified below e*r + 1; raise uprec")
@@ -529,8 +434,6 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
 def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitness:
     """B' = B*h with u^N = E(u)^r * h, so A*B' = u^N * I.  Requires u^N to
     vanish in the quotient by E^r, i.e. the division to be exact."""
-    from .padic import divide_by_monic
-
     q = mod.q
     er_poly = mod.E.power(wit.r, q)
     quot, rem = divide_by_monic((0,) * N + (1,), er_poly, mod.p, mod.n)
@@ -541,7 +444,7 @@ def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitne
         raise PrecisionError("u-precision too small to verify the u^N witness")
     d = mod.rank
     Bp = tuple(
-        tuple(_zq_series_mul(wit.B[i][j], quot, q, avail) for j in range(d))
+        tuple(poly_mod(poly_convolve(wit.B[i][j], quot, avail), q) for j in range(d))
         for i in range(d)
     )
     prod = _mat_mul_series(mod.entries, Bp, q, avail)
@@ -582,10 +485,7 @@ def tame_lift_build(p: int, d: int, seq, n: int = 1) -> TameLiftSpec:
     uprec = E.e * max(r, 1) * n + E.e * max(r, 1) + 8
     matrix = [[() for _ in range(d)] for _ in range(d)]
     for i in range(d):
-        pw: tuple = (1,)
-        for _ in range(seq[i]):
-            pw = _zq_series_mul(pw, (p % q, 1), q, uprec)
-        matrix[i][(i + 1) % d] = tuple(pw)
+        matrix[i][(i + 1) % d] = E.power(seq[i], q)
     mod = kisin_new(p, n, E, matrix, uprec=uprec, r_hint=max(r, 1))
     qd = p ** d - 1
     exponent = sum(seq[i] * p ** i for i in range(d)) % qd

@@ -6,6 +6,12 @@ models of totally ramified extensions of Q_p presented by an Eisenstein
 generator polynomial.  Valuations are exact `fractions.Fraction` values, never
 floats.
 
+This module holds the package's one polynomial kernel.  Every product of
+integer coefficient tuples, in every module, is :func:`poly_convolve` (exact,
+optionally truncated to the first ``prec`` coefficients), and every division
+by a monic polynomial is :func:`poly_divmod_monic` (mod q, or over exact
+integers when q is None).  Both reduce modulo q once, at the end.
+
 Conventions
 -----------
 * p is an odd prime everywhere.
@@ -22,7 +28,6 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,40 +165,54 @@ def poly_add(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
 
 
 def poly_neg(a: tuple[int, ...], q: int) -> tuple[int, ...]:
-    return poly_trim(tuple((-v) % q for v in a))
+    return poly_mod([-v for v in a], q)
+
+
+def poly_mod(c, q: int) -> tuple[int, ...]:
+    """Coefficients reduced into [0, q), trailing zeros dropped."""
+    return poly_trim([v % q for v in c])
+
+
+def poly_convolve(a, b, prec: int | None = None) -> list[int]:
+    """Exact product of integer coefficient sequences, untrimmed; only the
+    first ``prec`` coefficients when prec is given."""
+    if prec is not None:
+        a, b = a[:prec], b[:prec]
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        if va:
+            for k, vb in enumerate(b, i):
+                out[k] += va * vb
+    return out if prec is None else out[:prec]
 
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va == 0:
-            continue
-        for j, vb in enumerate(b):
-            out[i + j] = (out[i + j] + va * vb) % q
-    return poly_trim(tuple(out))
+    return poly_mod(poly_convolve(a, b), q)
 
 
 def poly_divmod_monic(
-    num: tuple[int, ...], den: tuple[int, ...], q: int
+    num, den: tuple[int, ...], q: int | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Division with remainder by a monic polynomial, exact mod q."""
+    """Division with remainder by a monic polynomial: exact mod q, or over
+    the integers when q is None.  Only the coefficient being eliminated is
+    reduced inside the loop; the remainder is reduced once, at the end."""
     den = poly_trim(den)
-    if not den or den[-1] % q != 1:
-        raise InputError("divisor must be monic")
     d = len(den) - 1
-    rem = [v % q for v in num]
-    if len(rem) <= d:
-        return (), poly_trim(tuple(rem))
+    if d < 0 or (den[d] if q is None else den[d] % q) != 1:
+        raise InputError("divisor must be monic")
+    low = den[:d]
+    rem = list(num)
     quot = [0] * (len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] % q
+        c = rem[i] if q is None else rem[i] % q
         if c:
             quot[i - d] = c
-            for j in range(d + 1):
-                rem[i - d + j] = (rem[i - d + j] - c * den[j]) % q
-    return poly_trim(tuple(quot)), poly_trim(tuple(rem[:d]))
+            for k, v in enumerate(low, i - d):
+                rem[k] -= c * v
+    rem = rem[:d] if q is None else [v % q for v in rem[:d]]
+    return poly_trim(quot), poly_trim(rem)
 
 
 def divide_by_monic(
@@ -201,27 +220,6 @@ def divide_by_monic(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(Q, R) with num = Q*den + R exactly mod p^n and deg R < deg den."""
     return poly_divmod_monic(num, den, p ** n)
-
-
-def poly_divmod_monic_int(
-    num: tuple[int, ...], den: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Division with remainder by a monic polynomial over exact integers."""
-    den = poly_trim(den)
-    if not den or den[-1] != 1:
-        raise InputError("divisor must be monic")
-    d = len(den) - 1
-    rem = list(num)
-    if len(rem) <= d:
-        return (), poly_trim(tuple(rem))
-    quot = [0] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - d] = c
-            for j in range(d + 1):
-                rem[i - d + j] -= c * den[j]
-    return poly_trim(tuple(quot)), poly_trim(tuple(rem[:d]))
 
 
 def parse_poly(text: str) -> tuple[int, ...]:
@@ -320,7 +318,7 @@ class QuotRing:
         return poly_neg(a, self.q)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self.reduce(poly_mul(a, b, self.q))
+        return self.reduce(poly_convolve(a, b))
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """Invert a unit: constant term a unit mod p is required, then the
@@ -480,9 +478,8 @@ class LocalElement:
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        q = self.model.q
-        prod = poly_mul(self.coeffs, other.coeffs, q)
-        _, rem = poly_divmod_monic(prod, self.model.g.coeffs, q)
+        prod = poly_convolve(self.coeffs, other.coeffs)
+        _, rem = poly_divmod_monic(prod, self.model.g.coeffs, self.model.q)
         vec = tuple(rem[i] if i < len(rem) else 0 for i in range(self.model.m))
         va = self.xval()
         vb = other.xval()
@@ -553,8 +550,7 @@ class LocalElement:
         nil[0] = (-c_inv * (self.coeffs[0] - c)) % p  # p-part dies mod p
         term = [c_inv] + [0] * (m - 1)
         for _ in range(m):
-            raw = poly_mul(tuple(term), tuple(nil), p)
-            _, rem = poly_divmod_monic(raw, tuple(x % p for x in g), p)
+            _, rem = poly_divmod_monic(poly_convolve(term, nil), g, p)
             term = [rem[i] if i < len(rem) else 0 for i in range(m)]
             if not any(term):
                 break
@@ -619,11 +615,3 @@ class LocalElement:
 def level_reps_count(model: LocalFieldModel, level: Rat) -> int:
     cuts = model.zero().coeff_cutoffs(level)
     return model.p ** sum(cuts)
-
-
-def level_reps_iter(model: LocalFieldModel, level: Rat):
-    """All canonical representatives of O_E / a^{>level} as LocalElements."""
-    cuts = model.zero().coeff_cutoffs(level)
-    ranges = [range(model.p ** k) for k in cuts]
-    for combo in itertools.product(*ranges):
-        yield model.from_coeffs(tuple(combo))

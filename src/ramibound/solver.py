@@ -38,7 +38,7 @@ from .errors import (
     UndecidableError,
 )
 from .kisin import KisinModule, height_witness, u_power_witness
-from .padic import LocalElement, LocalFieldModel, LowerBound, Rat
+from .padic import LocalElement, LocalFieldModel, LowerBound, Rat, level_reps_count
 from .witt import (
     LocalRing,
     ideal_membership_gt,
@@ -126,31 +126,28 @@ def _witt_identity(ring: LocalRing, p: int, n: int, d: int) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 
-def _mat_mul(ring, p, A, B):
-    d = len(A)
+def _witt_ops(ring, p):
+    """Witt product and sum over ``ring``, looked up when called."""
+    return (
+        lambda a, b: witt_mul(ring, p, a, b),
+        lambda a, b: witt_add(ring, p, a, b),
+    )
+
+
+def _mat_mul(A, B, mul, add):
+    """Product of an (l x d) and a (d x m) matrix of Witt vectors, with the
+    entry product and sum given; a row vector is a 1 x d matrix."""
+    cols = tuple(zip(*B))
     out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
+    for row in A:
+        out_row = []
+        for col in cols:
             acc = None
-            for k in range(d):
-                term = witt_mul(ring, p, A[i][k], B[k][j])
-                acc = term if acc is None else witt_add(ring, p, acc, term)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_vec(ring, p, X, B):
-    """Row vector times matrix."""
-    d = len(B)
-    out = []
-    for j in range(d):
-        acc = None
-        for i in range(d):
-            term = witt_mul(ring, p, X[i], B[i][j])
-            acc = term if acc is None else witt_add(ring, p, acc, term)
-        out.append(acc)
+            for a, b in zip(row, col):
+                term = mul(a, b)
+                acc = term if acc is None else add(acc, term)
+            out_row.append(acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
@@ -275,7 +272,8 @@ def build_jset_problem(
     )
 
     pi_n = prob.pi_s().pow(N)
-    prod = _mat_mul(ring, p, A_t, B_t0)
+    mul, add = _witt_ops(ring, p)
+    prod = _mat_mul(A_t, B_t0, mul, add)
     ident = _witt_identity(ring, p, n, d)
     R_mat = []
     for i in range(d):
@@ -298,7 +296,7 @@ def build_jset_problem(
         tuple(witt_neg(ring, p, R_mat[i][j]) for j in range(d)) for i in range(d)
     )
     for _ in range(model.full_aprec + 8):
-        term = _mat_mul(ring, p, term, neg_R)
+        term = _mat_mul(term, neg_R, mul, add)
         if all(_witt_vec_is_zero(term[i][j]) for i in range(d) for j in range(d)):
             break
         inv = tuple(
@@ -308,8 +306,8 @@ def build_jset_problem(
     else:
         raise PrecisionError("normalization series did not terminate at precision")
 
-    B_t = _mat_mul(ring, p, B_t0, inv)
-    check = _mat_mul(ring, p, A_t, B_t)
+    B_t = _mat_mul(B_t0, inv, mul, add)
+    check = _mat_mul(A_t, B_t, mul, add)
     pi_teich = teichmuller_scale(ring, p, pi_n, int_to_witt(ring, p, 1, n))
     for i in range(d):
         for j in range(d):
@@ -364,22 +362,10 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
         tuple(prob.A_tilde[i][j][:level_n] for j in range(prob.d))
         for i in range(prob.d)
     )
-    if arith is None:
-        mul, add = (
-            lambda a, b: witt_mul(ring, p, a, b),
-            lambda a, b: witt_add(ring, p, a, b),
-        )
-    else:
-        mul, add = arith
+    mul, add = _witt_ops(ring, p) if arith is None else arith
     phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
-    out = []
-    for j in range(prob.d):
-        acc = None
-        for i in range(prob.d):
-            term = mul(Xl[i], Al[i][j])
-            acc = term if acc is None else add(acc, term)
-        out.append(add(phi[j], witt_neg(ring, p, acc)))
-    return tuple(out)
+    (XA,) = _mat_mul((Xl,), Al, mul, add)
+    return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
 
 
 def _level_component_reps(prob: JSetProblem, c: Rat):
@@ -419,15 +405,15 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     bound = Fraction(e * prob.p ** (prob.s - prob.n + 1))
     if not 0 <= c < bound:
         raise InputError(f"level {c} outside the admissible range [0, {bound})")
-    per_comp = _level_component_reps(prob, c)
     count_one_coord = 1
-    for reps in per_comp:
-        count_one_coord *= len(reps)
+    for i in range(prob.n):
+        count_one_coord *= level_reps_count(prob.model, prob.comp_threshold(c, i))
     total = count_one_coord ** prob.d
     if total > prob.cap:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
+    per_comp = _level_component_reps(prob, c)
     ring = _ring(prob)
     q_level = prob.quotient_level(c)
     members = []
@@ -591,7 +577,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             for i in range(d)
         )
         phi = tuple(power_frobenius(ring, p, vec) for vec in XbZ)
-        MB = _mat_vec(ring, p, phi, Bl)
+        (MB,) = _mat_mul((phi,), Bl, *_witt_ops(ring, p))
         piNX = tuple(teichmuller_scale(ring, p, pi_n, Xl[i]) for i in range(d))
         return tuple(
             _teich_div(witt_sub(ring, p, MB[i], piNX[i]), divisor, p)

@@ -15,11 +15,21 @@ polynomials.  Two cooperating implementations are provided:
   Integer polynomials respect congruences, so the answer is independent of
   the chosen lifts.
 
-Coefficient rings plug in through small adapter objects (exact integers,
-Z/p^M, local-field model elements).  Also here: the Teichmueller scaling
-formula, the componentwise p-power map (not a ring homomorphism away from
-characteristic p), graded-ideal membership, and the ultrametric solver for
-component valuations of vanishing-ghost systems.
+Coefficient rings plug in through small adapter objects.  An adapter pairs
+the ring A with an exact characteristic-zero companion ring in which ghost
+equations are solved:
+
+* :class:`ZZRing`, exact integers, its own companion;
+* :class:`ZpMRing`, Z/p^M with companion Z: a :class:`ZZRing` whose A-side
+  operations reduce mod p^M;
+* :class:`LocalRing`, elements of a local-field model with companion
+  Z[x]/g(x), multiplied by the polynomial kernel of :mod:`ramibound.padic`
+  over exact integers.
+
+Also here: the Teichmueller scaling formula, the componentwise p-power map
+(not a ring homomorphism away from characteristic p), graded-ideal
+membership, and the ultrametric solver for component valuations of
+vanishing-ghost systems.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ from .padic import (
     LowerBound,
     PAdicTrunc,
     Rat,
-    poly_divmod_monic_int,
+    poly_convolve,
+    poly_divmod_monic,
 )
 
 # ---------------------------------------------------------------------------
@@ -244,8 +255,9 @@ class ZZRing:
         return None
 
 
-class ZpMRing:
-    """Z/p^M with companion ring Z (lifts are the stored representatives)."""
+class ZpMRing(ZZRing):
+    """Z/p^M with companion ring Z (lifts are the stored representatives);
+    only the operations on the Z/p^M side reduce."""
 
     def __init__(self, ring: PAdicTrunc):
         self.ring = ring
@@ -253,12 +265,6 @@ class ZpMRing:
 
     def from_int(self, c: int):
         return c % self.ring.modulus
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return self.ring.add(a, b)
@@ -280,29 +286,6 @@ class ZpMRing:
 
     def lower(self, x, aprec=None):
         return x % self.ring.modulus
-
-    def ladd(self, x, y):
-        return x + y
-
-    def lneg(self, x):
-        return -x
-
-    def lmul(self, x, y):
-        return x * y
-
-    def lpow(self, x, k):
-        return x ** k
-
-    def lscale(self, x, c):
-        return c * x
-
-    def ldivp(self, x, q):
-        if x % q:
-            raise IntegralityError("ghost solve division not exact")
-        return x // q
-
-    def min_aprec(self, elems):
-        return None
 
 
 class LocalRing:
@@ -357,7 +340,7 @@ class LocalRing:
         return tuple(-c for c in x)
 
     def lmul(self, x: tuple, y: tuple):
-        return poly_divmod_monic_int(_int_poly_mul(x, y), self.model.g.coeffs)[1]
+        return poly_divmod_monic(poly_convolve(x, y), self.model.g.coeffs)[1]
 
     def lpow(self, x: tuple, k: int):
         out: tuple = (1,)
@@ -382,17 +365,6 @@ class LocalRing:
 
     def min_aprec(self, elems):
         return min(e.aprec for e in elems)
-
-
-def _int_poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va:
-            for j, vb in enumerate(b):
-                out[i + j] += va * vb
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +421,6 @@ def witt_arith(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
     if op == "mul":
         return witt_mul(R, p, x, y)
     raise InputError(f"unknown op {op!r}")
-
-
-def witt_eq(R, x: tuple, y: tuple) -> bool:
-    return all(R.eq(a, b) for a, b in zip(x, y))
 
 
 def witt_zero(R, n: int) -> tuple:

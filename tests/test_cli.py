@@ -85,6 +85,16 @@ def test_herbrand_command():
     assert data["phi_breakpoints"][-1] == ["2", "4/3"]
 
 
+@pytest.mark.parametrize("filtration", ["1", "1:x", "1:1:1", ""])
+def test_herbrand_malformed_filtration(filtration, capsys):
+    code = main(["herbrand", "--filtration", filtration, "--order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_tame_lift_command():
     data = run_json(["tame-lift", "--p", "3", "--seq", "1,0"])
     assert data["exponent"] == 1

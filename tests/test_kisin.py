@@ -78,6 +78,13 @@ def test_gf_modulus_is_irreducible():
     for c in range(3):
         val = sum(coef * c ** i for i, coef in enumerate(mod)) % 3
         assert val != 0
+    # first monic irreducible in lexicographic order, frozen
+    pinned = {
+        (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1),
+        (5, 1): (0, 1), (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1),
+    }
+    for (p, f), modulus in pinned.items():
+        assert GF.create(p, f).modulus == modulus
 
 
 # ---------------------------------------------------------------------------

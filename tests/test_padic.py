@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
@@ -21,7 +22,10 @@ from ramibound.padic import (
     min_integer_strictly_above,
     parse_poly,
     poly_add,
+    poly_convolve,
+    poly_divmod_monic,
     poly_mul,
+    poly_trim,
 )
 
 
@@ -103,6 +107,31 @@ def test_divide_by_monic_examples():
     assert q == (1,) and r == (6,)  # remainder -3
 
 
+def naive_mul(a, b):
+    """Schoolbook product over the integers, one coefficient at a time."""
+    if not a or not b:
+        return []
+    return [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+
+
+def naive_divmod(num, den, q=None):
+    """Long division by a monic polynomial, every coefficient reduced mod q
+    after every step (q=None: exact integers); results trimmed."""
+    red = (lambda v: v) if q is None else (lambda v: v % q)
+    d = len(den) - 1
+    rem = [red(v) for v in num]
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        quot[i - d] = c
+        for j in range(d + 1):
+            rem[i - d + j] = red(rem[i - d + j] - c * den[j])
+    return poly_trim(tuple(quot)), poly_trim(tuple(rem[:d]))
+
+
 def test_divide_by_monic_roundtrip_random():
     rng = random.Random(11)
     q_mod = 3 ** 2
@@ -112,6 +141,38 @@ def test_divide_by_monic_roundtrip_random():
         quo, rem = divide_by_monic(num, den, 3, 2)
         back = poly_add(poly_mul(quo, den, q_mod), rem, q_mod)
         assert back == poly_add(num, (), q_mod)
+
+    # the kernel against the naive oracles: mod q and over exact integers,
+    # negative coefficients, binomial and non-binomial Eisenstein divisors
+    rng = random.Random(12)
+    divisors = [(3, 1), (3, 3, 1), (-3, 0, 1), (3,) + (0,) * 5 + (1,),
+                (3,) + (0,) * 26 + (1,), (6, 3, 0, 9, 1)]
+    for _ in range(600):
+        q = rng.choice([None, 3 ** 2, 3 ** 24, 5 ** 3])
+        bound = 3 ** 30 if q is None else q
+        deg = rng.choice([0, 1, 6, 12, 27])
+        a = tuple(rng.randrange(-bound, bound) for _ in range(rng.randrange(deg + 2)))
+        b = tuple(rng.randrange(-bound, bound) for _ in range(rng.randrange(deg + 2)))
+        prod = naive_mul(a, b)
+        prec = rng.randrange(len(prod) + 3)
+        assert poly_convolve(a, b) == prod
+        assert poly_convolve(a, b, prec) == prod[:prec]
+        den = rng.choice(divisors + [
+            tuple(rng.randrange(-bound, bound) for _ in range(rng.randrange(4))) + (1,)
+        ])
+        assert poly_divmod_monic(a, den, q) == naive_divmod(a, den, q)
+        if q is None:
+            quo, rem = poly_divmod_monic(prod, den)
+            assert len(rem) < len(den)
+            back = [x + y for x, y in zip_longest(naive_mul(quo, den), rem, fillvalue=0)]
+            assert poly_trim(tuple(back)) == poly_trim(tuple(prod))
+        else:
+            assert poly_mul(a, b, q) == poly_trim(tuple(v % q for v in prod))
+            assert poly_divmod_monic(prod, den, q) == naive_divmod(prod, den, q)
+    with pytest.raises(InputError):
+        poly_divmod_monic((1, 2, 3), (3, 2))
+    with pytest.raises(InputError):
+        poly_divmod_monic((1, 2, 3), (3, 9), 9)
 
 
 def test_valuations_basic():

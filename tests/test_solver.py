@@ -141,6 +141,17 @@ def test_cap_enforced():
         jset_enumerate(build_and_enumerate, "a")
 
 
+def test_cap_checked_before_residue_lists(monkeypatch):
+    prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1, cap=80)
+
+    def no_lists(*args):
+        raise AssertionError("residue lists built before the cap check")
+
+    monkeypatch.setattr("ramibound.solver._level_component_reps", no_lists)
+    with pytest.raises(CapExceededError, match="81 candidates"):
+        jset_enumerate(prob, "a")
+
+
 def test_lift_all_level_a_classes(prob6):
     exact, lifts = exact_solution_set(prob6, target_digits=6)
     assert len(exact) == 3
