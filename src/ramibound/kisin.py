@@ -120,6 +120,8 @@ class GF:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
+        if self.f == 1:
+            return ((a[0] * b[0]) % self.p,)
         r = poly_divmod_monic(poly_convolve(a, b), self.modulus, self.p)[1]
         return r + (0,) * (self.f - len(r))
 

@@ -29,6 +29,7 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -299,11 +300,11 @@ class QuotRing:
         if self.E.p != self.p:
             raise BaseMismatchError("Eisenstein polynomial over a different prime")
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.n
 
-    @property
+    @cached_property
     def modulus_poly(self) -> tuple[int, ...]:
         return self.E.power(self.r, self.q)
 
@@ -386,7 +387,7 @@ class LocalFieldModel:
     def m(self) -> int:
         return len(self.g.coeffs) - 1
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.prec
 

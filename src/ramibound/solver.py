@@ -9,8 +9,10 @@ ideal [a^{>c/p^s}].
 
 Three layers of machinery:
 
-* enumeration of the congruence solutions over canonical residue
-  representatives, with an explicit candidate cap;
+* staged enumeration of the congruence solutions over canonical residue
+  representatives: J_c is built one p-digit breakpoint at a time, extending
+  only the survivors of the previous level, under an explicit candidate cap,
+  and each problem memoizes the sets it has enumerated;
 * reduction maps between truncation levels, and the splitting detector that
   compares the reduced image count against the size the full solution module
   would have;
@@ -26,7 +28,7 @@ and the computation retried.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import BoundConstants, bound_constants, exact_nilpotency_index
@@ -70,6 +72,10 @@ class JSetProblem:
     cap: int
     A_tilde: tuple
     B_tilde: tuple
+    # write-once memo {level: JSolutionSet} filled by jset_enumerate
+    jset_memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def d(self) -> int:
@@ -368,16 +374,58 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
     return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
 
 
-def _level_component_reps(prob: JSetProblem, c: Rat):
-    """Lists of canonical coefficient tuples for each Witt component."""
-    model = prob.model
-    zero = model.zero()
+def _level_component_reps(prob: JSetProblem, c: Rat, below: Rat | None = None):
+    """For each Witt component, the coefficient tuples that extend a
+    canonical representative at level ``below`` to one at level c:
+    coefficient j gains p^{k_old} * t for 0 <= t < p^{k_new - k_old}, where
+    k_old and k_new are its cutoffs at the two levels.  With ``below`` None
+    the old cutoffs are 0, and these are the canonical representatives at c."""
+    zero = prob.model.zero()
+    p = prob.p
     per_comp = []
     for i in range(prob.n):
-        cuts = zero.coeff_cutoffs(prob.comp_threshold(c, i))
-        ranges = [range(model.p ** k) for k in cuts]
+        new = zero.coeff_cutoffs(prob.comp_threshold(c, i))
+        old = (
+            (0,) * len(new)
+            if below is None
+            else zero.coeff_cutoffs(prob.comp_threshold(below, i))
+        )
+        ranges = [range(0, p ** k, p ** k0) for k0, k in zip(old, new)]
         per_comp.append([tuple(t) for t in itertools.product(*ranges)])
     return per_comp
+
+
+def _stage_levels(prob: JSetProblem, c: Rat) -> list:
+    """Ascending levels for staged enumeration, ending at c.
+
+    Coefficient j of Witt component i gains a digit at each level
+    e_norm * p^(s-i) * (j/m + t), t >= 0.  The last breakpoint <= c has the
+    same cutoffs as c itself, so it is replaced by c, whose ideal is smaller
+    (0 is always a breakpoint, so the list is never empty)."""
+    model = prob.model
+    levels = set()
+    for i in range(prob.n):
+        step = model.e_norm * Fraction(prob.p) ** (prob.s - i)
+        for j in range(model.m):
+            lv = step * Fraction(j, model.m)
+            while lv <= c:
+                levels.add(lv)
+                lv += step
+    stages = sorted(levels)
+    stages[-1] = c
+    return stages
+
+
+def _extensions(coord: tuple, steps: list) -> list:
+    """Every extension of one coordinate (a tuple over Witt components of
+    coefficient tuples) by one stage's digit steps."""
+    return [
+        tuple(
+            tuple(a + b for a, b in zip(comp, inc))
+            for comp, inc in zip(coord, incs)
+        )
+        for incs in itertools.product(*steps)
+    ]
 
 
 @dataclass(frozen=True)
@@ -399,8 +447,32 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     """Complete list of congruence solutions at the given truncation level,
-    over canonical residue representatives, in deterministic order."""
+    over canonical residue representatives, in deterministic order.
+
+    The set is built through the stage levels c_0 < c_1 < ... < c_K = c of
+    ``_stage_levels``, starting from the zero vector (every cutoff 0).  At
+    stage c' every survivor of the previous stage gains the new p-digits of
+    each coefficient, and a candidate is kept only if its residual
+    phi(X) - X * A~ lies in I_{c'} = [a^{>c'/p^s}].  Nothing in J_c is lost,
+    because every stage level c' <= c keeps trunc_{c'}(X) of each X in J_c:
+
+    1. X - trunc_{c'}(X) lies in I_{c'}, since the truncation only drops
+       terms of the graded ideal;
+    2. phi maps I_{c'} into I_{c'} and I_{c'} is an ideal, so
+       residual(X) - residual(trunc_{c'}(X)) lies in I_{c'};
+    3. residual(X) lies in I_c, which is contained in I_{c'}, so
+       trunc_{c'}(X) lies in J_{c'};
+    4. every stage level lies in [0, c], hence in the admissible range
+       [0, e * p^(s-n+1)), where classes modulo I_{c'} are well defined.
+
+    The candidate cap bounds the full product of canonical representatives,
+    checked before any stage runs.  The result is memoized on the problem,
+    so enumerating one level again costs nothing.
+    """
     c = resolve_level(prob, level)
+    known = prob.jset_memo.get(c)
+    if known is not None:
+        return known
     e = prob.module.E.e
     bound = Fraction(e * prob.p ** (prob.s - prob.n + 1))
     if not 0 <= c < bound:
@@ -413,17 +485,25 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
-    per_comp = _level_component_reps(prob, c)
     ring = _ring(prob)
-    q_level = prob.quotient_level(c)
-    members = []
-    coord_space = list(itertools.product(*per_comp))
-    for combo in itertools.product(coord_space, repeat=prob.d):
-        X = member_to_witt(prob, combo)
-        res = _residual(prob, ring, X, prob.n)
-        if all(ideal_membership_gt(entry, q_level, strict=True) for entry in res):
-            members.append(tuple(combo))
-    return JSolutionSet(c, tuple(members))
+    zero_coord = tuple((0,) * prob.model.m for _ in range(prob.n))
+    frontier = [(zero_coord,) * prob.d]
+    below = None
+    for stage in _stage_levels(prob, c):
+        steps = _level_component_reps(prob, stage, below)
+        q_stage = prob.quotient_level(stage)
+        survivors = []
+        for X in frontier:
+            per_coord = [_extensions(coord, steps) for coord in X]
+            for cand in itertools.product(*per_coord):
+                res = _residual(prob, ring, member_to_witt(prob, cand), prob.n)
+                if all(ideal_membership_gt(r, q_stage, strict=True) for r in res):
+                    survivors.append(cand)
+        frontier = survivors
+        below = stage
+    sol = JSolutionSet(c, tuple(sorted(frontier)))
+    prob.jset_memo[c] = sol
+    return sol
 
 
 def recheck_member(prob: JSetProblem, member: Member, c: Rat) -> bool:

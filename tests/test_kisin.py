@@ -16,7 +16,14 @@ from ramibound.kisin import (
     tame_lift_build,
     u_power_witness,
 )
-from ramibound.padic import eisenstein_validate, poly_add, poly_mul, poly_trim
+from ramibound.padic import (
+    eisenstein_validate,
+    poly_add,
+    poly_convolve,
+    poly_divmod_monic,
+    poly_mul,
+    poly_trim,
+)
 
 E13 = eisenstein_validate((3, 1), 3)
 
@@ -85,6 +92,16 @@ def test_gf_modulus_is_irreducible():
     }
     for (p, f), modulus in pinned.items():
         assert GF.create(p, f).modulus == modulus
+
+
+def test_gf_prime_field_mul_matches_polynomial_path():
+    # the f = 1 shortcut against the product-then-monic-division path
+    for p in (3, 5, 7):
+        F = GF.create(p, 1)
+        for a in F.elements():
+            for b in F.elements():
+                r = poly_divmod_monic(poly_convolve(a, b), F.modulus, p)[1]
+                assert F.mul(a, b) == r + (0,) * (1 - len(r))
 
 
 # ---------------------------------------------------------------------------

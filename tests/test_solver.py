@@ -5,6 +5,7 @@ import pytest
 
 from ramibound.errors import CapExceededError, InputError, NonConvergenceError
 from ramibound.kisin import kisin_new
+from ramibound import solver
 from ramibound.padic import LocalFieldModel, eisenstein_validate
 from ramibound.solver import (
     build_jset_problem,
@@ -371,3 +372,109 @@ def test_length_two_witt_lift():
     assert truncate_solution(lr.problem, lr.X, prob.level_b) == truncate_solution(
         lr.problem, member_to_witt(lr.problem, member0), prob.level_b
     )
+
+
+# ---------------------------------------------------------------------------
+# staged enumeration against the full-product oracle
+# ---------------------------------------------------------------------------
+
+
+def bruteforce_members(prob, level):
+    """Every vector of canonical residues at the level, in product order,
+    kept when its residual lies in the ideal: the enumerator that staged
+    enumeration replaced."""
+    c = solver.resolve_level(prob, level)
+    ring = LocalRing(prob.model)
+    coord_space = list(itertools.product(*solver._level_component_reps(prob, c)))
+    members = []
+    for combo in itertools.product(coord_space, repeat=prob.d):
+        res = solver._residual(prob, ring, member_to_witt(prob, combo), prob.n)
+        if all(ideal_membership_gt(e, prob.quotient_level(c), True) for e in res):
+            members.append(combo)
+    return tuple(members)
+
+
+SWAP = [[(), (0, 1)], [(1,), ()]]
+
+
+@pytest.mark.parametrize(
+    "matrix, n, m, s, level",
+    [
+        ([[(0, 1)]], 1, 6, 1, "a"),
+        ([[(0, 1)]], 1, 6, 1, "b"),
+        ([[(0, 1)]], 1, 6, 1, F(20, 7)),  # strictly between two breakpoints
+        ([[(0, 1)]], 1, 12, 1, "a"),
+        ([[(0, 1)]], 1, 12, 1, "b"),
+        (SWAP, 1, 6, 1, "a"),
+        (SWAP, 1, 6, 1, "b"),
+        # stages reach coordinate 1's constant term before coordinate 0's
+        # x-coefficient, so only sorting restores the product order
+        ([[(0, 1), ()], [(), (1,)]], 1, 6, 1, "b"),
+        ([[(1,)]], 1, 6, 1, "a"),
+        ([[(1,)]], 2, 9, 2, "b"),
+        ([], 1, 6, 1, "a"),
+    ],
+)
+def test_staged_enumeration_matches_bruteforce(matrix, n, m, s, level):
+    mod = kisin_new(3, n, E13, matrix, r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
+    assert jset_enumerate(prob, level).members == bruteforce_members(prob, level)
+
+
+def count_residuals(monkeypatch):
+    calls = []
+    real = solver._residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_residual", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "matrix, n, m, s, level, candidates, members",
+    [  # full products: 81, 6561 and 729 candidates
+        ([[(0, 1)]], 1, 6, 1, "a", 42, 27),
+        (SWAP, 1, 6, 1, "a", 126, 9),
+        ([[(1,)]], 2, 9, 2, "b", 144, 9),
+    ],
+)
+def test_staged_candidate_counts(
+    monkeypatch, matrix, n, m, s, level, candidates, members
+):
+    mod = kisin_new(3, n, E13, matrix, r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
+    calls = count_residuals(monkeypatch)
+    assert len(jset_enumerate(prob, level)) == members
+    assert len(calls) == candidates
+
+
+def test_enumeration_memo(monkeypatch):
+    prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
+    first = jset_enumerate(prob, "a")
+    calls = []
+    real_residual, real_enumerate = solver._residual, solver.jset_enumerate
+    inside = []
+
+    def enumerating(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real_enumerate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(*args, **kwargs):
+        if inside:
+            calls.append(1)
+        return real_residual(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "jset_enumerate", enumerating)
+    monkeypatch.setattr(solver, "_residual", counting)
+    assert solver.jset_enumerate(prob, "a") is first
+    exact, _ = exact_solution_set(prob, target_digits=6)
+    assert len(exact) == 3 and calls == []
+    # a rebuilt problem starts with an empty memo; the memo leaves == alone
+    assert with_precision(prob, 30).jset_memo == {}
+    assert prob == build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
