@@ -9,7 +9,7 @@ CLI.  All log_p comparisons are exact integer power comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InputError, PrecisionError
@@ -149,22 +149,7 @@ class BoundReport:
     conj13_diff: Rat
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "e": self.e,
-            "n": self.n,
-            "r": self.r,
-            "N": self.N,
-            "N_provenance": self.N_provenance,
-            "thm11_mu": self.thm11_mu,
-            "thm11_min_s": self.thm11_min_s,
-            "cor39_mu": self.cor39_mu,
-            "cor39_min_s": self.cor39_min_s,
-            "thm12_mu": self.thm12_mu,
-            "thm12_diff": self.thm12_diff,
-            "conj13_mu": self.conj13_mu,
-            "conj13_diff": self.conj13_diff,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def ramification_report(

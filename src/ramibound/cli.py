@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -92,21 +94,9 @@ def emit_report(report, fmt: str = "json") -> str:
 
 def bound_report_from_json(data: dict) -> bounds_mod.BoundReport:
     """Inverse of the JSON serialization of a bound report."""
+    parse = {"int": int, "str": str, "Rat": lambda v: parse_rat(str(v))}
     return bounds_mod.BoundReport(
-        p=int(data["p"]),
-        e=int(data["e"]),
-        n=int(data["n"]),
-        r=int(data["r"]),
-        N=int(data["N"]),
-        N_provenance=data["N_provenance"],
-        thm11_mu=parse_rat(str(data["thm11_mu"])),
-        thm11_min_s=int(data["thm11_min_s"]),
-        cor39_mu=parse_rat(str(data["cor39_mu"])),
-        cor39_min_s=int(data["cor39_min_s"]),
-        thm12_mu=parse_rat(str(data["thm12_mu"])),
-        thm12_diff=parse_rat(str(data["thm12_diff"])),
-        conj13_mu=parse_rat(str(data["conj13_mu"])),
-        conj13_diff=parse_rat(str(data["conj13_diff"])),
+        **{f.name: parse[f.type](data[f.name]) for f in fields(bounds_mod.BoundReport)}
     )
 
 
@@ -185,15 +175,22 @@ def _eisenstein_from_args(args, p: int):
 
 
 def _default_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("RAMIBOUND_CAP")
-    if env:
+    """--cap when given, else RAMIBOUND_CAP when set, else the default; a cap
+    below 1 is refused."""
+    if args.cap is not None:
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("RAMIBOUND_CAP")
+        if not env:
+            return solver_mod.DEFAULT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise InputError(f"bad RAMIBOUND_CAP: {exc}") from None
-    return solver_mod.DEFAULT_CAP
+        source = "RAMIBOUND_CAP"
+    if cap < 1:
+        raise InputError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _build_problem(args):
@@ -440,7 +437,6 @@ def cmd_grid(args) -> list[dict]:
                             k: summary.get(k)
                             for k in ("ern", "ceil", "uep", "general")
                         }
-                        closed = {k: v for k, v in closed.items()}
                         ok = all(
                             exact <= v for v in closed.values() if v is not None
                         )
@@ -496,6 +492,13 @@ def _add_common(sp, *names):
         )
     if "fmt" in names:
         sp.add_argument("--format", dest="fmt", default="json", choices=["json", "tsv"])
+    if "problem" in names:
+        sp.add_argument("--matrix", help="Frobenius matrix")
+        sp.add_argument("--model", help="model generator polynomial 'a0,...,1'")
+        sp.add_argument("--s", type=int, required=True, help="Kummer level")
+        sp.add_argument("--pis", type=int, help="pi_s as a power of the uniformizer x")
+        sp.add_argument("--cap", type=int, help="enumeration cap (or RAMIBOUND_CAP)")
+        sp.add_argument("--prec", type=int, default=24, help="model p-digit precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,25 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_kisin_height)
 
     j = sub.add_parser("jset", help="enumerate Frobenius congruence solutions")
-    _add_common(j, "p", "n", "r", "N", "eisenstein", "fmt")
-    j.add_argument("--matrix", help="Frobenius matrix")
-    j.add_argument("--model", help="model generator polynomial 'a0,...,1'")
-    j.add_argument("--s", type=int, required=True, help="Kummer level")
+    _add_common(j, "p", "n", "r", "N", "eisenstein", "problem", "fmt")
     j.add_argument("--c", help="truncation level: 'a', 'b' or a rational")
-    j.add_argument("--pis", type=int, help="pi_s as this power of the model uniformizer")
-    j.add_argument("--cap", type=int, help="enumeration cap (or RAMIBOUND_CAP)")
-    j.add_argument("--prec", type=int, default=24, help="model p-digit precision")
     j.set_defaults(func=cmd_jset)
 
     sl = sub.add_parser("solve-lift", help="lift level-a classes to exact solutions")
-    _add_common(sl, "p", "n", "r", "N", "eisenstein", "fmt")
-    sl.add_argument("--matrix", help="Frobenius matrix")
-    sl.add_argument("--model", help="model generator polynomial")
-    sl.add_argument("--s", type=int, required=True)
-    sl.add_argument("--c", help=argparse.SUPPRESS)
-    sl.add_argument("--pis", type=int)
-    sl.add_argument("--cap", type=int)
-    sl.add_argument("--prec", type=int, default=24)
+    _add_common(sl, "p", "n", "r", "N", "eisenstein", "problem", "fmt")
     sl.add_argument("--digits", type=int, default=6, help="certification digits")
     sl.add_argument("--trace", action="store_true", help="include iteration traces")
     sl.set_defaults(func=cmd_solve_lift)
@@ -568,10 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write '--option -3,0,1' as '--option=-3,0,1'.  argparse takes a token
+    such as -3,0,1 for an unknown option; no option here begins with -<digit>."""
+    out: list[str] = []
+    for tok in argv:
+        if out and re.match(r"-\d", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -5,8 +5,9 @@ truncated at u^P.  Height witnesses B with A*B = E(u)^r * I are found by
 linear algebra over F_p[[u]] (a discrete valuation ring, so Laurent-series
 elimination decides solvability) followed by digit-by-digit p-adic lifting;
 direct inversion is unavailable because the coefficient ring is not a domain
-for n > 1.  Every witness is re-verified by multiplication before it is
-returned.
+for n > 1.  Every witness is re-verified before it is returned: A*B, by the
+kernel's :func:`ramibound.padic.mat_mul`, must equal c*I modulo u^prec
+(:func:`is_scalar_mod_u`).
 
 The tame-lift builder produces the cyclic module with phi(e_{i+1}) =
 (u+p)^{n_i} e_i together with its filtered-module data and the exponent of
@@ -18,6 +19,7 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -29,11 +31,13 @@ from .padic import (
     EisensteinPoly,
     divide_by_monic,
     eisenstein_validate,
+    mat_mul,
     poly_add,
     poly_convolve,
     poly_divmod_monic,
     poly_mod,
     poly_trim,
+    power,
 )
 
 # ---------------------------------------------------------------------------
@@ -126,14 +130,7 @@ class GF:
         return r + (0,) * (self.f - len(r))
 
     def pow(self, a, k: int):
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return power(a, k, self.mul, self.one())
 
     def inv(self, a):
         if not any(a):
@@ -176,6 +173,11 @@ def series_add(F: GF, a: list, b: list) -> list:
         F.add(a[i] if i < len(a) else F.zero(), b[i] if i < len(b) else F.zero())
         for i in range(n)
     ]
+
+
+def _series_ops(F: GF, prec: int):
+    """Entry product and sum for :func:`mat_mul` over F[[u]]/u^prec."""
+    return (lambda a, b: series_mul(F, a, b, prec), lambda a, b: series_add(F, a, b))
 
 
 def series_neg(F: GF, a: list) -> list:
@@ -245,7 +247,6 @@ def series_solve(F: GF, A, M, prec: int):
     solution is not integral, PrecisionError when det A vanishes entirely at
     this truncation.
     """
-    d = len(A)
     det = series_det(F, A, prec)
     v = series_val(F, det, prec)
     if v is None:
@@ -257,20 +258,15 @@ def series_solve(F: GF, A, M, prec: int):
     if out_prec <= 0:
         raise PrecisionError("u-precision exhausted by determinant valuation")
     C = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: list = []
-            for k in range(d):
-                acc = series_add(F, acc, series_mul(F, adj[i][k], M[k][j], prec))
+    for row in mat_mul(adj, M, *_series_ops(F, prec)):
+        C.append([])
+        for acc in row:
             t = series_mul(F, acc, unit_inv, prec - v)
-            for low in range(min(v, len(t))):
-                if not F.is_zero(t[low]):
-                    raise NotHeightError(
-                        "solution acquires a pole: no witness at this height"
-                    )
-            row.append(t[v:])
-        C.append(row)
+            if any(not F.is_zero(c) for c in t[:v]):
+                raise NotHeightError(
+                    "solution acquires a pole: no witness at this height"
+                )
+            C[-1].append(t[v:])
     return C, out_prec
 
 
@@ -333,35 +329,32 @@ def kisin_new(
 
 
 def _mat_mul_series(A, B, q: int, prec: int):
-    d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: tuple = ()
-            for k in range(d):
-                term = poly_mod(poly_convolve(A[i][k], B[k][j], prec), q)
-                acc = poly_add(acc, term, q)
-            row.append(acc)
-        out.append(row)
-    return out
+    """Matrix product over (Z/q)[u]/u^prec."""
+    return mat_mul(
+        A,
+        B,
+        lambda a, b: poly_mod(poly_convolve(a, b, prec), q),
+        lambda a, b: poly_add(a, b, q),
+    )
 
 
-def _mat_equal_series(A, B, q: int, prec: int) -> bool:
-    d = len(A)
-    for i in range(d):
-        for j in range(d):
-            a, b = A[i][j], B[i][j]
+def is_scalar_mod_u(M, c, prec: int, zero, eq) -> bool:
+    """Whether the square matrix M of series equals c * I modulo u^prec.
+    Series are coefficient sequences, padded with ``zero``; ``eq`` decides
+    whether two coefficients agree."""
+    for i, row in enumerate(M):
+        for j, a in enumerate(row):
+            b = c if i == j else ()
             for t in range(prec):
-                av = a[t] if t < len(a) else 0
-                bv = b[t] if t < len(b) else 0
-                if (av - bv) % q:
+                av = a[t] if t < len(a) else zero
+                bv = b[t] if t < len(b) else zero
+                if not eq(av, bv):
                     return False
     return True
 
 
-def _scalar_matrix(poly: tuple, d: int):
-    return [[tuple(poly) if i == j else () for j in range(d)] for i in range(d)]
+def _mod_q_eq(q: int):
+    return lambda a, b: (a - b) % q == 0
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,7 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
         raise PrecisionError("witness certified below e*r + 1; raise uprec")
     Bt = tuple(tuple(B[i][j] for j in range(d)) for i in range(d))
     prod = _mat_mul_series(mod.entries, Bt, q, avail)
-    if not _mat_equal_series(prod, _scalar_matrix(target, d), q, avail):
+    if not is_scalar_mod_u(prod, target, avail, 0, _mod_q_eq(q)):
         raise AssertionError("witness re-verification failed")
     return HeightWitness(Bt, avail, r)
 
@@ -450,7 +443,7 @@ def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitne
         for i in range(d)
     )
     prod = _mat_mul_series(mod.entries, Bp, q, avail)
-    if not _mat_equal_series(prod, _scalar_matrix((0,) * N + (1,), d), q, avail):
+    if not is_scalar_mod_u(prod, (0,) * N + (1,), avail, 0, _mod_q_eq(q)):
         raise AssertionError("u-power witness re-verification failed")
     return HeightWitness(Bp, avail, wit.r)
 
@@ -544,13 +537,10 @@ def tame_character_oracle(p: int, d: int, seq) -> TameOracleResult:
     if len(exps) != 1:
         raise AssertionError("inconsistent exponent classes")
     F = GF.create(p, d)
-    # coefficient solutions form an F_{p^d}-line: d-fold Frobenius must fix
-    # the field elementwise
+    # coefficient solutions form an F_{p^d}-line: d-fold Frobenius, the
+    # p^d-th power, must fix the field elementwise
     probe = F.from_int(2) if d == 1 else tuple([1, 1] + [0] * (d - 2))
-    fr = probe
-    for _ in range(d):
-        fr = F.frobenius(fr)
-    if fr != probe:
+    if F.pow(probe, F.order) != probe:
         raise AssertionError("field presentation is not fixed by q-Frobenius")
     return TameOracleResult(exps.pop(), tuple(starts), F.modulus)
 
@@ -678,18 +668,9 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
     tgt = [F.zero()] * er + [F.one()]
     M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
     C, avail = series_solve(F, A_f, M, uprec)
-    # verify
-    for i in range(d):
-        for j in range(d):
-            acc: list = []
-            for k in range(d):
-                acc = series_add(F, acc, series_mul(F, A_f[i][k], C[k][j], avail))
-            want = tgt if i == j else []
-            for tpos in range(avail):
-                av = acc[tpos] if tpos < len(acc) else F.zero()
-                bv = want[tpos] if tpos < len(want) else F.zero()
-                if av != bv:
-                    raise AssertionError("mod-p witness re-verification failed")
+    prod = mat_mul(A_f, C, *_series_ops(F, avail))
+    if not is_scalar_mod_u(prod, tgt, avail, F.zero(), operator.eq):
+        raise AssertionError("mod-p witness re-verification failed")
     return C, avail
 
 

@@ -6,11 +6,17 @@ models of totally ramified extensions of Q_p presented by an Eisenstein
 generator polynomial.  Valuations are exact `fractions.Fraction` values, never
 floats.
 
-This module holds the package's one polynomial kernel.  Every product of
-integer coefficient tuples, in every module, is :func:`poly_convolve` (exact,
-optionally truncated to the first ``prec`` coefficients), and every division
-by a monic polynomial is :func:`poly_divmod_monic` (mod q, or over exact
-integers when q is None).  Both reduce modulo q once, at the end.
+This module holds the package's one arithmetic kernel:
+
+* every product of integer coefficient tuples, in every module, is
+  :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
+  coefficients), and every division by a monic polynomial is
+  :func:`poly_divmod_monic` (mod q, or over exact integers when q is None);
+  both reduce modulo q once, at the end;
+* every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
+  field, is :func:`mat_mul` with the entry product and sum passed in;
+* every power by square-and-multiply, of local-field elements, finite-field
+  elements, polynomials or companion-ring elements, is :func:`power`.
 
 Conventions
 -----------
@@ -28,6 +34,7 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -92,6 +99,36 @@ class LowerBound:
 
     def __repr__(self) -> str:
         return f"LowerBound({self.value})"
+
+
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 by square-and-multiply, with the product ``mul`` and
+    identity ``one``; the base is not squared past the top bit of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def mat_mul(A, B, mul, add):
+    """Product of an (l x d) and a (d x m) matrix, with the entry product and
+    sum given; a row vector is a 1 x d matrix.  Rows are tuples."""
+    cols = tuple(zip(*B))
+    out = []
+    for row in A:
+        out_row = []
+        for col in cols:
+            acc = None
+            for a, b in zip(row, col):
+                term = mul(a, b)
+                acc = term if acc is None else add(acc, term)
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +288,8 @@ class EisensteinPoly:
         return poly_trim(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def power(self, r: int, q: int) -> tuple[int, ...]:
-        out: tuple[int, ...] = (1,)
-        base = tuple(c % q for c in self.coeffs)
-        for _ in range(r):
-            out = poly_mul(out, base, q)
-        return out
+        """E(u)^r mod q."""
+        return power(self.coeffs, r, lambda a, b: poly_mul(a, b, q), (1,))
 
     def is_uniformizer_binomial(self) -> bool:
         """True for the shapes u^e - p and u^e + p."""
@@ -496,14 +530,7 @@ class LocalElement:
     def pow(self, k: int) -> "LocalElement":
         if k < 0:
             raise InputError("negative powers via div()")
-        out = self.model.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, operator.mul, self.model.one())
 
     def eq_at_prec(self, other: "LocalElement") -> bool:
         return (self - other).is_zero_at_prec()

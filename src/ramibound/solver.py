@@ -20,6 +20,9 @@ Three layers of machinery:
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
 
+Every matrix of Witt vectors is multiplied by the kernel's
+:func:`ramibound.padic.mat_mul`, with Witt products and sums as entry operations.
+
 Working precision is self-tuning: when a certification cannot be reached at
 the current model precision the problem is rebuilt at twice the digit count
 and the computation retried.
@@ -40,7 +43,14 @@ from .errors import (
     UndecidableError,
 )
 from .kisin import KisinModule, height_witness, u_power_witness
-from .padic import LocalElement, LocalFieldModel, LowerBound, Rat, level_reps_count
+from .padic import (
+    LocalElement,
+    LocalFieldModel,
+    LowerBound,
+    Rat,
+    level_reps_count,
+    mat_mul,
+)
 from .witt import (
     LocalRing,
     ideal_membership_gt,
@@ -140,23 +150,6 @@ def _witt_ops(ring, p):
     )
 
 
-def _mat_mul(A, B, mul, add):
-    """Product of an (l x d) and a (d x m) matrix of Witt vectors, with the
-    entry product and sum given; a row vector is a 1 x d matrix."""
-    cols = tuple(zip(*B))
-    out = []
-    for row in A:
-        out_row = []
-        for col in cols:
-            acc = None
-            for a, b in zip(row, col):
-                term = mul(a, b)
-                acc = term if acc is None else add(acc, term)
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def _teich_div(vec: tuple, z: LocalElement, p: int) -> tuple:
     """Divide a Witt vector by the Teichmueller representative [z]:
     component i is divided by z^{p^i}."""
@@ -169,15 +162,8 @@ def _teich_div(vec: tuple, z: LocalElement, p: int) -> tuple:
     return tuple(out)
 
 
-def _witt_vec_is_zero(vec: tuple, min_aprec: int | None = None) -> bool:
-    for comp in vec:
-        if not comp.is_zero_at_prec():
-            return False
-        if min_aprec is not None and comp.aprec < min_aprec:
-            raise PrecisionError(
-                f"component certified only to x-precision {comp.aprec} < {min_aprec}"
-            )
-    return True
+def _witt_vec_is_zero(vec: tuple) -> bool:
+    return all(comp.is_zero_at_prec() for comp in vec)
 
 
 def _witt_vec_val_ge(vec: tuple, target_x: int) -> bool:
@@ -279,7 +265,7 @@ def build_jset_problem(
 
     pi_n = prob.pi_s().pow(N)
     mul, add = _witt_ops(ring, p)
-    prod = _mat_mul(A_t, B_t0, mul, add)
+    prod = mat_mul(A_t, B_t0, mul, add)
     ident = _witt_identity(ring, p, n, d)
     R_mat = []
     for i in range(d):
@@ -302,7 +288,7 @@ def build_jset_problem(
         tuple(witt_neg(ring, p, R_mat[i][j]) for j in range(d)) for i in range(d)
     )
     for _ in range(model.full_aprec + 8):
-        term = _mat_mul(term, neg_R, mul, add)
+        term = mat_mul(term, neg_R, mul, add)
         if all(_witt_vec_is_zero(term[i][j]) for i in range(d) for j in range(d)):
             break
         inv = tuple(
@@ -312,8 +298,8 @@ def build_jset_problem(
     else:
         raise PrecisionError("normalization series did not terminate at precision")
 
-    B_t = _mat_mul(B_t0, inv, mul, add)
-    check = _mat_mul(A_t, B_t, mul, add)
+    B_t = mat_mul(B_t0, inv, mul, add)
+    check = mat_mul(A_t, B_t, mul, add)
     pi_teich = teichmuller_scale(ring, p, pi_n, int_to_witt(ring, p, 1, n))
     for i in range(d):
         for j in range(d):
@@ -370,7 +356,7 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
     )
     mul, add = _witt_ops(ring, p) if arith is None else arith
     phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
-    (XA,) = _mat_mul((Xl,), Al, mul, add)
+    (XA,) = mat_mul((Xl,), Al, mul, add)
     return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
 
 
@@ -529,15 +515,11 @@ def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:
     c = resolve_level(prob, target)
     if c > sol.level:
         raise InputError("reduction target must not exceed the source level")
-    seen = []
-    seen_set = set()
-    for member in sol.members:
-        X = member_to_witt(prob, member)
-        key = truncate_solution(prob, X, c)
-        if key not in seen_set:
-            seen_set.add(key)
-            seen.append(key)
-    return JSolutionSet(c, tuple(seen))
+    keys = (
+        truncate_solution(prob, member_to_witt(prob, member), c)
+        for member in sol.members
+    )
+    return JSolutionSet(c, tuple(dict.fromkeys(keys)))
 
 
 def splitting_test(prob: JSetProblem, expected_t_size: int) -> tuple[bool, int]:
@@ -647,31 +629,27 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     divisor = pi_n * beta
     trace: list = []
 
+    def moved(Z: tuple, level: int) -> tuple:
+        """X + [beta] * Z on the first ``level`` Witt components."""
+        return tuple(
+            witt_add(ring, p, X[i][:level], teichmuller_scale(ring, p, beta, Z[i]))
+            for i in range(d)
+        )
+
     def step(Z: tuple, level: int) -> tuple:
-        Xl = tuple(vec[:level] for vec in X)
         Bl = tuple(
             tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
         )
-        XbZ = tuple(
-            witt_add(ring, p, Xl[i], teichmuller_scale(ring, p, beta, Z[i]))
-            for i in range(d)
-        )
-        phi = tuple(power_frobenius(ring, p, vec) for vec in XbZ)
-        (MB,) = _mat_mul((phi,), Bl, *_witt_ops(ring, p))
-        piNX = tuple(teichmuller_scale(ring, p, pi_n, Xl[i]) for i in range(d))
+        phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
+        (MB,) = mat_mul((phi,), Bl, *_witt_ops(ring, p))
+        piNX = tuple(teichmuller_scale(ring, p, pi_n, X[i][:level]) for i in range(d))
         return tuple(
             _teich_div(witt_sub(ring, p, MB[i], piNX[i]), divisor, p)
             for i in range(d)
         )
 
     def certified(Z: tuple, level: int) -> bool:
-        Xc = tuple(
-            witt_add(
-                ring, p, tuple(X[i][:level]), teichmuller_scale(ring, p, beta, Z[i])
-            )
-            for i in range(d)
-        )
-        r = _residual(prob, ring, Xc, level)
+        r = _residual(prob, ring, moved(Z, level), level)
         return all(_witt_vec_val_ge(entry, target_x) for entry in r)
 
     iterations = 0
@@ -708,11 +686,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"no convergence within {budget} iterations at Witt level {level}"
         )
 
-    Z = solve(n)
-    X_exact = tuple(
-        witt_add(ring, p, X[i], teichmuller_scale(ring, p, beta, Z[i]))
-        for i in range(d)
-    )
+    X_exact = moved(solve(n), n)
     # exactness and proximity certificates
     res = _residual(prob, ring, X_exact, n)
     for entry in res:
@@ -770,14 +744,9 @@ def exact_solution_set(
     deduplicated count must equal the reduced-image count."""
     level_a = jset_enumerate(prob, "a")
     lifts = [lift_solution(prob, member, target_digits) for member in level_a.members]
-    seen = []
-    seen_set = set()
-    for lr in lifts:
-        key = truncate_solution(lr.problem, lr.X, prob.level_b)
-        if key not in seen_set:
-            seen_set.add(key)
-            seen.append(key)
+    keys = (truncate_solution(lr.problem, lr.X, prob.level_b) for lr in lifts)
+    seen = tuple(dict.fromkeys(keys))
     image = rho_reduce(prob, level_a, "b")
     if len(seen) != len(image):
         raise AssertionError("exact-solution count disagrees with the reduced image")
-    return JSolutionSet(prob.level_b, tuple(seen)), lifts
+    return JSolutionSet(prob.level_b, seen), lifts

@@ -26,6 +26,9 @@ equations are solved:
   Z[x]/g(x), multiplied by the polynomial kernel of :mod:`ramibound.padic`
   over exact integers.
 
+Powers, of packed integer polynomials and of companion-ring elements alike,
+are the kernel's :func:`ramibound.padic.power`.
+
 Also here: the Teichmueller scaling formula, the componentwise p-power map
 (not a ring homomorphism away from characteristic p), graded-ideal
 membership, and the ultrametric solver for component valuations of
@@ -52,6 +55,7 @@ from .padic import (
     Rat,
     poly_convolve,
     poly_divmod_monic,
+    power,
 )
 
 # ---------------------------------------------------------------------------
@@ -94,14 +98,7 @@ def _pscale(a: dict, c: int) -> dict:
 
 
 def _ppow(a: dict, k: int) -> dict:
-    out = {0: 1}
-    base = a
-    while k:
-        if k & 1:
-            out = _pmul(out, base)
-        base = _pmul(base, base) if k > 1 else base
-        k >>= 1
-    return out
+    return power(a, k, _pmul, {0: 1})
 
 
 def _pdiv_exact(a: dict, c: int) -> dict:
@@ -234,9 +231,6 @@ class ZZRing:
     def ladd(self, x, y):
         return x + y
 
-    def lneg(self, x):
-        return -x
-
     def lmul(self, x, y):
         return x * y
 
@@ -336,21 +330,11 @@ class LocalRing:
             (x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(n)
         )
 
-    def lneg(self, x: tuple):
-        return tuple(-c for c in x)
-
     def lmul(self, x: tuple, y: tuple):
         return poly_divmod_monic(poly_convolve(x, y), self.model.g.coeffs)[1]
 
     def lpow(self, x: tuple, k: int):
-        out: tuple = (1,)
-        base = x
-        while k:
-            if k & 1:
-                out = self.lmul(out, base)
-            base = self.lmul(base, base) if k > 1 else base
-            k >>= 1
-        return out
+        return power(x, k, self.lmul, (1,))
 
     def lscale(self, x: tuple, c: int):
         return tuple(c * v for v in x)
