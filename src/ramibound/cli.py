@@ -366,6 +366,8 @@ def cmd_jset(args) -> dict:
 
 
 def cmd_solve_lift(args) -> dict:
+    if args.digits < 1:
+        raise InputError(f"--digits must be at least 1, got {args.digits}")
     prob = _build_problem(args)
     classes = solver_mod.jset_enumerate(prob, "a")
     exact, lifts = solver_mod.exact_solution_set(prob, target_digits=args.digits)

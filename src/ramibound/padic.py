@@ -469,20 +469,21 @@ class LocalElement:
 
     # -- valuation ---------------------------------------------------------
 
-    def term_xvals(self) -> list[int | None]:
-        p, m = self.model.p, self.model.m
-        out: list[int | None] = []
-        for j, a in enumerate(self.coeffs):
-            v = vp_int(a % self.model.q, p)
-            out.append(None if v is None else m * v + j)
-        return out
-
     def xval(self) -> int | None:
-        """Exact valuation in x-units, or None when zero at precision."""
-        best: int | None = None
-        for t in self.term_xvals():
-            if t is not None and t < self.aprec and (best is None or t < best):
-                best = t
+        """Exact valuation in x-units, or None when zero at precision: the
+        least term m * v_p(a_j) + j below aprec.  Term j is at least j, so the
+        scan stops once j reaches the least term so far or aprec."""
+        p, m, q = self.model.p, self.model.m, self.model.q
+        best, bound = None, self.aprec
+        for j, a in enumerate(self.coeffs):
+            if j >= bound:
+                break
+            a, t = a % q, j
+            while a and t < bound:
+                if a % p:
+                    best = bound = t
+                    break
+                a, t = a // p, t + m
         return best
 
     def valuation(self) -> Rat | LowerBound:

@@ -66,6 +66,7 @@ from .witt import (
 )
 
 DEFAULT_CAP = 10 ** 6
+LIFT_ATTEMPTS = 5  # model precisions tried by lift_solution, each double the last
 
 Member = tuple  # tuple over coords of tuples over Witt components of coeffs
 
@@ -428,7 +429,10 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
         return prob.level_a
     if level == "b":
         return prob.level_b
-    return Fraction(level)
+    try:
+        return Fraction(level)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad level {level!r}: {exc}") from None
 
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
@@ -549,7 +553,6 @@ def lift_solution(
     prob: JSetProblem,
     member: Member,
     target_digits: int = 6,
-    max_attempts: int = 5,
 ) -> LiftResult:
     """Refine a level-a congruence class into an exact solution.
 
@@ -558,14 +561,12 @@ def lift_solution(
     the level-a precondition and is reported as such.
     """
     cur = prob
-    for attempt in range(max_attempts):
+    for _ in range(LIFT_ATTEMPTS - 1):
         try:
             return _lift_attempt(cur, member, target_digits)
         except PrecisionError:
-            if attempt == max_attempts - 1:
-                raise
             cur = with_precision(cur, cur.model.prec * 2)
-    raise AssertionError("unreachable")
+    return _lift_attempt(cur, member, target_digits)
 
 
 def _decompose_valuation(prob: JSetProblem, v: Rat) -> LocalElement:

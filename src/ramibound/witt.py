@@ -1,33 +1,26 @@
 """Truncated Witt vectors over pluggable coefficient rings.
 
-The ring structure on length-n Witt vectors is given by universal integer
-polynomials.  Two cooperating implementations are provided:
+The ring structure on length-n Witt vectors W_n(A) is given by universal
+integer polynomials.  One solver of the ghost equations
+w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
 
-* :func:`universal_polys` materializes the addition and multiplication
-  polynomials symbolically by solving the ghost equations over the rationals
-  and asserting integrality of every coefficient.
+* :func:`universal_polys` solves them over Q on packed integer polynomials
+  and asserts that every coefficient is an integer;
+* :func:`witt_add`, :func:`witt_mul` and :func:`int_to_witt` solve them on
+  concrete values in an exact companion ring Z[x]/g, on integer coefficient
+  tuples.  Every division by a power of p there is exact because the
+  universal polynomials have integer coefficients, and the answer does not
+  depend on the chosen lifts because integer polynomials respect
+  congruences.
 
-* :func:`witt_add` / :func:`witt_mul` evaluate those universal polynomials on
-  concrete inputs without expanding them: components are lifted to an exact
-  characteristic-zero companion ring, the ghost equations are solved there
-  (all divisions by powers of p are exact, precisely because the universal
-  polynomials have integer coefficients), and the result is reduced back.
-  Integer polynomials respect congruences, so the answer is independent of
-  the chosen lifts.
-
-Coefficient rings plug in through small adapter objects.  An adapter pairs
-the ring A with an exact characteristic-zero companion ring in which ghost
-equations are solved:
-
-* :class:`ZZRing`, exact integers, its own companion;
-* :class:`ZpMRing`, Z/p^M with companion Z: a :class:`ZZRing` whose A-side
-  operations reduce mod p^M;
-* :class:`LocalRing`, elements of a local-field model with companion
-  Z[x]/g(x), multiplied by the polynomial kernel of :mod:`ramibound.padic`
-  over exact integers.
-
-Powers, of packed integer polynomials and of companion-ring elements alike,
-are the kernel's :func:`ramibound.padic.power`.
+A coefficient ring A plugs in through an adapter that supplies ``g``,
+``lift(a)`` (a representative of a in Z[x]/g), ``lower(zs, inputs)``
+(companion values mapped into A, with the precision of the input components)
+and the A-side operations ``from_int``, ``zero``, ``add``, ``neg``, ``mul``
+and ``pow``.  :class:`ZZRing` (exact integers) and :class:`ZpMRing` (Z/p^M)
+have g = x, so their companion ring is Z; :class:`LocalRing` (elements of a
+local-field model) has the model's Eisenstein g, and its A side is
+LocalElement's arithmetic, which tracks the absolute precision.
 
 Also here: the Teichmueller scaling formula, the componentwise p-power map
 (not a ring homomorphism away from characteristic p), graded-ideal
@@ -39,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     IntegralityError,
@@ -92,8 +85,6 @@ def _padd(a: dict, b: dict) -> dict:
 
 
 def _pscale(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
     return {k: c * v for k, v in a.items()}
 
 
@@ -119,6 +110,36 @@ def unpack_exponents(key: int, nvars: int, bits: int) -> tuple[int, ...]:
     return tuple((key >> (bits * i)) & mask for i in range(nvars))
 
 
+# ---------------------------------------------------------------------------
+# Ghost components and the ghost equations, in any commutative ring
+# ---------------------------------------------------------------------------
+
+
+def _ghost(xs: list, m: int, p: int, ops: tuple):
+    """Ghost component w_m = sum_{i<=m} p^i x_i^(p^(m-i)) in the ring whose
+    (power, sum, integer scale, exact division) are ``ops``."""
+    pow_, add, scale, _ = ops
+    acc = pow_(xs[0], p ** m)
+    for i in range(1, m + 1):
+        acc = add(acc, scale(pow_(xs[i], p ** (m - i)), p ** i))
+    return acc
+
+
+def _solve_ghosts(ghosts: list, p: int, ops: tuple) -> list:
+    """Components z_0..z_{n-1} with ghost components G_0..G_{n-1}:
+    z_m = (G_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m, each division exact."""
+    pow_, add, scale, div_exact = ops
+    zs: list = []
+    for m, acc in enumerate(ghosts):
+        for i, z in enumerate(zs):
+            acc = add(acc, scale(pow_(z, p ** (m - i)), -(p ** i)))
+        zs.append(div_exact(acc, p ** m))
+    return zs
+
+
+_PACKED = (_ppow, _padd, _pscale, _pdiv_exact)
+
+
 @dataclass(frozen=True)
 class WittUniversalPolys:
     """Addition polynomials S_0..S_{n-1} and multiplication polynomials
@@ -137,13 +158,6 @@ class WittUniversalPolys:
         }
 
 
-def _ghost_poly(vars_: list[dict], m: int, p: int) -> dict:
-    out: dict = {}
-    for i in range(m + 1):
-        out = _padd(out, _pscale(_ppow(vars_[i], p ** (m - i)), p ** i))
-    return out
-
-
 @lru_cache(maxsize=None)
 def universal_polys(p: int, n: int) -> WittUniversalPolys:
     """Solve the ghost equations over Q for ring structure polynomials and
@@ -153,17 +167,10 @@ def universal_polys(p: int, n: int) -> WittUniversalPolys:
     bits = max(2, (p ** (n - 1)).bit_length() + 1)
     xs = [_var(i, bits) for i in range(n)]
     ys = [_var(n + i, bits) for i in range(n)]
-
-    sums: list[dict] = []
-    prods: list[dict] = []
-    for m in range(n):
-        gs = _padd(_ghost_poly(xs, m, p), _ghost_poly(ys, m, p))
-        gp = _pmul(_ghost_poly(xs, m, p), _ghost_poly(ys, m, p))
-        for i in range(m):
-            gs = _padd(gs, _pscale(_ppow(sums[i], p ** (m - i)), -(p ** i)))
-            gp = _padd(gp, _pscale(_ppow(prods[i], p ** (m - i)), -(p ** i)))
-        sums.append(_pdiv_exact(gs, p ** m))
-        prods.append(_pdiv_exact(gp, p ** m))
+    gx = [_ghost(xs, m, p, _PACKED) for m in range(n)]
+    gy = [_ghost(ys, m, p, _PACKED) for m in range(n)]
+    sums = _solve_ghosts([_padd(a, b) for a, b in zip(gx, gy)], p, _PACKED)
+    prods = _solve_ghosts([_pmul(a, b) for a, b in zip(gx, gy)], p, _PACKED)
     return WittUniversalPolys(p, n, bits, tuple(sums), tuple(prods))
 
 
@@ -174,38 +181,70 @@ def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
     xs = [_var(i, up.bits) for i in range(n)]
     ys = [_var(n + i, up.bits) for i in range(n)]
     for m in range(n):
-        lhs_s = _ghost_poly(list(up.sums), m, p)
-        rhs_s = _padd(_ghost_poly(xs, m, p), _ghost_poly(ys, m, p))
-        if lhs_s != rhs_s:
+        gx = _ghost(xs, m, p, _PACKED)
+        gy = _ghost(ys, m, p, _PACKED)
+        if _ghost(up.sums, m, p, _PACKED) != _padd(gx, gy):
             return False
-        lhs_p = _ghost_poly(list(up.prods), m, p)
-        rhs_p = _pmul(_ghost_poly(xs, m, p), _ghost_poly(ys, m, p))
-        if lhs_p != rhs_p:
+        if _ghost(up.prods, m, p, _PACKED) != _pmul(gx, gy):
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-ring adapters
+# The companion ring Z[x]/g
 # ---------------------------------------------------------------------------
-# An adapter exposes the ring A together with an exact companion ring in which
-# ghost equations can be solved: lift/lower move between the two, and the
-# l-prefixed operations act in the companion ring.
+# Elements of Z[x]/g, for a monic integer polynomial g, are integer coefficient
+# tuples of degree < deg g; trailing zeros may be dropped.  Z is Z[x]/(x).
+
+
+def companion_add(x: tuple, y: tuple) -> tuple:
+    n = max(len(x), len(y))
+    return tuple(
+        (x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(n)
+    )
+
+
+def companion_mul(g: tuple, x: tuple, y: tuple) -> tuple:
+    return poly_divmod_monic(poly_convolve(x, y), g)[1]
+
+
+def companion_pow(g: tuple, x: tuple, k: int) -> tuple:
+    return power(x, k, partial(companion_mul, g), (1,))
+
+
+def companion_scale(x: tuple, c: int) -> tuple:
+    return tuple(c * v for v in x)
+
+
+def companion_div_exact(x: tuple, q: int) -> tuple:
+    out = []
+    for c in x:
+        if c % q:
+            raise IntegralityError("ghost solve division not exact")
+        out.append(c // q)
+    return tuple(out)
+
+
+def _companion_ops(g: tuple) -> tuple:
+    pow_ = partial(companion_pow, g)
+    return pow_, companion_add, companion_scale, companion_div_exact
+
+
+# ---------------------------------------------------------------------------
+# Coefficient-ring adapters: g, lift, lower and the A-side operations
+# ---------------------------------------------------------------------------
 
 
 class ZZRing:
-    """Exact integers; companion ring is itself."""
+    """Exact integers; the companion ring is Z[x]/(x) = Z."""
 
-    p = None
+    g = (0, 1)
 
     def from_int(self, c: int):
         return c
 
     def zero(self):
         return 0
-
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return a + b
@@ -219,34 +258,11 @@ class ZZRing:
     def pow(self, a, k):
         return a ** k
 
-    def eq(self, a, b):
-        return a == b
-
     def lift(self, a):
-        return a
+        return (a,)
 
-    def lower(self, x, aprec=None):
-        return x
-
-    def ladd(self, x, y):
-        return x + y
-
-    def lmul(self, x, y):
-        return x * y
-
-    def lpow(self, x, k):
-        return x ** k
-
-    def lscale(self, x, c):
-        return c * x
-
-    def ldivp(self, x, q):
-        if x % q:
-            raise IntegralityError("ghost solve division not exact")
-        return x // q
-
-    def min_aprec(self, elems):
-        return None
+    def lower(self, zs, inputs) -> tuple:
+        return tuple(z[0] if z else 0 for z in zs)
 
 
 class ZpMRing(ZZRing):
@@ -255,7 +271,6 @@ class ZpMRing(ZZRing):
 
     def __init__(self, ring: PAdicTrunc):
         self.ring = ring
-        self.p = ring.p
 
     def from_int(self, c: int):
         return c % self.ring.modulus
@@ -272,32 +287,27 @@ class ZpMRing(ZZRing):
     def pow(self, a, k):
         return pow(a, k, self.ring.modulus)
 
-    def eq(self, a, b):
-        return a % self.ring.modulus == b % self.ring.modulus
-
     def lift(self, a):
-        return a % self.ring.modulus
+        return (a % self.ring.modulus,)
 
-    def lower(self, x, aprec=None):
-        return x % self.ring.modulus
+    def lower(self, zs, inputs) -> tuple:
+        return tuple(v % self.ring.modulus for v in super().lower(zs, inputs))
 
 
 class LocalRing:
-    """Elements of a local-field model; the companion ring is Z[x]/g(x) with
-    honest integer coefficients, where divisions by p^k are coefficientwise."""
+    """Elements of a local-field model; the companion ring is Z[x]/g(x) for
+    the model's Eisenstein g.  The A side is LocalElement's arithmetic, which
+    tracks the absolute precision ``aprec``."""
 
     def __init__(self, model: LocalFieldModel):
         self.model = model
-        self.p = model.p
+        self.g = model.g.coeffs
 
     def from_int(self, c: int):
         return self.model.from_int(c)
 
     def zero(self):
         return self.model.zero()
-
-    def one(self):
-        return self.model.one()
 
     def add(self, a: LocalElement, b: LocalElement):
         return a + b
@@ -311,44 +321,17 @@ class LocalRing:
     def pow(self, a: LocalElement, k: int):
         return a.pow(k)
 
-    def eq(self, a: LocalElement, b: LocalElement):
-        return a.eq_at_prec(b)
-
     def lift(self, a: LocalElement):
         return tuple(a.coeffs)
 
-    def lower(self, x: tuple, aprec=None):
-        m = self.model.m
-        vec = tuple((x[i] if i < len(x) else 0) % self.model.q for i in range(m))
-        if aprec is None:
-            aprec = self.model.full_aprec
-        return LocalElement(self.model, vec, min(aprec, self.model.full_aprec))
-
-    def ladd(self, x: tuple, y: tuple):
-        n = max(len(x), len(y))
-        return tuple(
-            (x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(n)
-        )
-
-    def lmul(self, x: tuple, y: tuple):
-        return poly_divmod_monic(poly_convolve(x, y), self.model.g.coeffs)[1]
-
-    def lpow(self, x: tuple, k: int):
-        return power(x, k, self.lmul, (1,))
-
-    def lscale(self, x: tuple, c: int):
-        return tuple(c * v for v in x)
-
-    def ldivp(self, x: tuple, q: int):
+    def lower(self, zs, inputs) -> tuple:
+        model = self.model
+        aprec = min([e.aprec for e in inputs] + [model.full_aprec])
         out = []
-        for c in x:
-            if c % q:
-                raise IntegralityError("ghost solve division not exact")
-            out.append(c // q)
+        for z in zs:
+            vec = tuple((z[i] if i < len(z) else 0) % model.q for i in range(model.m))
+            out.append(LocalElement(model, vec, aprec))
         return tuple(out)
-
-    def min_aprec(self, elems):
-        return min(e.aprec for e in elems)
 
 
 # ---------------------------------------------------------------------------
@@ -356,38 +339,28 @@ class LocalRing:
 # ---------------------------------------------------------------------------
 
 
-def _lift_ghost(R, lx: list, m: int, p: int):
-    acc = None
-    for i in range(m + 1):
-        t = R.lscale(R.lpow(lx[i], p ** (m - i)), p ** i)
-        acc = t if acc is None else R.ladd(acc, t)
-    return acc
+def _lifted_ghosts(R, p: int, x: tuple, ops: tuple) -> list:
+    lx = [R.lift(c) for c in x]
+    return [_ghost(lx, m, p, ops) for m in range(len(x))]
 
 
-def _witt_combine(R, p: int, x: tuple, y: tuple, product: bool) -> tuple:
+def _witt_combine(R, p: int, x: tuple, y: tuple, combine) -> tuple:
+    """The Witt vector whose ghost components are combine(w_m(x), w_m(y))."""
     if len(x) != len(y):
         raise InputError("Witt vectors of different lengths")
-    n = len(x)
-    lx = [R.lift(c) for c in x]
-    ly = [R.lift(c) for c in y]
-    lz: list = []
-    for m in range(n):
-        gx = _lift_ghost(R, lx, m, p)
-        gy = _lift_ghost(R, ly, m, p)
-        acc = R.lmul(gx, gy) if product else R.ladd(gx, gy)
-        for i in range(m):
-            acc = R.ladd(acc, R.lscale(R.lpow(lz[i], p ** (m - i)), -(p ** i)))
-        lz.append(R.ldivp(acc, p ** m))
-    aprec = R.min_aprec(tuple(x) + tuple(y))
-    return tuple(R.lower(c, aprec) for c in lz)
+    ops = _companion_ops(R.g)
+    gx = _lifted_ghosts(R, p, x, ops)
+    gy = _lifted_ghosts(R, p, y, ops)
+    gz = [combine(a, b) for a, b in zip(gx, gy)]
+    return R.lower(_solve_ghosts(gz, p, ops), tuple(x) + tuple(y))
 
 
 def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, product=False)
+    return _witt_combine(R, p, x, y, companion_add)
 
 
 def witt_mul(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, product=True)
+    return _witt_combine(R, p, x, y, partial(companion_mul, R.g))
 
 
 def witt_neg(R, p: int, x: tuple) -> tuple:
@@ -433,24 +406,15 @@ def power_frobenius(R, p: int, x: tuple) -> tuple:
 
 
 def int_to_witt(R, p: int, c: int, n: int) -> tuple:
-    """Image of the integer c under Z -> W_n(A): components solve the ghost
-    equations w_m = c over Z, then map into A."""
-    comps: list[int] = []
-    for k in range(n):
-        acc = c
-        for i in range(k):
-            acc -= p ** i * comps[i] ** (p ** (k - i))
-        if acc % p ** k:
-            raise IntegralityError("integer Witt components not integral")
-        comps.append(acc // p ** k)
-    return tuple(R.from_int(v) for v in comps)
+    """Image of the integer c under Z -> W_n(A): the components solve the
+    ghost equations w_m = c, exactly, then map into A."""
+    return R.lower(_solve_ghosts([(c,)] * n, p, _companion_ops(R.g)), ())
 
 
 def ghost_components(R, p: int, x: tuple) -> tuple:
-    """Ghost map computed in the exact companion ring (intended for exact
-    integer coefficients)."""
-    lx = [R.lift(c) for c in x]
-    return tuple(_lift_ghost(R, lx, m, p) for m in range(len(x)))
+    """Ghost map, computed in the companion ring and mapped back into A
+    (exact over ZZRing)."""
+    return R.lower(_lifted_ghosts(R, p, x, _companion_ops(R.g)), x)
 
 
 def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):

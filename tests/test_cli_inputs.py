@@ -1,4 +1,5 @@
-"""CLI input handling: the enumeration cap and negative option values."""
+"""CLI input handling: the enumeration cap, levels, digits and negative
+option values."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -41,6 +42,27 @@ def test_cap_option_wins_over_environment(monkeypatch):
     assert run(JSET + ["--cap", "100"])[0] == 0
     monkeypatch.setenv("RAMIBOUND_CAP", "100")
     assert run(JSET + ["--cap", "10"])[0] == 3
+
+
+@pytest.mark.parametrize("level", ["abc", "1/0"])
+def test_bad_level_is_refused(level):
+    code, out, err = run(JSET + ["--c", level])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad level '{level}'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("level", ["3/2", "1.5"])
+def test_rational_level_spellings(level):
+    code, out, err = run(JSET + ["--c", level])
+    assert (code, err) == (0, "")
+    assert '"level": "3/2"' in out
+
+
+@pytest.mark.parametrize("digits", ["0", "-1"])
+def test_digits_below_one_is_refused(digits):
+    code, out, err = run(["solve-lift"] + JSET[1:] + ["--digits", digits])
+    assert (code, out) == (2, "")
+    assert err == f"error: --digits must be at least 1, got {digits}\n"
 
 
 def test_solve_lift_has_no_level_option():

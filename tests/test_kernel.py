@@ -21,7 +21,15 @@ from ramibound.padic import (
     poly_trim,
     power,
 )
-from ramibound.witt import LocalRing, _padd, _pmul, _ppow, _var
+from ramibound.witt import (
+    LocalRing,
+    _padd,
+    _pmul,
+    _ppow,
+    _var,
+    companion_mul,
+    companion_pow,
+)
 
 from test_kisin import naive_mat_mul
 
@@ -82,7 +90,8 @@ def test_companion_lpow_matches_repeated_product():
     R = LocalRing(LocalFieldModel(eisenstein_validate((3, 0, 1), 3), 6))
     for x in ((2, 1), (-3, 4), (0, 1)):
         for k in KS:
-            assert R.lpow(x, k) == repeated(x, k, R.lmul, (1,)), (x, k)
+            want = repeated(x, k, lambda a, b: companion_mul(R.g, a, b), (1,))
+            assert companion_pow(R.g, x, k) == want, (x, k)
 
 
 def test_packed_ppow_matches_repeated_product():

@@ -12,6 +12,7 @@ from ramibound.errors import (
 )
 from ramibound.padic import (
     EisensteinPoly,
+    LocalElement,
     LocalFieldModel,
     LowerBound,
     PAdicTrunc,
@@ -26,6 +27,7 @@ from ramibound.padic import (
     poly_divmod_monic,
     poly_mul,
     poly_trim,
+    vp_int,
 )
 
 
@@ -204,6 +206,41 @@ def test_valuation_is_min_over_monomials():
             if (coeffs[jv] // 3 ** kv) % 3 != 0
         )
         assert elem.valuation() == expected
+
+
+def naive_xval(elem):
+    """The term-by-term definition: the least m * v_p(a_j) + j below aprec,
+    over the coefficients a_j that are nonzero mod q."""
+    m, p, q = elem.model.m, elem.model.p, elem.model.q
+    terms = [
+        m * vp_int(a % q, p) + j for j, a in enumerate(elem.coeffs) if a % q
+    ]
+    return min((t for t in terms if t < elem.aprec), default=None)
+
+
+@pytest.mark.parametrize(
+    "coeffs, prec", [((3, 0, 0, 1), 4), ((3, 0, 0, 0, 0, 0, 1), 6), ((-3, 0, 1), 3)]
+)
+def test_xval_matches_term_by_term_definition(coeffs, prec):
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), prec)
+    q = model.q
+    rng = random.Random(11)
+    seen_zero = seen_nonzero = False
+    for _ in range(400):
+        # unreduced coefficients (multiples of q added, some negative),
+        # digit valuations up to the precision, and any aprec up to full
+        vec = tuple(
+            rng.choice([0, 1, 2, 4, 5]) * 3 ** rng.randrange(prec + 1)
+            + rng.randrange(-2, 3) * q
+            for _ in range(model.m)
+        )
+        elem = LocalElement(model, vec, rng.randrange(model.full_aprec + 1))
+        assert elem.xval() == naive_xval(elem), elem
+        seen_zero |= elem.xval() is None
+        seen_nonzero |= elem.xval() is not None
+    for elem in (model.zero(), model.one(), model.from_int(-q), model.from_int(3)):
+        assert elem.xval() == naive_xval(elem)
+    assert seen_zero and seen_nonzero
 
 
 def test_valuation_multiplicative_on_units_times_powers():

@@ -1,0 +1,67 @@
+"""Every `$ ramibound ...` example in README.md runs through ``cli.main``,
+exits 0, and shows only output the command really prints."""
+
+import io
+import json
+import re
+import shlex
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ramibound.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+PAIR = re.compile(r'"(\w+)": ("[^"]*"|[^,\s}]+)')
+
+
+def readme_examples():
+    """(argv, shown output lines) per example; a trailing backslash joins
+    the next line to the command."""
+    out = []
+    for block in re.findall(r"```console\n(.*?)```", README, re.S):
+        lines = block.splitlines()
+        i = 0
+        while i < len(lines):
+            cmd = lines[i][2:]
+            while cmd.endswith("\\"):
+                i += 1
+                cmd = cmd[:-1] + " " + lines[i].strip()
+            i += 1
+            shown = []
+            while i < len(lines) and not lines[i].startswith("$ "):
+                if lines[i].strip():
+                    shown.append(lines[i])
+                i += 1
+            argv = shlex.split(cmd)
+            assert argv[0] == "ramibound", cmd
+            out.append((argv[1:], shown))
+    return out
+
+
+EXAMPLES = readme_examples()
+
+
+def test_every_example_is_found():
+    assert len(EXAMPLES) == README.count("$ ramibound ") > 0
+
+
+@pytest.mark.parametrize(
+    "argv, shown", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES]
+)
+def test_readme_example(argv, shown):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0
+    text = buf.getvalue()
+    if text.startswith("{"):
+        report = json.loads(text)
+        pairs = [pair for line in shown for pair in PAIR.findall(line)]
+        assert pairs
+        for key, value in pairs:
+            assert report[key] == json.loads(value), key
+    else:
+        header = [t for t in shown[0].split() if t != "..."]
+        assert text.splitlines()[0].split("\t")[: len(header)] == header

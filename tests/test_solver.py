@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from ramibound.errors import CapExceededError, InputError, NonConvergenceError
+from ramibound.errors import (
+    CapExceededError,
+    InputError,
+    NonConvergenceError,
+    PrecisionError,
+)
 from ramibound.kisin import kisin_new
 from ramibound import solver
 from ramibound.padic import LocalFieldModel, eisenstein_validate
@@ -223,6 +228,27 @@ def test_lift_from_level_b_only_class_fails(prob9):
     bad = ((tuple([0, 1] + [0] * 7),),)
     with pytest.raises(NonConvergenceError):
         lift_solution(prob9, bad, target_digits=4)
+
+
+@pytest.mark.parametrize("fails", [0, 2, solver.LIFT_ATTEMPTS])
+def test_lift_retries_with_doubled_precision(prob6, monkeypatch, fails):
+    precs = []
+
+    def attempt(prob, member, target_digits):
+        precs.append(prob.model.prec)
+        if len(precs) <= fails:
+            raise PrecisionError("certification needs more digits")
+        return prob.model.prec
+
+    monkeypatch.setattr(solver, "_lift_attempt", attempt)
+    base = prob6.model.prec
+    if fails == solver.LIFT_ATTEMPTS:
+        with pytest.raises(PrecisionError):
+            lift_solution(prob6, None, 6)
+    else:
+        assert lift_solution(prob6, None, 6) == base * 2 ** fails
+    tried = min(fails + 1, solver.LIFT_ATTEMPTS)
+    assert precs == [base * 2 ** i for i in range(tried)]
 
 
 def test_with_precision_rebuild(prob6):

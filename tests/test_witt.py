@@ -4,11 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from ramibound.errors import UndecidableError, ValuationTieError
-from ramibound.padic import LocalFieldModel, PAdicTrunc, eisenstein_validate
+from ramibound.padic import (
+    LocalElement,
+    LocalFieldModel,
+    PAdicTrunc,
+    eisenstein_validate,
+)
 from ramibound.witt import (
     LocalRing,
     ZpMRing,
     ZZRing,
+    companion_mul,
+    companion_pow,
     ghost_components,
     ghost_identity_holds_symbolically,
     ghost_solve_valuations,
@@ -137,6 +144,54 @@ def test_int_to_witt_ghosts():
         for c in (-7, 0, 1, 3, 12):
             w = int_to_witt(ZZ, p, c, 4)
             assert ghost_components(ZZ, p, w) == (c, c, c, c)
+
+
+def test_integer_adapters_match_integer_arithmetic():
+    rng = random.Random(8)
+    assert ZZ.g == (0, 1) and ZZ.zero() == 0
+    for p, M in ((3, 1), (3, 3), (5, 2)):
+        R = ZpMRing(PAdicTrunc(p, M))
+        q = p ** M
+        assert R.g == (0, 1) and R.zero() == 0
+        for _ in range(100):
+            a, b = rng.randrange(-3 * q, 3 * q), rng.randrange(-3 * q, 3 * q)
+            k = rng.randrange(8)
+            assert ZZ.from_int(a) == a
+            assert (ZZ.add(a, b), ZZ.neg(a), ZZ.mul(a, b)) == (a + b, -a, a * b)
+            assert ZZ.pow(a, k) == a ** k
+            # the companion ring Z[x]/(x) is Z on 1-tuples
+            la, lb = ZZ.lift(a), ZZ.lift(b)
+            assert ZZ.lower([la, lb, ()], ()) == (a, b, 0)
+            assert ZZ.lower([companion_mul(ZZ.g, la, lb)], ()) == (a * b,)
+            assert ZZ.lower([companion_pow(ZZ.g, la, k)], ()) == (a ** k,)
+            ra, rb = R.from_int(a), R.from_int(b)
+            assert (ra, rb) == (a % q, b % q)
+            assert (R.add(ra, rb), R.neg(ra)) == ((a + b) % q, -a % q)
+            assert (R.mul(ra, rb), R.pow(ra, k)) == (a * b % q, a ** k % q)
+            assert R.lift(a) == (a % q,)
+            assert R.lower([(a,), (b,), ()], ()) == (a % q, b % q, 0)
+
+
+@pytest.mark.parametrize("coeffs, p", [((3, 0, 0, 1), 3), ((5, 0, 1), 5)])
+def test_int_to_witt_local_matches_integers(coeffs, p):
+    model = LocalFieldModel(eisenstein_validate(coeffs, p), 6)
+    R = LocalRing(model)
+    for n in (1, 2, 3, 4):
+        for c in (-10, -p, -1, 0, 1, 2, p * p, 28):
+            want = tuple(R.from_int(v) for v in int_to_witt(ZZ, p, c, n))
+            assert int_to_witt(R, p, c, n) == want, (c, n)
+
+
+def test_local_witt_results_carry_input_precision():
+    model = LocalFieldModel(eisenstein_validate((3, 0, 0, 1), 3), 6)
+    R = LocalRing(model)
+    short = LocalElement(model, model.uniformizer_pow(1).coeffs, 5)
+    x = (model.one(), short)
+    y = (model.from_int(2), model.one())
+    for op in (witt_add, witt_mul, witt_sub):
+        assert [c.aprec for c in op(R, 3, x, y)] == [5, 5]
+        assert [c.aprec for c in op(R, 3, y, y)] == [model.full_aprec] * 2
+    assert [c.aprec for c in int_to_witt(R, 3, -2, 2)] == [model.full_aprec] * 2
 
 
 def test_ideal_membership():
