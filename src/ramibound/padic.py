@@ -517,11 +517,17 @@ class LocalElement:
         prod = poly_convolve(self.coeffs, other.coeffs)
         _, rem = poly_divmod_monic(prod, self.model.g.coeffs, self.model.q)
         vec = tuple(rem[i] if i < len(rem) else 0 for i in range(self.model.m))
-        va = self.xval()
-        vb = other.xval()
-        ea = self.aprec + (vb if vb is not None else other.aprec)
-        eb = other.aprec + (va if va is not None else self.aprec)
-        aprec = min(ea, eb, self.model.full_aprec)
+        # aprec is min(self.aprec + v(other), other.aprec + v(self), full),
+        # a factor's aprec standing in for its valuation when it is zero at
+        # precision; each term is at least its own factor's aprec, so the
+        # other factor's valuation is needed only when that aprec is below full
+        aprec = full = self.model.full_aprec
+        if self.aprec < full:
+            vb = other.xval()
+            aprec = min(aprec, self.aprec + (other.aprec if vb is None else vb))
+        if other.aprec < full:
+            va = self.xval()
+            aprec = min(aprec, other.aprec + (self.aprec if va is None else va))
         return LocalElement(self.model, vec, aprec)
 
     def mul_int(self, c: int) -> "LocalElement":
@@ -596,21 +602,37 @@ class LocalElement:
             raise NonUnitError("inverse verification failed")
         return v
 
-    def div(self, other: "LocalElement") -> "LocalElement":
-        """Exact division; the divisor's valuation must not exceed ours."""
-        self._check(other)
-        k = other.xval()
+    def divisor(self) -> tuple[int, "LocalElement"]:
+        """The divisor half of :meth:`div`: ``(k, u^-1)`` for self = x^k * u
+        with u a unit, so that dividing many numerators by one element
+        inverts it once."""
+        k = self.xval()
         if k is None:
             raise PrecisionError("division by an element that is zero at precision")
-        num = self
-        den = other
+        den = self
         for _ in range(k):
             den = den.shift_down()
-        if num.is_zero_at_prec():
+        return k, den.unit_inverse()
+
+    def div_by(self, k: int, inv: "LocalElement") -> "LocalElement":
+        """The numerator half of :meth:`div`: self / (x^k * u), given
+        ``(k, u^-1)`` from the divisor's :meth:`divisor`.  A numerator that is
+        zero at precision gives zero known to x^(aprec - k); one of valuation
+        below k raises PrecisionError."""
+        if self.is_zero_at_prec():
             return LocalElement(self.model, (0,) * self.model.m, max(self.aprec - k, 0))
+        num = self
         for _ in range(k):
             num = num.shift_down()
-        return num * den.unit_inverse()
+        return num * inv
+
+    def div(self, other: "LocalElement") -> "LocalElement":
+        """Exact division; the divisor's valuation must not exceed ours.
+        It is ``other.divisor()`` followed by :meth:`div_by`; a caller that
+        divides many numerators by one element keeps ``divisor()`` and calls
+        ``div_by`` itself, so every division runs through these two halves."""
+        self._check(other)
+        return self.div_by(*other.divisor())
 
     # -- truncation to graded-ideal levels ----------------------------------
 

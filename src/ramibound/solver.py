@@ -56,6 +56,7 @@ from .witt import (
     ideal_membership_gt,
     int_to_witt,
     power_frobenius,
+    teichmuller_powers,
     teichmuller_scale,
     witt_add,
     witt_arith_symbolic,
@@ -151,16 +152,13 @@ def _witt_ops(ring, p):
     )
 
 
-def _teich_div(vec: tuple, z: LocalElement, p: int) -> tuple:
+def _teich_div(vec: tuple, parts: tuple) -> tuple:
     """Divide a Witt vector by the Teichmueller representative [z]:
-    component i is divided by z^{p^i}."""
-    out = []
-    zp = z
-    for i, comp in enumerate(vec):
-        if i:
-            zp = zp.pow(p)
-        out.append(comp.div(zp))
-    return tuple(out)
+    component i is divided by z^{p^i}.  ``parts`` holds
+    ``(z^{p^i}).divisor()`` for at least every component of vec, so a caller
+    dividing many vectors by one [z] raises z to its powers and inverts
+    them once."""
+    return tuple(comp.div_by(*part) for comp, part in zip(vec, parts))
 
 
 def _witt_vec_is_zero(vec: tuple) -> bool:
@@ -265,6 +263,7 @@ def build_jset_problem(
     )
 
     pi_n = prob.pi_s().pow(N)
+    pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
     mul, add = _witt_ops(ring, p)
     prod = mat_mul(A_t, B_t0, mul, add)
     ident = _witt_identity(ring, p, n, d)
@@ -272,7 +271,7 @@ def build_jset_problem(
     for i in range(d):
         row = []
         for j in range(d):
-            quot = _teich_div(prod[i][j], pi_n, p)
+            quot = _teich_div(prod[i][j], pi_n_parts)
             entry = witt_sub(ring, p, quot, ident[i][j])
             if not _witt_vec_is_zero(entry):
                 if not ideal_membership_gt(entry, Fraction(0), strict=True):
@@ -347,8 +346,10 @@ def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
 
 
 def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
-              arith=None) -> tuple:
-    """phi(X) - X * A~, truncated to the first level_n Witt components."""
+              arith=None, phi=None) -> tuple:
+    """phi(X) - X * A~, truncated to the first level_n Witt components.
+    ``phi``, when given, is the Frobenius of those truncated components,
+    already computed by the caller."""
     p = prob.p
     Xl = tuple(vec[:level_n] for vec in X)
     Al = tuple(
@@ -356,7 +357,8 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
         for i in range(prob.d)
     )
     mul, add = _witt_ops(ring, p) if arith is None else arith
-    phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
+    if phi is None:
+        phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
     (XA,) = mat_mul((Xl,), Al, mul, add)
     return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
 
@@ -580,6 +582,24 @@ def _decompose_valuation(prob: JSetProblem, v: Rat) -> LocalElement:
 
 
 def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> LiftResult:
+    """One lift of a level-a class at the problem's model precision.
+
+    From the congruence defect a' of X, beta has valuation a' - N/p^s, and
+    Z -> (phi(X + [beta] Z) * B~ - [pi^N] X) / [pi^N * beta] is iterated
+    from Z = 0 until X + [beta] Z is certified to ``target_digits``, one Witt
+    level at a time (the p-adic digit induction).  Everything that stays
+    fixed within the attempt is computed once, as a local, and each level
+    takes a slice of it: the powers beta^{p^i}, [pi^N] X, and the divisor
+    half ``(z^{p^i}).divisor()`` of the division by [pi^N * beta], taken when
+    level i + 1 begins (a power that is zero at precision fails only once its
+    level is reached), so each Teichmueller power is inverted once.  A
+    step needs only phi(X + [beta] Z); the certificate of Z computes it
+    anyway and hands it to ``_residual`` and to the next step.
+
+    Raises PrecisionError when certification fails at this precision (the
+    caller retries at doubled precision), NonConvergenceError when the
+    starting point is not a level-a solution or the budget runs out.
+    """
     ring = _ring(prob)
     p, n, d = prob.p, prob.n, prob.d
     model = prob.model
@@ -627,31 +647,38 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     target_vk = Fraction(target_digits * model.e_norm)
     budget = int(-(-target_vk // gamma)) + 2
 
+    # fixed for the whole attempt: each Witt level takes a slice
+    beta_pows = teichmuller_powers(ring, p, beta, n)
     divisor = pi_n * beta
+    divisor_pows = teichmuller_powers(ring, p, divisor, n)
+    div_parts: list = []  # (divisor^{p^i}).divisor() for the levels begun
+    piNX = tuple(teichmuller_scale(ring, p, pi_n, X[i]) for i in range(d))
     trace: list = []
 
     def moved(Z: tuple, level: int) -> tuple:
         """X + [beta] * Z on the first ``level`` Witt components."""
         return tuple(
-            witt_add(ring, p, X[i][:level], teichmuller_scale(ring, p, beta, Z[i]))
+            witt_add(
+                ring, p, X[i][:level], tuple(b * z for b, z in zip(beta_pows, Z[i]))
+            )
             for i in range(d)
         )
 
-    def step(Z: tuple, level: int) -> tuple:
-        Bl = tuple(
-            tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
-        )
-        phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
+    def step(phi: tuple, Bl: tuple, level: int) -> tuple:
+        """The next Z, from phi(X + [beta] * Z): only the Frobenius of the
+        moved point enters, so certify() hands it over."""
         (MB,) = mat_mul((phi,), Bl, *_witt_ops(ring, p))
-        piNX = tuple(teichmuller_scale(ring, p, pi_n, X[i][:level]) for i in range(d))
         return tuple(
-            _teich_div(witt_sub(ring, p, MB[i], piNX[i]), divisor, p)
+            _teich_div(witt_sub(ring, p, MB[i], piNX[i][:level]), div_parts)
             for i in range(d)
         )
 
-    def certified(Z: tuple, level: int) -> bool:
-        r = _residual(prob, ring, moved(Z, level), level)
-        return all(_witt_vec_val_ge(entry, target_x) for entry in r)
+    def certify(Z: tuple, level: int) -> tuple:
+        """(Y, phi(Y), whether Y's residual is certified) for Y = X + [beta] Z."""
+        Y = moved(Z, level)
+        phi = tuple(power_frobenius(ring, p, vec) for vec in Y)
+        r = _residual(prob, ring, Y, level, phi=phi)
+        return Y, phi, all(_witt_vec_val_ge(entry, target_x) for entry in r)
 
     iterations = 0
 
@@ -664,21 +691,28 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         return tuple(out)
 
     def solve(level: int) -> tuple:
+        """(Z, Y, phi(Y)) for the certified Z at this Witt level."""
         nonlocal iterations
         if level == 1:
             Z = tuple((model.zero(),) for _ in range(d))
         else:
-            low = solve(level - 1)
+            low, _, _ = solve(level - 1)
             Z = tuple(vec + (model.zero(),) for vec in low)
+        div_parts.append(divisor_pows[level - 1].divisor())
+        Bl = tuple(
+            tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
+        )
+        phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
         for it in range(1, budget + 1):
-            Z_next = step(Z, level)
+            Z_next = step(phi, Bl, level)
             delta = tuple(witt_sub(ring, p, Z_next[i], Z[i]) for i in range(d))
             delta_zero = all(_witt_vec_is_zero(dv) for dv in delta)
             Z = Z_next
             trace.append((level, it, _vals_of(delta)))
             iterations = max(iterations, it)
-            if certified(Z, level):
-                return Z
+            Y, phi, done = certify(Z, level)
+            if done:
+                return Z, Y, phi
             if delta_zero:
                 raise PrecisionError(
                     "iteration is stationary but the residual is not certified"
@@ -687,9 +721,9 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"no convergence within {budget} iterations at Witt level {level}"
         )
 
-    X_exact = moved(solve(n), n)
+    _, X_exact, phi = solve(n)
     # exactness and proximity certificates
-    res = _residual(prob, ring, X_exact, n)
+    res = _residual(prob, ring, X_exact, n, phi=phi)
     for entry in res:
         if not _witt_vec_val_ge(entry, target_x):
             raise PrecisionError("final residual not certified at target precision")

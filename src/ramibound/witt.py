@@ -388,15 +388,20 @@ def teichmuller(R, z, n: int) -> tuple:
     return (z,) + tuple(R.zero() for _ in range(n - 1))
 
 
+def teichmuller_powers(R, p: int, z, n: int) -> tuple:
+    """(z, z^p, ..., z^{p^{n-1}}), the factors by which the Teichmueller
+    representative [z] scales each Witt component."""
+    out = [z]
+    for _ in range(n - 1):
+        out.append(R.pow(out[-1], p))
+    return tuple(out[:n])
+
+
 def teichmuller_scale(R, p: int, z, x: tuple) -> tuple:
     """[z]*(x_0,...,x_{n-1}) = (z x_0, z^p x_1, ..., z^{p^{n-1}} x_{n-1})."""
-    out = []
-    zp = z
-    for i, c in enumerate(x):
-        if i:
-            zp = R.pow(zp, p)
-        out.append(R.mul(zp, c))
-    return tuple(out)
+    return tuple(
+        R.mul(zp, c) for zp, c in zip(teichmuller_powers(R, p, z, len(x)), x)
+    )
 
 
 def power_frobenius(R, p: int, x: tuple) -> tuple:

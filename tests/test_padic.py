@@ -306,3 +306,75 @@ def test_eisenstein_power_type():
     E = eisenstein_validate((3, 1), 3)
     assert isinstance(E, EisensteinPoly)
     assert E.power(2, 9) == (0, 6, 1)  # (u+3)^2 = u^2 + 6u + 9 = u^2 + 6u mod 9
+
+
+def two_xval_mul(a, b):
+    """The product with both valuations always taken: schoolbook coefficients
+    and aprec = min(a.aprec + v(b), b.aprec + v(a), full), where a factor
+    that is zero at precision stands in with its aprec."""
+    model = a.model
+    _, rem = naive_divmod(naive_mul(a.coeffs, b.coeffs), model.g.coeffs, model.q)
+    vec = tuple(rem) + (0,) * (model.m - len(rem))
+    va, vb = naive_xval(a), naive_xval(b)
+    ea = a.aprec + (b.aprec if vb is None else vb)
+    eb = b.aprec + (a.aprec if va is None else va)
+    return vec, min(ea, eb, model.full_aprec)
+
+
+def seeded_factor(model, rng):
+    """A factor of one of four kinds: full aprec, reduced aprec, zero at
+    precision (every term at or past a reduced aprec) or a shift_down output."""
+    full = model.full_aprec
+    vec = tuple(
+        rng.choice([0, 1, 2, 4, 5]) * 3 ** rng.randrange(model.prec + 1) % model.q
+        for _ in range(model.m)
+    )
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LocalElement(model, vec, full)
+    if kind == 1:
+        return LocalElement(model, vec, rng.randrange(full))
+    if kind == 2:
+        a = rng.randrange(full)
+        shifted = model.uniformizer_pow(a) * LocalElement(model, vec, full)
+        return LocalElement(model, shifted.coeffs, a)
+    aprec = rng.choice([full, rng.randrange(1, full + 1)])
+    elem = model.uniformizer_pow(1) * LocalElement(model, vec, aprec)
+    for _ in range(rng.randrange(1, 4)):
+        if elem.xval() == 0 or elem.aprec < 1:
+            break
+        elem = elem.shift_down()
+    return elem
+
+
+@pytest.mark.parametrize("m", [6, 12, 27])
+def test_mul_aprec_matches_two_xval_formula(m, monkeypatch):
+    model = LocalFieldModel(eisenstein_validate((3,) + (0,) * (m - 1) + (1,), 3), 4)
+    full = model.full_aprec
+    rng = random.Random(m)
+    seen = set()
+    for _ in range(300):
+        a, b = seeded_factor(model, rng), seeded_factor(model, rng)
+        got = a * b
+        assert (got.coeffs, got.aprec) == two_xval_mul(a, b), (a, b)
+        seen.add((a.aprec < full, b.aprec < full, a.xval() is None))
+    # both factors below full, one of them, neither; and zero factors
+    assert {(True, True), (True, False), (False, True), (False, False)} <= {
+        s[:2] for s in seen
+    }
+    assert any(s[2] for s in seen)
+    # a product of two full-aprec factors takes no valuation at all
+    calls = []
+    real = LocalElement.xval
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(LocalElement, "xval", counting)
+    x = model.uniformizer_pow(1)
+    assert (x * model.from_int(7)).aprec == full
+    assert calls == []
+    reduced = LocalElement(model, x.coeffs, full - 2)
+    assert (reduced * x).aprec == full - 1
+    assert len(calls) == 1

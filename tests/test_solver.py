@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +13,9 @@ from ramibound.errors import (
 )
 from ramibound.kisin import kisin_new
 from ramibound import solver
-from ramibound.padic import LocalFieldModel, eisenstein_validate
+from ramibound.padic import LocalElement, LocalFieldModel, eisenstein_validate
 from ramibound.solver import (
+    _teich_div,
     build_jset_problem,
     exact_solution_set,
     injectivity_gap,
@@ -25,7 +28,14 @@ from ramibound.solver import (
     truncate_solution,
     with_precision,
 )
-from ramibound.witt import LocalRing, ideal_membership_gt, witt_add, witt_sub
+from ramibound.witt import (
+    LocalRing,
+    ideal_membership_gt,
+    teichmuller_powers,
+    witt_add,
+    witt_sub,
+)
+from test_cli import run_cli
 
 E13 = eisenstein_validate((3, 1), 3)
 
@@ -504,3 +514,149 @@ def test_enumeration_memo(monkeypatch):
     # a rebuilt problem starts with an empty memo; the memo leaves == alone
     assert with_precision(prob, 30).jset_memo == {}
     assert prob == build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
+
+
+def test_teich_div_with_parts_matches_componentwise_div():
+    model = model_of_degree(6, prec=8)
+    ring = LocalRing(model)
+    full = model.full_aprec
+    rng = random.Random(23)
+
+    def unit():
+        rest = tuple(rng.randrange(model.q) for _ in range(model.m - 1))
+        return model.from_coeffs((rng.choice([1, 2]),) + rest)
+
+    seen = set()
+    for _ in range(80):
+        length = rng.randrange(1, 4)
+        z = unit() * model.uniformizer_pow(rng.randrange(1, 3))
+        pows = teichmuller_powers(ring, 3, z, length)
+        parts = tuple(zp.divisor() for zp in pows)
+        vec = []
+        for zp in pows:
+            if rng.randrange(3):
+                vec.append(zp * unit() * model.uniformizer_pow(rng.randrange(3)))
+            else:  # zero at precision, at times known to less than v(zp)
+                aprec = rng.randrange(full + 1)
+                vec.append(LocalElement(model, (0,) * model.m, aprec))
+        vec = tuple(vec)
+        want = tuple(comp.div(zp) for comp, zp in zip(vec, pows))
+        assert _teich_div(vec, parts) == want
+        for comp, (k, _), got in zip(vec, parts, want):
+            if comp.is_zero_at_prec():
+                assert got.is_zero_at_prec()
+                assert got.aprec == max(comp.aprec - k, 0)
+                seen.add("clamped" if comp.aprec < k else "zero")
+        # a numerator of lower valuation than its divisor
+        i = rng.randrange(length)
+        below = unit() * model.uniformizer_pow(parts[i][0] - 1)
+        low = vec[:i] + (below,) + vec[i + 1:]
+        with pytest.raises(PrecisionError):
+            _teich_div(low, parts)
+    assert seen == {"zero", "clamped"}
+    # a divisor that is zero at precision
+    for vanished in (
+        model.zero(),
+        LocalElement(model, model.uniformizer_pow(5).coeffs, 5),
+    ):
+        with pytest.raises(PrecisionError):
+            vanished.divisor()
+        with pytest.raises(PrecisionError):
+            unit().div(vanished)
+
+
+LIFT_ARGS = [
+    "solve-lift", "--eisenstein", "3,1", "--n", "1", "--r", "1",
+    "--matrix", "0:1", "--s", "1", "--model", "3,0,0,0,0,0,1", "--trace",
+]
+
+
+@pytest.mark.parametrize(
+    "digits, digest, retries",
+    [  # sha256 of the full output, recorded before the lifter kept its divisor
+        ("6", "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a", 0),
+        ("24", "eb922bd2ec36674237445d37fb0a9ebd9f837d88b19d8c333588a84e5d848f38", 25),
+    ],
+)
+def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
+    rebuilds = []
+    real = solver.with_precision
+
+    def counting(*args, **kwargs):
+        rebuilds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "with_precision", counting)
+    code, out = run_cli(LIFT_ARGS + ["--digits", digits])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(rebuilds) == retries
+
+
+def lift_work(monkeypatch):
+    """Install counting wrappers; each finished lift attempt appends its
+    (unit inversions, residual evaluations, LiftResult) to the list."""
+    real_inverse = LocalElement.unit_inverse
+    real_attempt, real_residual = solver._lift_attempt, solver._residual
+    open_attempts, done = [], []
+
+    def inverse(self):
+        if open_attempts:
+            open_attempts[-1][0] += 1
+        return real_inverse(self)
+
+    def residual(*args, **kwargs):
+        if open_attempts:
+            open_attempts[-1][1] += 1
+        return real_residual(*args, **kwargs)
+
+    def attempt(*args, **kwargs):
+        open_attempts.append([0, 0])
+        try:
+            lr = real_attempt(*args, **kwargs)
+        finally:
+            inversions, residuals = open_attempts.pop()
+        done.append((inversions, residuals, lr))
+        return lr
+
+    monkeypatch.setattr(LocalElement, "unit_inverse", inverse)
+    monkeypatch.setattr(solver, "_lift_attempt", attempt)
+    monkeypatch.setattr(solver, "_residual", residual)
+    return done
+
+
+def check_lift_work(done, n):
+    for inversions, residuals, lr in done:
+        # beta = alpha / [pi^N], then one divisor per Witt level
+        assert inversions <= n + 1
+        # the start, one certificate per iteration, and the final check
+        steps = len(lr.trace)
+        assert residuals == steps + (2 if steps else 1)
+
+
+def test_lifter_work_counts(monkeypatch):
+    done = lift_work(monkeypatch)
+    code, _ = run_cli(LIFT_ARGS + ["--digits", "6"])
+    assert code == 0
+    assert len(done) == 27
+    assert sum(lr.iterations > 0 for _, _, lr in done) == 25
+    check_lift_work(done, n=1)
+
+
+def test_length_two_lifter_work_counts(monkeypatch):
+    mod = kisin_new(3, 2, E13, [[(0, 0, 1)]], r_hint=3)
+    prob = build_jset_problem(mod, model_of_degree(27, prec=16), s=3, r=3)
+    ring = LocalRing(prob.model)
+    exact = member_to_witt(
+        prob, ((tuple([0, 1] + [0] * 25), tuple([0] * 3 + [1] + [0] * 23)),)
+    )
+    w = member_to_witt(
+        prob,
+        ((tuple([0] * 6 + [1] + [0] * 20), tuple([0] * 15 + [1] + [0] * 11)),),
+    )
+    member = (tuple(c.coeffs for c in witt_add(ring, 3, exact[0], w[0])),)
+    done = lift_work(monkeypatch)
+    lift_solution(prob, member, target_digits=6)
+    assert [lr.problem.n for _, _, lr in done] == [2]
+    assert {level for level, _, _ in done[0][2].trace} == {1, 2}
+    check_lift_work(done, n=2)
