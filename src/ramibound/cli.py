@@ -5,12 +5,18 @@ from insertion-ordered dicts, so identical invocations produce byte-identical
 output.  Rationals are serialized as reduced "num/den" strings, integers
 bare.  Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
 4 non-convergence or precision exhaustion.
+
+The parser is built from the ``COMMANDS`` table on the first ``main`` call
+and reused by later calls.  Parsing never changes it and every call reads
+--cap and RAMIBOUND_CAP afresh, so no state carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -31,6 +37,7 @@ from .errors import (
     UndecidableError,
 )
 from .padic import LocalFieldModel, eisenstein_validate, is_odd_prime, parse_poly
+from .padic import odd_prime_factors
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -113,22 +120,24 @@ def _check_prime(p: int) -> int:
 
 def _infer_prime(args) -> int:
     """Use --p when given; otherwise read the prime off the Eisenstein
-    polynomial's constant term, provided that is unambiguous."""
-    if getattr(args, "p", None) is not None:
+    polynomial, provided exactly one odd prime makes it Eisenstein.  Such a
+    prime divides every coefficient below the leading one."""
+    if args.p is not None:
         return _check_prime(args.p)
-    text = getattr(args, "eisenstein", None)
-    if text is None:
+    if args.eisenstein is None:
         raise InputError("--p is required when no Eisenstein polynomial is given")
-    coeffs = parse_poly(text)
-    a0 = abs(coeffs[0])
+    coeffs = parse_poly(args.eisenstein)
+    try:
+        primes = odd_prime_factors(math.gcd(*coeffs[:-1]))
+    except InputError as exc:
+        raise InputError(f"{exc}; pass --p") from None
     candidates = []
-    for q in range(3, a0 + 1, 2):
-        if a0 % q == 0 and is_odd_prime(q):
-            try:
-                eisenstein_validate(coeffs, q)
-                candidates.append(q)
-            except InputError:
-                pass
+    for q in primes:
+        try:
+            eisenstein_validate(coeffs, q)
+            candidates.append(q)
+        except InputError:
+            pass
     if len(candidates) == 1:
         return candidates[0]
     raise InputError(
@@ -472,35 +481,62 @@ def cmd_grid(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *names):
-    if "p" in names:
-        sp.add_argument("--p", type=int, help="odd prime")
-    if "p!" in names:
-        sp.add_argument("--p", type=int, required=True, help="odd prime")
-    if "e" in names:
-        sp.add_argument("--e", type=int, help="absolute ramification index")
-    if "n" in names:
-        sp.add_argument("--n", type=int, default=1, help="p-adic length")
-    if "r" in names:
-        sp.add_argument("--r", type=int, default=1, help="height bound")
-    if "N" in names:
-        sp.add_argument("--N", type=int, help="annihilating exponent override")
-    if "eisenstein" in names:
-        sp.add_argument(
-            "--eisenstein",
-            "--E",
-            dest="eisenstein",
-            help="Eisenstein polynomial, ascending coefficients 'a0,a1,...,1'",
-        )
-    if "fmt" in names:
-        sp.add_argument("--format", dest="fmt", default="json", choices=["json", "tsv"])
-    if "problem" in names:
-        sp.add_argument("--matrix", help="Frobenius matrix")
-        sp.add_argument("--model", help="model generator polynomial 'a0,...,1'")
-        sp.add_argument("--s", type=int, required=True, help="Kummer level")
-        sp.add_argument("--pis", type=int, help="pi_s as a power of the uniformizer x")
-        sp.add_argument("--cap", type=int, help="enumeration cap (or RAMIBOUND_CAP)")
-        sp.add_argument("--prec", type=int, default=24, help="model p-digit precision")
+def _arg(*flags, **kwargs) -> tuple:
+    """One argument spec: the flags and keywords of ``add_argument``."""
+    return flags, kwargs
+
+
+_P = _arg("--p", type=int, help="odd prime")
+_E = _arg("--e", type=int, help="absolute ramification index")
+_N = _arg("--n", type=int, default=1, help="p-adic length")
+_R = _arg("--r", type=int, default=1, help="height bound")
+_N_OVERRIDE = _arg("--N", type=int, help="annihilating exponent override")
+_EISENSTEIN = _arg("--eisenstein", "--E", dest="eisenstein",
+                   help="Eisenstein polynomial, ascending coefficients 'a0,a1,...,1'")
+_FORMAT = _arg("--format", dest="fmt", default="json", choices=["json", "tsv"])
+_MODULE = (_P, _N, _R, _N_OVERRIDE, _EISENSTEIN, _FORMAT)
+_PROBLEM = _MODULE + (
+    _arg("--matrix", help="Frobenius matrix"),
+    _arg("--model", help="model generator polynomial 'a0,...,1'"),
+    _arg("--s", type=int, required=True, help="Kummer level"),
+    _arg("--pis", type=int, help="pi_s as a power of the uniformizer x"),
+    _arg("--cap", type=int, help="enumeration cap (or RAMIBOUND_CAP)"),
+    _arg("--prec", type=int, default=24, help="model p-digit precision"),
+)
+
+# One row per subcommand: name, help, handler, argument specs in help order.
+COMMANDS = (
+    ("bounds", "ramification bound report", cmd_bounds,
+     (_P, _E, _N, _R, _N_OVERRIDE, _EISENSTEIN, _FORMAT)),
+    ("nilpotency", "exact and closed-form indices", cmd_nilpotency,
+     (_P, _N, _R, _EISENSTEIN, _FORMAT)),
+    ("herbrand", "transition function of a filtration", cmd_herbrand, (
+        _arg("--filtration", required=True, help="'lam:order' comma list"),
+        _arg("--order", type=int, required=True, help="group order"),
+        _FORMAT)),
+    ("tame-lift", "cyclic tame lift and its character", cmd_tame_lift, (
+        _arg("--p", type=int, required=True, help="odd prime"),
+        _FORMAT,
+        _arg("--seq", required=True, help="exponent sequence 'n0,n1,...'"),
+        _arg("--n", type=int, default=1, help="p-adic length of the module"))),
+    ("kisin-height", "height witness for a Frobenius matrix", cmd_kisin_height,
+     _MODULE + (
+         _arg("--matrix", help="rows ';', entries ',', u-coefficients ':'"),
+         _arg("--uprec", type=int, help="u-adic working precision"))),
+    ("jset", "enumerate Frobenius congruence solutions", cmd_jset,
+     _PROBLEM + (_arg("--c", help="truncation level: 'a', 'b' or a rational"),)),
+    ("solve-lift", "lift level-a classes to exact solutions", cmd_solve_lift,
+     _PROBLEM + (
+         _arg("--digits", type=int, default=6, help="certification digits"),
+         _arg("--trace", action="store_true", help="include iteration traces"))),
+    ("grid", "sweep parameters and report verdicts", cmd_grid, (
+        _arg("--p", dest="p_list", default="3,5"),
+        _arg("--e", dest="e_list", default="1,2,3"),
+        _arg("--n", dest="n_list", default="1,2,3"),
+        _arg("--r", dest="r_list", default="1,2,3"),
+        _arg("--shapes", help=f"subset of {','.join(_GRID_SHAPES)}"),
+        _FORMAT)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,54 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
         "calculus, height witnesses, tame lifts and Frobenius solution sets",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bounds", help="ramification bound report")
-    _add_common(b, "p", "e", "n", "r", "N", "eisenstein", "fmt")
-    b.set_defaults(func=cmd_bounds)
-
-    nl = sub.add_parser("nilpotency", help="exact and closed-form indices")
-    _add_common(nl, "p", "n", "r", "eisenstein", "fmt")
-    nl.set_defaults(func=cmd_nilpotency)
-
-    h = sub.add_parser("herbrand", help="transition function of a filtration")
-    h.add_argument("--filtration", required=True, help="'lam:order' comma list")
-    h.add_argument("--order", type=int, required=True, help="group order")
-    _add_common(h, "fmt")
-    h.set_defaults(func=cmd_herbrand)
-
-    t = sub.add_parser("tame-lift", help="cyclic tame lift and its character")
-    _add_common(t, "p!", "fmt")
-    t.add_argument("--seq", required=True, help="exponent sequence 'n0,n1,...'")
-    t.add_argument("--n", type=int, default=1, help="p-adic length of the module")
-    t.set_defaults(func=cmd_tame_lift)
-
-    k = sub.add_parser("kisin-height", help="height witness for a Frobenius matrix")
-    _add_common(k, "p", "n", "r", "N", "eisenstein", "fmt")
-    k.add_argument("--matrix", help="rows ';', entries ',', u-coefficients ':'")
-    k.add_argument("--uprec", type=int, help="u-adic working precision")
-    k.set_defaults(func=cmd_kisin_height)
-
-    j = sub.add_parser("jset", help="enumerate Frobenius congruence solutions")
-    _add_common(j, "p", "n", "r", "N", "eisenstein", "problem", "fmt")
-    j.add_argument("--c", help="truncation level: 'a', 'b' or a rational")
-    j.set_defaults(func=cmd_jset)
-
-    sl = sub.add_parser("solve-lift", help="lift level-a classes to exact solutions")
-    _add_common(sl, "p", "n", "r", "N", "eisenstein", "problem", "fmt")
-    sl.add_argument("--digits", type=int, default=6, help="certification digits")
-    sl.add_argument("--trace", action="store_true", help="include iteration traces")
-    sl.set_defaults(func=cmd_solve_lift)
-
-    g = sub.add_parser("grid", help="sweep parameters and report verdicts")
-    g.add_argument("--p", dest="p_list", default="3,5")
-    g.add_argument("--e", dest="e_list", default="1,2,3")
-    g.add_argument("--n", dest="n_list", default="1,2,3")
-    g.add_argument("--r", dest="r_list", default="1,2,3")
-    g.add_argument("--shapes", help=f"subset of {','.join(_GRID_SHAPES)}")
-    _add_common(g, "fmt")
-    g.set_defaults(func=cmd_grid)
-
+    for name, help_text, handler, specs in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=handler)
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first and never changed."""
+    return build_parser()
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -573,10 +573,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(_join_negative_values(argv))
+        args = _parser().parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -50,15 +50,63 @@ from .errors import (
 Rat = Fraction
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below this limit
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Exact for p below MR_LIMIT; larger p raise InputError."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MR_LIMIT:
+        raise InputError(f"primality is decided only below {MR_LIMIT}, got {p}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+# odd_prime_factors trial-divides below this; what is left has no factor
+# below it, so it is accepted only when it is prime.
+_TRIAL_LIMIT = 1 << 16
+
+
+def odd_prime_factors(g: int) -> list[int]:
+    """The odd primes dividing g, ascending (none for g = 0).  Raises
+    InputError when the cofactor left by trial division is composite or
+    too large for is_odd_prime."""
+    g = abs(g)
+    while g and g % 2 == 0:
+        g //= 2
+    primes, q = [], 3
+    while q * q <= g and q < _TRIAL_LIMIT:
+        if g % q == 0:
+            primes.append(q)
+            while g % q == 0:
+                g //= q
+        q += 2
+    if g > 1:
+        if not is_odd_prime(g):
+            raise InputError(
+                f"cannot factor {g}: composite with no factor below {_TRIAL_LIMIT}"
+            )
+        primes.append(g)
+    return primes
 
 
 def vp_int(a: int, p: int) -> int | None:

@@ -691,12 +691,12 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         return tuple(out)
 
     def solve(level: int) -> tuple:
-        """(Z, Y, phi(Y)) for the certified Z at this Witt level."""
+        """(Z, Y) for the certified Z at this Witt level."""
         nonlocal iterations
         if level == 1:
             Z = tuple((model.zero(),) for _ in range(d))
         else:
-            low, _, _ = solve(level - 1)
+            low, _ = solve(level - 1)
             Z = tuple(vec + (model.zero(),) for vec in low)
         div_parts.append(divisor_pows[level - 1].divisor())
         Bl = tuple(
@@ -712,7 +712,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             iterations = max(iterations, it)
             Y, phi, done = certify(Z, level)
             if done:
-                return Z, Y, phi
+                return Z, Y
             if delta_zero:
                 raise PrecisionError(
                     "iteration is stationary but the residual is not certified"
@@ -721,12 +721,8 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"no convergence within {budget} iterations at Witt level {level}"
         )
 
-    _, X_exact, phi = solve(n)
-    # exactness and proximity certificates
-    res = _residual(prob, ring, X_exact, n, phi=phi)
-    for entry in res:
-        if not _witt_vec_val_ge(entry, target_x):
-            raise PrecisionError("final residual not certified at target precision")
+    # solve(n) returns only once certify() has accepted X_exact's residual
+    _, X_exact = solve(n)
     diff = tuple(witt_sub(ring, p, X_exact[i], X[i]) for i in range(d))
     for entry in diff:
         if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b), True):

@@ -1,12 +1,22 @@
-"""CLI input handling: the enumeration cap, levels, digits and negative
-option values."""
+"""CLI input handling: the enumeration cap, levels, digits, negative
+option values, prime inference, and calls that share one parser."""
 
+import hashlib
 import io
+import os
+import subprocess
+import sys
+import time
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from ramibound import cli
 from ramibound.cli import main
+from ramibound.errors import InputError
+from ramibound.padic import eisenstein_validate
 
 JSET = [
     "jset", "--eisenstein", "3,1", "--n", "1", "--r", "1",
@@ -95,3 +105,150 @@ def test_negative_value_spellings_agree(prefix, option, value, rest):
     joined = run(prefix + [f"{option}={value}"] + rest)
     assert spaced == joined
     assert spaced[0] == 0 and spaced[1]
+
+
+def scan_infer_prime(coeffs):
+    """Prime inference by scanning every odd q dividing a_0 (the oracle)."""
+    a0 = abs(coeffs[0])
+    found = []
+    for q in range(3, a0 + 1, 2):
+        if a0 % q == 0 and all(q % d for d in range(3, q, 2)):
+            try:
+                eisenstein_validate(coeffs, q)
+                found.append(q)
+            except InputError:
+                pass
+    return found[0] if len(found) == 1 else None
+
+
+def test_prime_inference_matches_the_scan():
+    for a0 in range(-300, 301):
+        for tail in [(1,), (0, 1), (3, 1), (15, 1), (21, 0, 1), (10, 1), (7, 5, 1)]:
+            coeffs = (a0,) + tail
+            args = Namespace(p=None, eisenstein=",".join(map(str, coeffs)))
+            try:
+                got = cli._infer_prime(args)
+            except InputError:
+                got = None
+            assert got == scan_infer_prime(coeffs), coeffs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--p", "1000000000000000003", "--e", "1", "--n", "1", "--r", "1"],
+        ["nilpotency", "--eisenstein", "30000000000000000000000003,1"],
+        ["nilpotency", "--eisenstein", "3000000000000000000000003,1"],
+        ["bounds", "--p", "3317044064679887385961981", "--e", "1"],
+    ],
+)
+def test_large_primes_answer_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1.0
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_process(env, argv):
+    """(exit code, stdout, stderr) of ``python -m ramibound`` in a new
+    interpreter, with RAMIBOUND_CAP set to ``env`` or unset for None."""
+    environ = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    environ.pop("RAMIBOUND_CAP", None)
+    if env is not None:
+        environ["RAMIBOUND_CAP"] = env
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramibound", *argv],
+        env=environ, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# (RAMIBOUND_CAP or None for unset, argv): every subcommand, tsv, --help,
+# a usage error, refusals, and options set by one call and absent from the
+# next (--e is read by nilpotency when present)
+SEQUENCE = [
+    (None, ["bounds", "--p", "3", "--e", "2", "--n", "2", "--r", "2"]),
+    (None, ["bounds", "--p", "3", "--e", "1"]),
+    (None, ["nilpotency", "--E", "3,1", "--n", "2", "--r", "2", "--format", "tsv"]),
+    (None, ["nilpotency", "--eisenstein", "-5,0,1"]),
+    ("100", JSET),
+    ("10", JSET),
+    ("10", JSET + ["--cap", "0"]),
+    ("10", JSET + ["--cap", "100", "--c", "b"]),
+    (None, JSET + ["--format", "tsv"]),
+    (None, ["--help"]),
+    (None, ["herbrand", "--filtration", "1:9,2:3", "--order", "9"]),
+    (None, ["herbrand", "--order", "9"]),
+    (None, ["tame-lift", "--p", "3", "--seq", "1,0", "--n", "2", "--format", "tsv"]),
+    (None, ["tame-lift", "--p", "3", "--seq", "1,0"]),
+    (None, ["kisin-height", "--E", "3,1", "--n", "1", "--r", "1", "--matrix", "3:1"]),
+    ("5", ["solve-lift"] + JSET[1:] + ["--digits", "3", "--trace"]),
+    (None, ["solve-lift"] + JSET[1:]),
+    (None, ["grid", "--p", "3", "--e", "1", "--n", "1,2", "--r", "1", "--format", "tsv"]),
+    (None, ["grid", "--p", "5", "--e", "2", "--n", "1", "--r", "1", "--shapes", "mixed"]),
+    (None, ["jset", "--help"]),
+    (None, ["bounds", "--p", "4", "--e", "1"]),
+    (None, ["bounds", "--bogus"]),
+]
+
+
+def test_calls_in_sequence_match_fresh_processes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    codes = set()
+    for env, argv in SEQUENCE:
+        if env is None:
+            monkeypatch.delenv("RAMIBOUND_CAP", raising=False)
+        else:
+            monkeypatch.setenv("RAMIBOUND_CAP", env)
+        got = run(argv)
+        assert got == fresh_process(env, argv), argv
+        codes.add(got[0])
+    assert codes == {0, 2, 3}
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_is_built_by_the_first_call_not_at_import():
+    code = (
+        "from ramibound import cli; n = cli._parser.cache_info().currsize; "
+        "cli.main(['bounds', '--p', '3', '--e', '1']); "
+        "print(n, cli._parser.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "0 1"
+
+
+# sha256 of `ramibound [command] --help` at 80 columns, recorded before the
+# parser was built from the command table
+HELP_SHA256 = {
+    None: "5c0be10b87f0d28aedb63476025db5a2c6cee1f42df1b77a16a118eec6af0c67",
+    "bounds": "da1d34e051d54d6f544750274f8c08f352e889209c219b31cd77cf20f1f1bc9c",
+    "nilpotency": "d185619896cd550dc91446fa69cf34d804da00bda8e2382ff63cb6e2572052d9",
+    "herbrand": "6ca904e43fa0129be8f1faeed4ad6116510bf8fb6a3a07937117ae5fba33807e",
+    "tame-lift": "a33b722a430d14a21195b141ab2e7bf3a9813f01b32a417a5e76256817b6d8b1",
+    "kisin-height": "20c61c2ea55b40f820f4bc87e1149c9c1834c922570150a10132554bf0e56b2d",
+    "jset": "3545f18ecb8d78aee3a960713b174306ef75167026a0e59a0a27b0f3084c0223",
+    "solve-lift": "4bdbb560fd38bad9d5286f636b9e3e16d68f8ac40f4f7785bc529404e7921d9d",
+    "grid": "9d4b7cd7075f0365f42fd204079175ce0d2cc1193c815a7ea36f93888d77af59",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="help layout recorded under Python 3.11; argparse's differs by version",
+)
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(([command] if command else []) + ["--help"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]

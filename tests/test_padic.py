@@ -11,6 +11,7 @@ from ramibound.errors import (
     UndecidableError,
 )
 from ramibound.padic import (
+    MR_LIMIT,
     EisensteinPoly,
     LocalElement,
     LocalFieldModel,
@@ -19,8 +20,10 @@ from ramibound.padic import (
     QuotRing,
     divide_by_monic,
     eisenstein_validate,
+    is_odd_prime,
     level_reps_count,
     min_integer_strictly_above,
+    odd_prime_factors,
     parse_poly,
     poly_add,
     poly_convolve,
@@ -294,6 +297,70 @@ def test_min_integer_strictly_above():
     assert min_integer_strictly_above(3, F(1), 0) == 1
     assert min_integer_strictly_above(3, F(9), 0) == 3
     assert min_integer_strictly_above(3, F(1, 9), 0) == -1
+
+
+def trial_division_is_odd_prime(n):
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_odd_prime_matches_trial_division():
+    for n in range(-3, 10**5):
+        assert is_odd_prime(n) == trial_division_is_odd_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        2152302898747,  # ... 2 to 11
+        3474749660383,  # ... 2 to 13
+        341550071728321,  # ... 2 to 19
+        3825123056546413051,  # ... 2 to 31
+        318665857834031151167461,  # ... 2 to 37: only base 41 exposes it
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_odd_prime(n)
+
+
+@pytest.mark.parametrize(
+    "p", [1000000000000000003, 2**61 - 1, 3317044064679887385961813]
+)
+def test_large_primes(p):
+    assert is_odd_prime(p)
+
+
+def test_primality_above_the_limit_is_refused():
+    # MR_LIMIT itself is a strong pseudoprime to every base used
+    with pytest.raises(InputError, match=str(MR_LIMIT)):
+        is_odd_prime(MR_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "g, primes",
+    [
+        (0, []),
+        (1, []),
+        (-96, [3]),
+        (3 * 5**2 * 65537, [3, 5, 65537]),
+        (3 * 4294967311, [3, 4294967311]),  # a prime cofactor above 2^32
+    ],
+)
+def test_odd_prime_factors(g, primes):
+    assert odd_prime_factors(g) == primes
+
+
+def test_odd_prime_factors_refuses_a_composite_cofactor():
+    for g in (3 * 65537 * 65539, 65537**2):
+        with pytest.raises(InputError, match="no factor below 65536"):
+            odd_prime_factors(g)
 
 
 def test_parse_poly():

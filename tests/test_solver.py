@@ -629,9 +629,8 @@ def check_lift_work(done, n):
     for inversions, residuals, lr in done:
         # beta = alpha / [pi^N], then one divisor per Witt level
         assert inversions <= n + 1
-        # the start, one certificate per iteration, and the final check
-        steps = len(lr.trace)
-        assert residuals == steps + (2 if steps else 1)
+        # the start and one certificate per iteration
+        assert residuals == len(lr.trace) + 1
 
 
 def test_lifter_work_counts(monkeypatch):
