@@ -152,6 +152,8 @@ class LowerBound:
 def power(x, k: int, mul, one):
     """x^k for k >= 0 by square-and-multiply, with the product ``mul`` and
     identity ``one``; the base is not squared past the top bit of k."""
+    if k < 0:
+        raise InputError(f"exponent must be >= 0, got {k}")
     out = one
     while k:
         if k & 1:

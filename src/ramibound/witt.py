@@ -5,7 +5,12 @@ integer polynomials.  One solver of the ghost equations
 w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
 
 * :func:`universal_polys` solves them over Q on packed integer polynomials
-  and asserts that every coefficient is an integer;
+  and checks that every coefficient is an integer.  Their product is a
+  Kronecker substitution in X_0: after the change of coordinates
+  (x0, y0) -> (x0, x0 + y0), the terms of a weighted-homogeneous polynomial
+  fall into few runs of x0 values, and each run is one signed big integer
+  with slots of S bits, S sized per product from the operands.  Y_0's field
+  must hold the largest x0 + y0 of the product, or the product raises;
 * :func:`witt_add`, :func:`witt_mul` and :func:`int_to_witt` solve them on
   concrete values in an exact companion ring Z[x]/g, on integer coefficient
   tuples.  Every division by a power of p there is exact because the
@@ -46,6 +51,7 @@ from .padic import (
     LowerBound,
     PAdicTrunc,
     Rat,
+    is_odd_prime,
     poly_convolve,
     poly_divmod_monic,
     power,
@@ -54,22 +60,78 @@ from .padic import (
 # ---------------------------------------------------------------------------
 # Integer polynomials in packed-exponent representation
 # ---------------------------------------------------------------------------
-# A polynomial in v variables is a dict {key: coeff} where key packs the
-# exponent vector in base 2**bits.  Monomial product is then integer addition
-# of keys, which keeps the inner multiplication loop cheap.
+# A polynomial in the 2n variables X_0..X_{n-1}, Y_0..Y_{n-1} is a dict
+# {key: coeff} where key packs the exponent vector in base 2**bits, variable
+# i (X_i, then Y_i at n+i) in field i.  Monomial product is then integer
+# addition of keys.
+#
+# The product works by Kronecker substitution in X_0.  Every polynomial of
+# the ghost solve is weighted-homogeneous (X_i and Y_i of weight p^i), so
+# once the other exponents are fixed, x0 + y0 is fixed while x0 still runs.
+# Each key is rewritten in the coordinates (x0, y0) -> (x0, x0 + y0): x0
+# leaves its field and is added into Y_0's field.  The terms that share the
+# rewritten key form one run of x0 values and are packed into one signed
+# integer sum c * 2^(S*x0).  One big-integer product per pair of runs does
+# the work of the whole run-by-run convolution, and balanced digits of width
+# S read the coefficients back.  The slot width S is the bit length of
+# max|a| * max|b| * min(len a, len b), which bounds every coefficient of the
+# product, plus one bit for the sign.  Y_0's field must hold the largest
+# x0 + y0 of the product: the largest of each factor, added, must stay below
+# 2**bits, or the product raises.  In :func:`universal_polys` it does, since
+# x0 + y0 <= 2 p^(n-1) < 2**bits.
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
+def _kronecker_pack(a: dict, bits: int, shift: int, width: int) -> tuple[dict, int]:
+    """The runs {rewritten key: packed integer} of ``a``, and the largest
+    x0 + y0 of its terms."""
+    mask = (1 << bits) - 1
+    runs: dict = {}
+    get = runs.get
+    for k, c in a.items():
+        x0 = k & mask
+        r = k - x0 + (x0 << shift)
+        runs[r] = get(r, 0) + (c << (width * x0))
+    return runs, max((k & mask) + (k >> shift & mask) for k in a)
+
+
+def _pmul(a: dict, b: dict, bits: int, n: int) -> dict:
+    """Product of two packed polynomials in 2n variables; see above."""
+    if not a or not b:
+        return {}
+    bound = max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound * min(len(a), len(b))).bit_length() + 1
+    shift = bits * n
+    ra, top_a = _kronecker_pack(a, bits, shift, width)
+    rb, top_b = _kronecker_pack(b, bits, shift, width)
+    if top_a + top_b >= 1 << bits:
+        raise InputError(
+            f"product exponent x0 + y0 = {top_a + top_b} overflows a {bits}-bit field"
+        )
+    acc: dict = {}
+    get = acc.get
+    for ka, va in ra.items():
+        for kb, vb in rb.items():
             k = ka + kb
-            c = get(k, 0) + va * vb
-            if c:
-                out[k] = c
-            elif k in out:
-                del out[k]
+            acc[k] = get(k, 0) + va * vb
+    out = {}
+    step = 1 - (1 << shift)  # x0 -> x0 + 1 with x0 + y0 fixed
+    full = 1 << width
+    half = full >> 1
+    low = full - 1
+    for r, v in acc.items():
+        key = r
+        while v:
+            d = v & low
+            if not d:  # skip the run of empty slots at once
+                z = ((v & -v).bit_length() - 1) // width
+                v >>= width * z
+                key += step * z
+                continue
+            if d >= half:
+                d -= full
+            out[key] = d
+            v = (v - d) >> width
+            key += step
     return out
 
 
@@ -86,10 +148,6 @@ def _padd(a: dict, b: dict) -> dict:
 
 def _pscale(a: dict, c: int) -> dict:
     return {k: c * v for k, v in a.items()}
-
-
-def _ppow(a: dict, k: int) -> dict:
-    return power(a, k, _pmul, {0: 1})
 
 
 def _pdiv_exact(a: dict, c: int) -> dict:
@@ -137,7 +195,14 @@ def _solve_ghosts(ghosts: list, p: int, ops: tuple) -> list:
     return zs
 
 
-_PACKED = (_ppow, _padd, _pscale, _pdiv_exact)
+def _packed_ops(mul) -> tuple:
+    """(power, sum, integer scale, exact division) on packed polynomials,
+    with the product ``mul``."""
+
+    def pow_(a: dict, k: int) -> dict:
+        return power(a, k, mul, {0: 1})
+
+    return pow_, _padd, _pscale, _pdiv_exact
 
 
 @dataclass(frozen=True)
@@ -158,34 +223,46 @@ class WittUniversalPolys:
         }
 
 
+def _solve_universal(p: int, n: int, bits: int, mul) -> tuple[tuple, tuple]:
+    """Sum and product polynomials from the ghost equations over Q, with the
+    packed product ``mul``; every division is checked to be exact."""
+    ops = _packed_ops(mul)
+    xs = [_var(i, bits) for i in range(n)]
+    ys = [_var(n + i, bits) for i in range(n)]
+    gx = [_ghost(xs, m, p, ops) for m in range(n)]
+    gy = [_ghost(ys, m, p, ops) for m in range(n)]
+    sums = _solve_ghosts([_padd(a, b) for a, b in zip(gx, gy)], p, ops)
+    prods = _solve_ghosts([mul(a, b) for a, b in zip(gx, gy)], p, ops)
+    return tuple(sums), tuple(prods)
+
+
 @lru_cache(maxsize=None)
 def universal_polys(p: int, n: int) -> WittUniversalPolys:
     """Solve the ghost equations over Q for ring structure polynomials and
-    assert that every coefficient is an integer."""
+    check that every coefficient is an integer."""
+    if not is_odd_prime(p):
+        raise InputError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise InputError("length must be >= 1")
     bits = max(2, (p ** (n - 1)).bit_length() + 1)
-    xs = [_var(i, bits) for i in range(n)]
-    ys = [_var(n + i, bits) for i in range(n)]
-    gx = [_ghost(xs, m, p, _PACKED) for m in range(n)]
-    gy = [_ghost(ys, m, p, _PACKED) for m in range(n)]
-    sums = _solve_ghosts([_padd(a, b) for a, b in zip(gx, gy)], p, _PACKED)
-    prods = _solve_ghosts([_pmul(a, b) for a, b in zip(gx, gy)], p, _PACKED)
-    return WittUniversalPolys(p, n, bits, tuple(sums), tuple(prods))
+    sums, prods = _solve_universal(p, n, bits, partial(_pmul, bits=bits, n=n))
+    return WittUniversalPolys(p, n, bits, sums, prods)
 
 
 def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
     """Check ghost_m(S(X,Y)) = ghost_m(X) + ghost_m(Y) (and the product
     analogue) as polynomial identities over Z."""
     up = universal_polys(p, n)
+    mul = partial(_pmul, bits=up.bits, n=n)
+    ops = _packed_ops(mul)
     xs = [_var(i, up.bits) for i in range(n)]
     ys = [_var(n + i, up.bits) for i in range(n)]
     for m in range(n):
-        gx = _ghost(xs, m, p, _PACKED)
-        gy = _ghost(ys, m, p, _PACKED)
-        if _ghost(up.sums, m, p, _PACKED) != _padd(gx, gy):
+        gx = _ghost(xs, m, p, ops)
+        gy = _ghost(ys, m, p, ops)
+        if _ghost(up.sums, m, p, ops) != _padd(gx, gy):
             return False
-        if _ghost(up.prods, m, p, _PACKED) != _pmul(gx, gy):
+        if _ghost(up.prods, m, p, ops) != mul(gx, gy):
             return False
     return True
 
@@ -438,6 +515,8 @@ def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):
 
 
 def witt_arith_symbolic(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
+    if op not in ("add", "mul"):
+        raise InputError(f"unknown op {op!r}")
     up = universal_polys(p, len(x))
     polys = up.sums if op == "add" else up.prods
     return tuple(eval_universal(R, up, poly, x, y) for poly in polys)

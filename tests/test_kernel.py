@@ -3,9 +3,11 @@ witness check, each against an independent naive computation."""
 
 import operator
 import random
+from functools import partial
 
 import pytest
 
+from ramibound.errors import InputError
 from ramibound.kisin import (
     GF,
     _mat_mul_series,
@@ -23,15 +25,16 @@ from ramibound.padic import (
 )
 from ramibound.witt import (
     LocalRing,
+    _packed_ops,
     _padd,
     _pmul,
-    _ppow,
     _var,
     companion_mul,
     companion_pow,
 )
 
 from test_kisin import naive_mat_mul
+from test_witt import schoolbook_pmul
 
 KS = range(21)
 
@@ -95,9 +98,26 @@ def test_companion_lpow_matches_repeated_product():
 
 
 def test_packed_ppow_matches_repeated_product():
+    # X_0 + Y_0^2 - 3 in the two variables X_0, Y_0 (n = 1)
     x = _padd(_padd(_var(0, 8), _var(1, 8, 2)), {0: -3})
+    pow_ = _packed_ops(partial(_pmul, bits=8, n=1))[0]
     for k in range(9):
-        assert _ppow(x, k) == repeated(x, k, _pmul, {0: 1}), k
+        assert pow_(x, k) == repeated(x, k, schoolbook_pmul, {0: 1}), k
+
+
+def test_power_refuses_negative_exponent():
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("power does not terminate")
+        return a * b
+
+    for k in (-1, -3, -64):
+        with pytest.raises(InputError):
+            power(3, k, mul, 1)
+    assert not calls
 
 
 def _random_matrix(rng, d, q):

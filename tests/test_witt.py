@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from ramibound.errors import UndecidableError, ValuationTieError
+from ramibound.errors import InputError, UndecidableError, ValuationTieError
 from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
@@ -14,6 +15,9 @@ from ramibound.witt import (
     LocalRing,
     ZpMRing,
     ZZRing,
+    _pmul,
+    _solve_universal,
+    _var,
     companion_mul,
     companion_pow,
     ghost_components,
@@ -47,10 +51,132 @@ def test_p3_n2_sum_polynomial():
     assert up.exponent_dict(up.sums[1]) == expected
 
 
+def schoolbook_pmul(a: dict, b: dict) -> dict:
+    """Oracle product of packed polynomials: one dict update per pair of
+    terms, valid for any keys whose exponent fields do not overflow."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            c = out.get(k, 0) + va * vb
+            if c:
+                out[k] = c
+            elif k in out:
+                del out[k]
+    return out
+
+
+def _random_packed(rng, n, bits, max_exp, terms, coeff):
+    poly = {}
+    for _ in range(terms):
+        key = sum(rng.randrange(max_exp + 1) << (bits * i) for i in range(2 * n))
+        poly[key] = rng.choice([-1, 1]) * rng.randrange(1, coeff)
+    return poly
+
+
+def test_packed_product_matches_schoolbook():
+    rng = random.Random(88)
+    bits = 6
+    for n in (1, 2, 3):
+        y0 = 1 << (bits * n)  # the key of Y_0; X_0's is 1
+        cases = [
+            ({}, {}),
+            ({}, {1: 1}),
+            ({1: 1}, {}),
+            ({0: 1}, {0: 1}),
+            ({0: -7}, {0: 3 ** 60}),
+            ({0: -5}, _random_packed(rng, n, bits, 7, 20, 100)),
+            # (X0 - Y0)(X0 + Y0) = X0^2 - Y0^2: the X0*Y0 terms cancel
+            ({1: 1, y0: -1}, {1: 1, y0: 1}),
+            # (X0 - Y0)(X0^2 + X0 Y0 + Y0^2) = X0^3 - Y0^3: a whole run cancels
+            ({1: 1, y0: -1}, {2: 1, 1 + y0: 1, 2 * y0: 1}),
+        ]
+        for _ in range(60):
+            big = rng.choice([10, 1000, 10 ** 30])
+            cases.append(
+                (
+                    _random_packed(rng, n, bits, 7, rng.randrange(1, 40), big),
+                    _random_packed(rng, n, bits, 7, rng.randrange(1, 40), big),
+                )
+            )
+        for a, b in cases:
+            want = schoolbook_pmul(a, b)
+            assert _pmul(a, b, bits, n) == want, (n, a, b)
+            assert _pmul(b, a, bits, n) == want, (n, a, b)
+
+
+def test_packed_product_field_width_guard():
+    bits, n = 3, 1
+    x0, y0 = _var(0, bits), _var(n, bits)
+    # x0 + y0 = 4 + 3 = 7 fits in 3 bits; one more X_0 does not
+    assert _pmul(_var(0, bits, 4), _var(n, bits, 3), bits, n) == {
+        4 + (3 << bits): 1
+    }
+    with pytest.raises(InputError):
+        _pmul(_var(0, bits, 4), {(3 << bits) + 1: 1}, bits, n)
+    # one factor alone past the field: X_0^4 Y_0^4 has x0 + y0 = 8
+    with pytest.raises(InputError):
+        _pmul({4 + (4 << bits): 1}, {0: 1}, bits, n)
+    assert _pmul(x0, y0, bits, n) == {1 + (1 << bits): 1}
+
+
+ORACLE_CASES = [(3, n) for n in (1, 2, 3, 4)] + [(5, n) for n in (1, 2, 3, 4)]
+ORACLE_CASES += [(7, n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p, n", ORACLE_CASES)
+def test_universal_polys_match_schoolbook_oracle(p, n):
+    up = universal_polys(p, n)
+    sums, prods = _solve_universal(p, n, up.bits, schoolbook_pmul)
+    assert [up.exponent_dict(s) for s in up.sums] == [up.exponent_dict(s) for s in sums]
+    assert [up.exponent_dict(s) for s in up.prods] == [
+        up.exponent_dict(s) for s in prods
+    ]
+
+
+def _poly_digest(up, polys) -> str:
+    h = hashlib.sha256()
+    for poly in polys:
+        h.update(repr(sorted(up.exponent_dict(poly).items())).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def test_universal_polys_p5_n4_digests():
+    up = universal_polys(5, 4)
+    assert [len(s) for s in up.sums] == [2, 6, 134, 37760]
+    assert [len(s) for s in up.prods] == [1, 3, 24, 4082]
+    assert _poly_digest(up, up.sums) == (
+        "19b2c5e9d8db73216c0a4afe4203576d1fd0d81472f08a1596b9ede37981b1ed"
+    )
+    assert _poly_digest(up, up.prods) == (
+        "3aae4577114002cd77d561e488967c776be65bd656b148cd22d20772c828af8e"
+    )
+
+
 def test_ghost_identity_symbolic():
     assert ghost_identity_holds_symbolically(3, 2)
     assert ghost_identity_holds_symbolically(3, 3)
+    assert ghost_identity_holds_symbolically(3, 4)
     assert ghost_identity_holds_symbolically(5, 2)
+    assert ghost_identity_holds_symbolically(5, 3)
+    assert ghost_identity_holds_symbolically(5, 4)
+
+
+@pytest.mark.parametrize("p, n", [(-3, 2), (0, 2), (1, 2), (2, 2), (9, 2), (3, 0)])
+def test_symbolic_layer_refuses_bad_parameters(p, n):
+    with pytest.raises(InputError):
+        universal_polys(p, n)
+    with pytest.raises(InputError):
+        ghost_identity_holds_symbolically(p, n)
+
+
+def test_witt_arith_symbolic_refuses_unknown_op():
+    for op in ("sub", "ADD", ""):
+        with pytest.raises(InputError):
+            witt_arith(ZZ, 3, (1, 2), (2, 0), op)
+        with pytest.raises(InputError):
+            witt_arith_symbolic(ZZ, 3, (1, 2), (2, 0), op)
 
 
 def test_witt_add_example_mod9():
