@@ -585,8 +585,6 @@ class LocalElement:
         return LocalElement(self.model, tuple((c * a) % q for a in self.coeffs), self.aprec)
 
     def pow(self, k: int) -> "LocalElement":
-        if k < 0:
-            raise InputError("negative powers via div()")
         return power(self, k, operator.mul, self.model.one())
 
     def eq_at_prec(self, other: "LocalElement") -> bool:
