@@ -12,11 +12,15 @@ This module holds the package's one arithmetic kernel:
   :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
   coefficients), and every division by a monic polynomial is
   :func:`poly_divmod_monic` (mod q, or over exact integers when q is None);
-  both reduce modulo q once, at the end;
+  both reduce modulo q once, at the end.  The product multiplies only pairs
+  of nonzero coefficients, and the division walks only the divisor's nonzero
+  low terms, one for a binomial model x^m + a;
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
-  elements, polynomials or companion-ring elements, is :func:`power`.
+  elements, polynomials or companion-ring elements, is :func:`power`, which
+  never multiplies by its identity: x^1 is x itself, and the identity is
+  returned only for the exponent 0.
 
 Conventions
 -----------
@@ -38,6 +42,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (
     BaseMismatchError,
@@ -151,16 +156,24 @@ class LowerBound:
 
 def power(x, k: int, mul, one):
     """x^k for k >= 0 by square-and-multiply, with the product ``mul`` and
-    identity ``one``; the base is not squared past the top bit of k."""
+    identity ``one``.  The running product starts at the lowest set bit's
+    power of x, so ``one`` is returned only for k = 0 and is never a factor,
+    x^1 is x itself, and the base is not squared past the top bit of k:
+    bitlen(k) - 2 + popcount(k) products for k >= 1."""
     if k < 0:
         raise InputError(f"exponent must be >= 0, got {k}")
-    out = one
+    if not k:
+        return one
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    out = x
+    k >>= 1
     while k:
+        x = mul(x, x)
         if k & 1:
             out = mul(out, x)
         k >>= 1
-        if k:
-            x = mul(x, x)
     return out
 
 
@@ -263,16 +276,18 @@ def poly_mod(c, q: int) -> tuple[int, ...]:
 
 def poly_convolve(a, b, prec: int | None = None) -> list[int]:
     """Exact product of integer coefficient sequences, untrimmed; only the
-    first ``prec`` coefficients when prec is given."""
+    first ``prec`` coefficients when prec is given.  Only pairs of nonzero
+    coefficients are multiplied."""
     if prec is not None:
         a, b = a[:prec], b[:prec]
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    terms = list(compress(enumerate(b), b))  # (k, b_k) for the nonzero b_k
     for i, va in enumerate(a):
         if va:
-            for k, vb in enumerate(b, i):
-                out[k] += va * vb
+            for k, vb in terms:
+                out[i + k] += va * vb
     return out if prec is None else out[:prec]
 
 
@@ -285,20 +300,27 @@ def poly_divmod_monic(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Division with remainder by a monic polynomial: exact mod q, or over
     the integers when q is None.  Only the coefficient being eliminated is
-    reduced inside the loop; the remainder is reduced once, at the end."""
+    reduced inside the loop; the remainder is reduced once, at the end.  Each
+    elimination walks only the divisor's nonzero low terms (nonzero mod q
+    when q is given): one term for a binomial x^m + a."""
     den = poly_trim(den)
     d = len(den) - 1
     if d < 0 or (den[d] if q is None else den[d] % q) != 1:
         raise InputError("divisor must be monic")
-    low = den[:d]
     rem = list(num)
     quot = [0] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] if q is None else rem[i] % q
-        if c:
-            quot[i - d] = c
-            for k, v in enumerate(low, i - d):
-                rem[k] -= c * v
+    if quot:
+        # (k - d, a_k) for the nonzero a_k, k < d: eliminating degree i
+        # subtracts c * a_k from degree i + (k - d)
+        low = [
+            (k, v) for k, v in enumerate(den[:d], -d) if (v if q is None else v % q)
+        ]
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i] if q is None else rem[i] % q
+            if c:
+                quot[i - d] = c
+                for k, v in low:
+                    rem[i + k] -= c * v
     rem = rem[:d] if q is None else [v % q for v in rem[:d]]
     return poly_trim(quot), poly_trim(rem)
 
@@ -338,8 +360,8 @@ class EisensteinPoly:
         return poly_trim(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def power(self, r: int, q: int) -> tuple[int, ...]:
-        """E(u)^r mod q."""
-        return power(self.coeffs, r, lambda a, b: poly_mul(a, b, q), (1,))
+        """E(u)^r mod q; the base is reduced first, since E^1 is E itself."""
+        return power(poly_mod(self.coeffs, q), r, lambda a, b: poly_mul(a, b, q), (1,))
 
     def is_uniformizer_binomial(self) -> bool:
         """True for the shapes u^e - p and u^e + p."""
@@ -467,13 +489,18 @@ class LocalFieldModel:
     def p(self) -> int:
         return self.g.p
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.g.coeffs) - 1
 
     @cached_property
     def q(self) -> int:
         return self.p ** self.prec
+
+    @cached_property
+    def g0_unit_inverse(self) -> int:
+        """(g_0 / p)^-1 mod q, for exact division by the uniformizer."""
+        return pow((self.g.coeffs[0] // self.p) % self.q, -1, self.q)
 
     @property
     def full_aprec(self) -> int:
@@ -593,10 +620,8 @@ class LocalElement:
     # -- division ----------------------------------------------------------
 
     def shift_down(self) -> "LocalElement":
-        """Exact division by the uniformizer x; requires x | self."""
-        xv = self.xval()
-        if xv is not None and xv < 1:
-            raise PrecisionError("element is not divisible by the uniformizer")
+        """Exact division by the uniformizer x; requires x | self.  With
+        precision left, x divides self exactly when p divides coefficient 0."""
         if self.aprec < 1:
             raise PrecisionError("no precision left for division")
         q = self.model.q
@@ -606,8 +631,7 @@ class LocalElement:
         z0 = self.coeffs[0] % q
         if z0 % p != 0:
             raise PrecisionError("element is not divisible by the uniformizer")
-        c0_over_p = (g[0] // p) % q
-        w_top = (-(z0 // p) * pow(c0_over_p, -1, q)) % q
+        w_top = (-(z0 // p) * self.model.g0_unit_inverse) % q
         vec = [0] * m
         vec[m - 1] = w_top
         for j in range(1, m):
@@ -615,30 +639,25 @@ class LocalElement:
         return LocalElement(self.model, tuple(vec), self.aprec - 1)
 
     def unit_inverse(self) -> "LocalElement":
-        """Inverse of a unit (valuation 0), by mod-p series then Newton."""
+        """Inverse of a unit (valuation 0), by a mod-p power series then
+        Newton."""
         xv = self.xval()
         if xv is None or xv != 0:
             raise NonUnitError("not a unit at this precision")
-        q = self.model.q
         p = self.model.p
-        m = self.model.m
-        g = self.model.g.coeffs
-        c = self.coeffs[0] % p
-        c_inv = pow(c, -1, p)
-        inv = [0] * m
-        inv[0] = c_inv
-        # (c + h)^-1 = c^-1 sum (-h/c)^k with h the augmentation part, mod p
-        # the ideal (x, p) is nilpotent mod (p, x^m)
-        nil = [(-c_inv * v) % p for v in self.coeffs]
-        nil[0] = (-c_inv * (self.coeffs[0] - c)) % p  # p-part dies mod p
-        term = [c_inv] + [0] * (m - 1)
-        for _ in range(m):
-            _, rem = poly_divmod_monic(poly_convolve(term, nil), g, p)
-            term = [rem[i] if i < len(rem) else 0 for i in range(m)]
-            if not any(term):
-                break
-            for i in range(m):
-                inv[i] = (inv[i] + term[i]) % p
+        # g is Eisenstein, so g = x^m mod p and the seed is the power-series
+        # inverse mod (p, x^m): inv_k = -c^-1 sum_{1<=i<=k} a_i inv_{k-i}
+        a = [v % p for v in self.coeffs]
+        c_inv = pow(a[0], -1, p)
+        terms = [(i, v) for i, v in enumerate(a) if v and i]
+        inv = [c_inv]
+        for k in range(1, self.model.m):
+            acc = 0
+            for i, v in terms:
+                if i > k:
+                    break
+                acc += v * inv[k - i]
+            inv.append(-c_inv * acc % p)
         v = LocalElement(self.model, tuple(inv), self.aprec)
         two = self.model.from_int(2)
         digits = 1

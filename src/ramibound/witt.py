@@ -54,6 +54,7 @@ from .padic import (
     is_odd_prime,
     poly_convolve,
     poly_divmod_monic,
+    poly_trim,
     power,
 )
 
@@ -185,13 +186,14 @@ def _ghost(xs: list, m: int, p: int, ops: tuple):
 
 def _solve_ghosts(ghosts: list, p: int, ops: tuple) -> list:
     """Components z_0..z_{n-1} with ghost components G_0..G_{n-1}:
-    z_m = (G_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m, each division exact."""
+    z_m = (G_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m, each division exact;
+    z_0 is G_0 itself."""
     pow_, add, scale, div_exact = ops
     zs: list = []
     for m, acc in enumerate(ghosts):
         for i, z in enumerate(zs):
             acc = add(acc, scale(pow_(z, p ** (m - i)), -(p ** i)))
-        zs.append(div_exact(acc, p ** m))
+        zs.append(div_exact(acc, p ** m) if m else acc)
     return zs
 
 
@@ -399,7 +401,7 @@ class LocalRing:
         return a.pow(k)
 
     def lift(self, a: LocalElement):
-        return tuple(a.coeffs)
+        return poly_trim(a.coeffs)
 
     def lower(self, zs, inputs) -> tuple:
         model = self.model
@@ -517,6 +519,8 @@ def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):
 def witt_arith_symbolic(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
     if op not in ("add", "mul"):
         raise InputError(f"unknown op {op!r}")
+    if len(x) != len(y):
+        raise InputError("Witt vectors of different lengths")
     up = universal_polys(p, len(x))
     polys = up.sums if op == "add" else up.prods
     return tuple(eval_universal(R, up, poly, x, y) for poly in polys)

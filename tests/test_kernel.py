@@ -1,5 +1,7 @@
 """The shared kernel: one exponentiation, one matrix product and one
-witness check, each against an independent naive computation."""
+witness check, each against an independent naive computation; and the
+kernel that skips trivial work (no product by one, zero coefficients
+skipped) against the dense code it replaced."""
 
 import operator
 import random
@@ -7,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from ramibound.errors import InputError
+from ramibound.errors import InputError, PrecisionError
 from ramibound.kisin import (
     GF,
     _mat_mul_series,
@@ -16,9 +18,12 @@ from ramibound.kisin import (
     is_scalar_mod_u,
 )
 from ramibound.padic import (
+    LocalElement,
     LocalFieldModel,
     eisenstein_validate,
     mat_mul,
+    poly_convolve,
+    poly_divmod_monic,
     poly_mul,
     poly_trim,
     power,
@@ -28,9 +33,12 @@ from ramibound.witt import (
     _packed_ops,
     _padd,
     _pmul,
+    _solve_ghosts,
     _var,
+    companion_add,
     companion_mul,
     companion_pow,
+    companion_scale,
 )
 
 from test_kisin import naive_mat_mul
@@ -47,6 +55,7 @@ def repeated(x, k, mul, one):
 
 
 def test_power_counts_no_final_squaring():
+    # no product by the identity and no squaring past the top bit of k
     for k in range(1, 65):
         calls = []
 
@@ -55,8 +64,10 @@ def test_power_counts_no_final_squaring():
             return a * b
 
         assert power(3, k, mul, 1) == 3 ** k
-        assert len(calls) == k.bit_length() - 1 + bin(k).count("1")
-    assert power(3, 0, operator.mul, 1) == 1
+        assert len(calls) == k.bit_length() - 2 + bin(k).count("1")
+    calls = []
+    assert power(3, 0, lambda a, b: calls.append(1), 1) == 1
+    assert not calls
 
 
 def test_local_element_pow_matches_repeated_product():
@@ -211,3 +222,274 @@ def test_witness_check_gf_entries():
                 bumped = _changed(M, i, j, t, F.zero(), lambda v: F.add(v, (0, 1)))
                 ok = is_scalar_mod_u(bumped, c, prec, F.zero(), operator.eq)
                 assert ok == (t >= prec), (i, j, t)
+
+
+# ---------------------------------------------------------------------------
+# The kernel that skips trivial work, against the dense code it replaced
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_convolve(a, b, prec=None):
+    """The dense product: every coefficient of b, zeros included, against
+    every nonzero coefficient of a."""
+    if prec is not None:
+        a, b = a[:prec], b[:prec]
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        if va:
+            for k, vb in enumerate(b, i):
+                out[k] += va * vb
+    return out if prec is None else out[:prec]
+
+
+def dense_divmod_monic(num, den, q=None):
+    """Division by a monic polynomial that walks every low coefficient of
+    the divisor at every elimination."""
+    den = poly_trim(den)
+    d = len(den) - 1
+    low = den[:d]
+    rem = list(num)
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] if q is None else rem[i] % q
+        if c:
+            quot[i - d] = c
+            for k, v in enumerate(low, i - d):
+                rem[k] -= c * v
+    rem = rem[:d] if q is None else [v % q for v in rem[:d]]
+    return poly_trim(quot), poly_trim(rem)
+
+
+def identity_start_power(x, k, mul, one):
+    """Square-and-multiply from the identity, so x^1 is mul(one, x)."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def geometric_seed(elem):
+    """The inverse of a unit mod p as c^-1 sum_k (-h/c)^k, h the part of
+    elem above its constant term, each power reduced by g mod p."""
+    model = elem.model
+    p, m, g = model.p, model.m, model.g.coeffs
+    c_inv = pow(elem.coeffs[0] % p, -1, p)
+    nil = [(-c_inv * v) % p for v in elem.coeffs]
+    nil[0] = 0
+    inv = [c_inv] + [0] * (m - 1)
+    term = list(inv)
+    for _ in range(m):
+        _, rem = dense_divmod_monic(schoolbook_convolve(term, nil), g, p)
+        term = [rem[i] if i < len(rem) else 0 for i in range(m)]
+        inv = [(a + b) % p for a, b in zip(inv, term)]
+    return tuple(inv)
+
+
+def seeded_unit_inverse(elem):
+    """unit_inverse from the geometric seed: Newton steps at full precision."""
+    model = elem.model
+    v = LocalElement(model, geometric_seed(elem), elem.aprec)
+    digits = 1
+    while digits < model.prec:
+        v = v * (model.from_int(2) - elem * v)
+        digits *= 2
+    return LocalElement(model, v.coeffs, elem.aprec)
+
+
+def checked_shift_down(elem):
+    """shift_down with the valuation scan in front of its refusals."""
+    model = elem.model
+    xv = elem.xval()
+    if xv is not None and xv < 1:
+        raise PrecisionError("element is not divisible by the uniformizer")
+    if elem.aprec < 1:
+        raise PrecisionError("no precision left for division")
+    q, p, g, m = model.q, model.p, model.g.coeffs, model.m
+    z0 = elem.coeffs[0] % q
+    if z0 % p != 0:
+        raise PrecisionError("element is not divisible by the uniformizer")
+    w_top = (-(z0 // p) * pow((g[0] // p) % q, -1, q)) % q
+    vec = [(elem.coeffs[j] + w_top * g[j]) % q for j in range(1, m)] + [w_top]
+    return LocalElement(model, tuple(vec), elem.aprec - 1)
+
+
+# x^3+3x+3, x^4+6x^2+3, x^5-3x^4+9x^2+6x-3 and two binomials
+DENSE_MODELS = [(3, 3, 0, 1), (3, 0, 6, 0, 1), (-3, 6, 9, 0, -3, 1)]
+MODELS = DENSE_MODELS + [(3, 0, 0, 0, 0, 0, 1), (3,) + (0,) * 11 + (1,)]
+
+
+def sparse_factor(rng, length, bound):
+    """Zero-padded signed coefficients: each one zero with probability 2/3,
+    then a run of trailing zeros."""
+    body = [rng.choice([0, 0, rng.randrange(-bound, bound)]) for _ in range(length)]
+    return body + [0] * rng.choice([0, 0, 1, 3])
+
+
+def test_convolve_matches_schoolbook():
+    rng = random.Random(90)
+    for _ in range(800):
+        bound = rng.choice([2, 9, 3 ** 24])
+        a = sparse_factor(rng, rng.randrange(14), bound)
+        b = sparse_factor(rng, rng.randrange(14), bound)
+        if rng.randrange(3) == 0:  # dense, signed
+            a = [rng.randrange(-bound, bound) for _ in range(rng.randrange(1, 14))]
+        for prec in (None, 0, 1, rng.randrange(1, 30)):
+            want = schoolbook_convolve(a, b, prec)
+            assert poly_convolve(a, b, prec) == want, (a, b, prec)
+            assert poly_convolve(tuple(a), tuple(b), prec) == want
+
+
+@pytest.mark.parametrize("q", [None, 3, 9, 3 ** 12])
+def test_divmod_matches_dense_walk(q):
+    rng = random.Random(91 if q is None else q)
+    divisors = MODELS + [(9, 0, 1), (0, 0, 1), (1,), (-6, 0, 0, 1)]
+    for _ in range(400):
+        monic = tuple(sparse_factor(rng, rng.randrange(5), 30)) + (1,)
+        den = rng.choice(divisors + [monic])
+        num = sparse_factor(rng, rng.randrange(30), 3 ** 20)
+        want = dense_divmod_monic(num, den, q)
+        assert poly_divmod_monic(num, den, q) == want, (num, den)
+        prod = schoolbook_convolve(num, sparse_factor(rng, rng.randrange(14), 3 ** 20))
+        assert poly_divmod_monic(prod, den, q) == dense_divmod_monic(prod, den, q)
+
+
+def test_power_matches_identity_start_on_integers():
+    for x in (0, 1, -1, 2, -3, 7, 3 ** 20):
+        for k in range(65):
+            assert power(x, k, operator.mul, 1) == identity_start_power(
+                x, k, operator.mul, 1
+            ), (x, k)
+
+
+@pytest.mark.parametrize("coeffs", DENSE_MODELS)
+def test_local_element_pow_matches_identity_start(coeffs):
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 5)
+    m, full = model.m, model.full_aprec
+    rng = random.Random(len(coeffs))
+    elems = [model.one(), model.zero(), model.uniformizer_pow(1)]
+    for _ in range(12):
+        vec = tuple(rng.randrange(model.q) for _ in range(m))
+        elems.append(LocalElement(model, vec, full))
+        elems.append(LocalElement(model, vec, rng.randrange(full)))
+    elems.append(model.uniformizer_pow(3).shift_down())
+    for x in elems:
+        assert x.pow(1) is x
+        for k in KS:
+            got = x.pow(k)
+            want = identity_start_power(x, k, operator.mul, model.one())
+            assert (got.coeffs, got.aprec) == (want.coeffs, want.aprec), (x, k)
+
+
+@pytest.mark.parametrize("coeffs", MODELS)
+def test_companion_pow_matches_identity_start(coeffs):
+    g = coeffs
+    rng = random.Random(sum(coeffs))
+    mul = partial(companion_mul, g)
+    for _ in range(6):
+        x = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(len(g))))
+        for k in range(12):
+            got = companion_pow(g, x, k)
+            # x^1 is x itself, untrimmed; the identity start trims it
+            assert poly_trim(got) == identity_start_power(x, k, mul, (1,)), (x, k)
+
+
+def test_gf_pow_matches_identity_start():
+    for F in (GF.create(3, 1), GF.create(3, 2), GF.create(5, 3)):
+        rng = random.Random(F.order)
+        elems = list(F.elements()) if F.order < 30 else [
+            tuple(rng.randrange(F.p) for _ in range(F.f)) for _ in range(20)
+        ]
+        for a in elems:
+            for k in KS:
+                assert F.pow(a, k) == identity_start_power(a, k, F.mul, F.one()), (a, k)
+
+
+@pytest.mark.parametrize("q", [9, 27, 3 ** 10])
+@pytest.mark.parametrize(
+    "coeffs", [(-3, 1), (-3, 0, 1), (3, -6, 1), (-3, 6, 9, 0, -3, 1)]
+)
+def test_eisenstein_power_matches_identity_start(q, coeffs):
+    E = eisenstein_validate(coeffs, 3)
+    for r in range(5):
+        want = identity_start_power(E.coeffs, r, lambda a, b: poly_mul(a, b, q), (1,))
+        assert E.power(r, q) == want, r
+    assert E.power(1, q) == tuple(c % q for c in coeffs)
+
+
+@pytest.mark.parametrize("coeffs", MODELS)
+def test_unit_inverse_matches_geometric_seed(coeffs):
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 6)
+    rng = random.Random(7 * len(coeffs))
+    full = model.full_aprec
+    for _ in range(15):
+        vec = [rng.randrange(model.q) for _ in range(model.m)]
+        vec[0] = rng.choice([1, 2]) + 3 * rng.randrange(model.q // 3)
+        aprec = rng.choice([full, rng.randrange(1, full)])
+        unit = LocalElement(model, tuple(vec), aprec)
+        got = unit.unit_inverse()
+        want = seeded_unit_inverse(unit)
+        assert (got.coeffs, got.aprec) == (want.coeffs, want.aprec), unit
+        assert tuple(c % 3 for c in got.coeffs) == geometric_seed(unit)
+
+
+@pytest.mark.parametrize("coeffs", MODELS)
+def test_shift_down_matches_checked_version(coeffs):
+    """Same quotient, or the same refusal in the same order: no precision
+    left comes before not divisible."""
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 4)
+    rng = random.Random(3 * len(coeffs))
+    full = model.full_aprec
+    seen = set()
+    for _ in range(300):
+        vec = tuple(
+            rng.choice([0, 1, 3, 5, 9, 27]) * rng.randrange(1, 4) % model.q
+            for _ in range(model.m)
+        )
+        aprec = rng.choice([0, 0, 1, rng.randrange(full + 1), full])
+        elem = LocalElement(model, vec, aprec)
+        try:
+            want = checked_shift_down(elem)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError) as got:
+                elem.shift_down()
+            assert str(got.value) == str(exc), elem
+            seen.add(str(exc))
+        else:
+            got = elem.shift_down()
+            assert (got.coeffs, got.aprec) == (want.coeffs, want.aprec), elem
+            seen.add("divided")
+    assert seen == {
+        "divided",
+        "no precision left for division",
+        "element is not divisible by the uniformizer",
+    }
+
+
+def test_ghost_solve_divides_by_no_unit_power():
+    """z_0 is G_0 itself: the solver never divides by p^0 = 1."""
+    divisors = []
+
+    def div_exact(x, c):
+        divisors.append(c)
+        return tuple(v // c for v in x)
+
+    g = (3, 0, 1)
+    ops = (partial(companion_pow, g), companion_add, companion_scale, div_exact)
+    ghosts = [(2, 1), (2 + 3 * 7, 1 + 3 * 5), (2 + 9 * 4, 1 + 9 * 2)]
+    zs = _solve_ghosts(ghosts, 3, ops)
+    assert zs[0] is ghosts[0]
+    assert divisors == [3, 9]
+
+
+def test_local_lift_drops_trailing_zeros():
+    model = LocalFieldModel(eisenstein_validate((3,) + (0,) * 5 + (1,), 3), 4)
+    R = LocalRing(model)
+    assert R.lift(model.from_int(5)) == (5,)
+    assert R.lift(model.zero()) == ()
+    assert R.lift(model.uniformizer_pow(2)) == (0, 0, 1)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from ramibound.errors import (
     PrecisionError,
 )
 from ramibound.kisin import kisin_new
-from ramibound import solver
+from ramibound import padic, solver
 from ramibound.padic import LocalElement, LocalFieldModel, eisenstein_validate
 from ramibound.solver import (
     _teich_div,
@@ -591,6 +592,31 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert len(rebuilds) == retries
+
+
+def test_readme_lift_product_count(monkeypatch):
+    """The README `--digits 6` lift makes 1718 polynomial products (3990
+    while powers multiplied by one and the ghost solve divided by p^0); a
+    kernel that brings back trivial products fails here."""
+    real = padic.poly_convolve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    users = [
+        mod for name, mod in sorted(sys.modules.items())
+        if name.startswith("ramibound") and getattr(mod, "poly_convolve", None) is real
+    ]
+    assert {mod.__name__ for mod in users} >= {"ramibound.padic", "ramibound.witt"}
+    for mod in users:
+        monkeypatch.setattr(mod, "poly_convolve", counting)
+    code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
+    assert code == 0
+    digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(calls) == 1718
 
 
 def lift_work(monkeypatch):

@@ -179,6 +179,15 @@ def test_witt_arith_symbolic_refuses_unknown_op():
             witt_arith_symbolic(ZZ, 3, (1, 2), (2, 0), op)
 
 
+def test_witt_arith_symbolic_refuses_different_lengths():
+    # either order, like the ghost-solving path
+    for x, y in (((1,), (2, 0)), ((1, 2), (2,))):
+        for op in ("add", "mul"):
+            for arith in (witt_arith, witt_arith_symbolic):
+                with pytest.raises(InputError, match="of different lengths"):
+                    arith(ZZ, 3, x, y, op)
+
+
 def test_witt_add_example_mod9():
     R = ZpMRing(PAdicTrunc(3, 2))
     assert witt_arith(R, 3, (1, 0), (2, 0), "add") == (3, 3)
