@@ -5,6 +5,11 @@ by brute force in the quotient ring; several closed-form annihilating
 exponents are computed alongside for comparison.  From a valid N the module
 derives the threshold integers and the exact rational bounds reported by the
 CLI.  All log_p comparisons are exact integer power comparisons.
+
+The general closed form needs v_p(E'(pi)) for a root pi of E.  It is read off
+the coefficients exactly: E'(pi) = sum i*a_i*pi^(i-1), and the nonzero terms
+have valuations v_p(i*a_i) + (i-1)/e with pairwise distinct fractional parts
+(i-1)/e, so none cancel and v_p(E'(pi)) is the least of them.
 """
 
 from __future__ import annotations
@@ -12,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import InputError, PrecisionError
+from .errors import InputError
 from .padic import (
     EisensteinPoly,
-    LocalFieldModel,
-    LowerBound,
     QuotRing,
     Rat,
     min_integer_strictly_above,
+    vp_int,
 )
 
 
@@ -37,23 +41,12 @@ def exact_nilpotency_index(E: EisensteinPoly, n: int, r: int) -> int:
     raise AssertionError("u^(e*r*n) must vanish")
 
 
-def different_valuation(E: EisensteinPoly, start_prec: int = 8) -> Rat:
-    """v_p of E'(pi) evaluated at the uniformizer of the model of E.
-
-    Retries at doubled precision if every digit of E'(pi) vanished.
-    """
-    prec = start_prec
-    for _ in range(8):
-        model = LocalFieldModel(E, prec, e_norm=1)
-        acc = model.zero()
-        for i, c in enumerate(E.derivative()):
-            if c:
-                acc = acc + model.uniformizer_pow(i).mul_int(c)
-        v = acc.valuation()
-        if not isinstance(v, LowerBound):
-            return v
-        prec *= 2
-    raise PrecisionError("derivative valuation did not resolve")
+def different_valuation(E: EisensteinPoly) -> Rat:
+    """v_p(E'(pi)) for a root pi of E: the least v_p(i*a_i) + (i-1)/e over
+    the nonzero i*a_i, i >= 1 (exact, see the module docstring)."""
+    return min(
+        vp_int(c, E.p) + Fraction(i, E.e) for i, c in enumerate(E.derivative()) if c
+    )
 
 
 def closed_form_N_bounds(E: EisensteinPoly, n: int, r: int) -> dict[str, int]:
@@ -62,7 +55,10 @@ def closed_form_N_bounds(E: EisensteinPoly, n: int, r: int) -> dict[str, int]:
     ern        e*r*n, always valid.
     ceil       e * p^{n-1} * ceil(r / p^{n-1}).
     uep        e*(n+r-1), only for E of the shape u^e - p or u^e + p.
-    general    e*n + c*(r-1) with c = e*v + 1, v = ceil(v_p(E'(pi))).
+    general    e*n + c*(r-1) with c = e*v + 1, v = ceil(v_p(E'(pi))), where
+               v_p(E'(pi)) is exactly the least v_p(i*a_i) + (i-1)/e over the
+               nonzero i*a_i: the fractional parts (i-1)/e are distinct, so
+               no terms of E'(pi) cancel.
     """
     p, e = E.p, E.e
     pn1 = p ** (n - 1)
@@ -113,6 +109,8 @@ class BoundConstants:
 def bound_constants(
     p: int, e: int, n: int, r: int, N: int, relaxed: bool = False
 ) -> BoundConstants:
+    if N < 1:
+        raise InputError("N must be >= 1")
     b = Fraction(N, p - 1)
     a = b + N
     s_min_int = min_integer_strictly_above(p, Fraction(N, e), n - 1)
@@ -168,14 +166,14 @@ def ramification_report(
     level-s corollary bound.  Which N was used, and where it came from, is
     recorded in the report.
     """
-    for name, val in (("p", p), ("e", e), ("n", n), ("r", r)):
-        if val < 1:
-            raise InputError(f"{name} must be >= 1")
     if N is None:
         N = e * r * n
         N_provenance = "ern-closed-form"
     elif N_provenance is None:
         N_provenance = "explicit"
+    for name, val in (("p", p), ("e", e), ("n", n), ("r", r), ("N", N)):
+        if val < 1:
+            raise InputError(f"{name} must be >= 1")
 
     thm11_mu = Fraction(e * r * n * p ** n, p - 1)
     thm11_min_s = min_integer_strictly_above(p, Fraction(n * r, p - 1), n)

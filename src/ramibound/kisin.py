@@ -311,6 +311,8 @@ def kisin_new(
         raise InputError("Frobenius matrix must be square")
     if uprec is None:
         uprec = E.e * r_hint * n + E.e * r_hint + 8
+    if uprec < 1:
+        raise InputError("u-precision must be >= 1")
     q = p ** n
     ent = []
     for row in matrix:
@@ -465,23 +467,28 @@ class TameLiftSpec:
     height: int
 
 
-def tame_lift_build(p: int, d: int, seq, n: int = 1) -> TameLiftSpec:
-    """Cyclic module phi(e_{i+1}) = (u+p)^{n_i} e_i for a d-periodic exponent
-    sequence with 0 <= n_i <= p-1, plus its filtered data and character
-    exponent sum(n_i p^i) mod (p^d - 1)."""
+def _tame_seq(p: int, d: int, seq) -> tuple[int, ...]:
+    """The exponent sequence as ints, checked: length d, each in [0, p-1]."""
     seq = tuple(int(v) for v in seq)
     if len(seq) != d:
         raise InputError("sequence length must equal the period")
     if any(not 0 <= v <= p - 1 for v in seq):
         raise InputError("exponents must lie in [0, p-1]")
+    return seq
+
+
+def tame_lift_build(p: int, d: int, seq, n: int = 1) -> TameLiftSpec:
+    """Cyclic module phi(e_{i+1}) = (u+p)^{n_i} e_i for a d-periodic exponent
+    sequence with 0 <= n_i <= p-1, plus its filtered data and character
+    exponent sum(n_i p^i) mod (p^d - 1)."""
+    seq = _tame_seq(p, d, seq)
     E = eisenstein_validate((p, 1), p)
     r = max(seq) if seq else 0
     q = p ** n
-    uprec = E.e * max(r, 1) * n + E.e * max(r, 1) + 8
     matrix = [[() for _ in range(d)] for _ in range(d)]
     for i in range(d):
         matrix[i][(i + 1) % d] = E.power(seq[i], q)
-    mod = kisin_new(p, n, E, matrix, uprec=uprec, r_hint=max(r, 1))
+    mod = kisin_new(p, n, E, matrix, r_hint=max(r, 1))
     qd = p ** d - 1
     exponent = sum(seq[i] * p ** i for i in range(d)) % qd
     return TameLiftSpec(
@@ -513,11 +520,7 @@ def tame_character_oracle(p: int, d: int, seq) -> TameOracleResult:
     t -> zeta*t action on the solution line gives the character exponent a_0
     mod q.  The sign convention (no inversion under the Hom) is anchored by
     the period-1, exponent-1 case and frozen."""
-    seq = tuple(int(v) for v in seq)
-    if len(seq) != d:
-        raise InputError("sequence length must equal the period")
-    if any(not 0 <= v <= p - 1 for v in seq):
-        raise InputError("exponents must lie in [0, p-1]")
+    seq = _tame_seq(p, d, seq)
     q = p ** d - 1
     starts = []
     for a0 in range(q + 1):

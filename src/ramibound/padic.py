@@ -202,8 +202,7 @@ def mat_mul(A, B, mul, add):
 @dataclass(frozen=True)
 class PAdicTrunc:
     """The ring Z/p^M for an odd prime p.  Elements are plain ints in
-    [0, p^M); all operations go through the ring object so that mismatched
-    moduli are caught."""
+    [0, p^M), and each operation reduces its result mod p^M."""
 
     p: int
     M: int
@@ -218,29 +217,14 @@ class PAdicTrunc:
     def modulus(self) -> int:
         return self.p ** self.M
 
-    def reduce(self, a: int) -> int:
-        return a % self.modulus
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
 
     def neg(self, a: int) -> int:
         return (-a) % self.modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise NonUnitError(f"{a} is not a unit mod {self.p}^{self.M}")
-        return pow(a, -1, self.modulus)
-
-    def require_same_base(self, other: "PAdicTrunc") -> None:
-        if (self.p, self.M) != (other.p, other.M):
-            raise BaseMismatchError(f"Z/{self.p}^{self.M} vs Z/{other.p}^{other.M}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +247,6 @@ def poly_add(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     for i, v in enumerate(b):
         out[i] = (out[i] + v) % q
     return poly_trim(tuple(out))
-
-
-def poly_neg(a: tuple[int, ...], q: int) -> tuple[int, ...]:
-    return poly_mod([-v for v in a], q)
 
 
 def poly_mod(c, q: int) -> tuple[int, ...]:
@@ -421,41 +401,8 @@ class QuotRing:
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return poly_add(a, b, self.q)
 
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return poly_neg(a, self.q)
-
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return self.reduce(poly_convolve(a, b))
-
-    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """Invert a unit: constant term a unit mod p is required, then the
-        mod-p inverse (geometric series against the nilpotent part) is lifted
-        through each p-digit by Newton steps."""
-        a = self.reduce(a)
-        if not a or a[0] % self.p == 0:
-            raise NonUnitError("not a unit in the quotient ring")
-        ring_p = QuotRing(self.p, 1, self.E, self.r)
-        c_inv = pow(a[0] % self.p, -1, self.p)
-        nil = ring_p.reduce(tuple((-c_inv * v) % self.p for v in ((0,) + a[1:])))
-        inv_p: tuple[int, ...] = (c_inv,)
-        term: tuple[int, ...] = (c_inv,)
-        for _ in range(self.E.e * self.r):
-            term = ring_p.mul(term, nil)
-            if not term:
-                break
-            inv_p = ring_p.add(inv_p, term)
-        v = inv_p
-        mod = self.p
-        while mod < self.q:
-            mod = min(mod * mod, self.q)
-            step = QuotRing(self.p, vp_int(mod, self.p), self.E, self.r)
-            av = step.mul(tuple(x % mod for x in a), v)
-            two_minus = step.add((2,), step.neg(av))
-            v = step.mul(v, two_minus)
-        out = self.mul(a, v)
-        if out != (1,):
-            raise NonUnitError("inverse verification failed")
-        return v
 
     def u_power(self, k: int) -> tuple[int, ...]:
         return self.reduce((0,) * k + (1,))

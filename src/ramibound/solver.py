@@ -59,7 +59,6 @@ from .witt import (
     teichmuller_powers,
     teichmuller_scale,
     witt_add,
-    witt_arith_symbolic,
     witt_mul,
     witt_neg,
     witt_sub,
@@ -346,7 +345,7 @@ def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
 
 
 def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
-              arith=None, phi=None) -> tuple:
+              phi=None) -> tuple:
     """phi(X) - X * A~, truncated to the first level_n Witt components.
     ``phi``, when given, is the Frobenius of those truncated components,
     already computed by the caller."""
@@ -356,7 +355,7 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
         tuple(prob.A_tilde[i][j][:level_n] for j in range(prob.d))
         for i in range(prob.d)
     )
-    mul, add = _witt_ops(ring, p) if arith is None else arith
+    mul, add = _witt_ops(ring, p)
     if phi is None:
         phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
     (XA,) = mat_mul((Xl,), Al, mul, add)
@@ -496,23 +495,6 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     sol = JSolutionSet(c, tuple(sorted(frontier)))
     prob.jset_memo[c] = sol
     return sol
-
-
-def recheck_member(prob: JSetProblem, member: Member, c: Rat) -> bool:
-    """Re-verify one member's congruence with the symbolic universal-
-    polynomial evaluation path instead of ghost solving."""
-    ring = _ring(prob)
-    p = prob.p
-    arith = (
-        lambda a, b: witt_arith_symbolic(ring, p, a, b, "mul"),
-        lambda a, b: witt_arith_symbolic(ring, p, a, b, "add"),
-    )
-    X = member_to_witt(prob, member)
-    res = _residual(prob, ring, X, prob.n, arith=arith)
-    return all(
-        ideal_membership_gt(entry, prob.quotient_level(c), strict=True)
-        for entry in res
-    )
 
 
 def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:

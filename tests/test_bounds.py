@@ -13,7 +13,7 @@ from ramibound.bounds import (
     ramification_report,
 )
 from ramibound.errors import InputError
-from ramibound.padic import eisenstein_validate
+from ramibound.padic import LocalFieldModel, LowerBound, eisenstein_validate
 
 
 def shapes(p, e):
@@ -105,6 +105,34 @@ def test_different_valuation():
     assert different_valuation(eisenstein_validate((-3, 0, 0, 1), 3)) == F(5, 3)
 
 
+def model_different_valuation(E, prec=8):
+    """Oracle: v_p(E'(pi)) evaluated at the uniformizer of a local-field
+    model of E, at doubled precision while every digit vanishes."""
+    for _ in range(8):
+        model = LocalFieldModel(E, prec, e_norm=1)
+        acc = model.zero()
+        for i, c in enumerate(E.derivative()):
+            if c:
+                acc = acc + model.uniformizer_pow(i).mul_int(c)
+        v = acc.valuation()
+        if not isinstance(v, LowerBound):
+            return v
+        prec *= 2
+    raise AssertionError("derivative valuation did not resolve")
+
+
+def test_different_valuation_matches_model_evaluation():
+    # p divides e at (p, e) = (3, 3), (3, 6), (5, 5), where the leading term
+    # e*pi^(e-1) need not be the least; 2p^9 lies beyond the model's 8 digits
+    for p in (3, 5, 7):
+        small = (0, -p, p ** 2, 2 * p ** 9)
+        for e in range(1, 7):
+            for a0 in (p, -2 * p):
+                for mid in itertools.product(small, repeat=e - 1):
+                    E = eisenstein_validate((a0,) + mid + (1,), p)
+                    assert different_valuation(E) == model_different_valuation(E), E
+
+
 def test_alpha_beta():
     assert alpha_beta(F(1, 2), 3) == (0, F(1, 2))
     assert alpha_beta(F(2), 3) == (1, F(2, 3))
@@ -180,3 +208,7 @@ def test_conjecture_below_theorem():
 def test_report_rejects_bad_input():
     with pytest.raises(InputError):
         ramification_report(3, 0, 1, 1)
+    with pytest.raises(InputError, match=r"^N must be >= 1$"):
+        ramification_report(3, 1, 1, 1, N=0)
+    with pytest.raises(InputError, match=r"^N must be >= 1$"):
+        bound_constants(3, 1, 1, 1, -1)

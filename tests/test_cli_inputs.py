@@ -75,6 +75,25 @@ def test_digits_below_one_is_refused(digits):
     assert err == f"error: --digits must be at least 1, got {digits}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--p", "3", "--e", "1", "--n", "1", "--r", "1", "--N", "0"],
+        ["bounds", "--eisenstein", "3,1", "--N", "-1"],
+        JSET + ["--N", "-1"],
+        JSET + ["--N", "0"],
+    ],
+)
+def test_N_below_one_is_refused(argv):
+    assert run(argv) == (2, "", "error: N must be >= 1\n")
+
+
+@pytest.mark.parametrize("uprec", ["0", "-3"])
+def test_uprec_below_one_is_refused(uprec):
+    argv = ["kisin-height", "--E", "3,1", "--matrix", "0", "--uprec", uprec]
+    assert run(argv) == (2, "", "error: u-precision must be >= 1\n")
+
+
 def test_solve_lift_has_no_level_option():
     argv = ["solve-lift"] + JSET[1:] + ["--c", "b"]
     assert run(argv)[0] == 2

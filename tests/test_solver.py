@@ -23,7 +23,6 @@ from ramibound.solver import (
     jset_enumerate,
     lift_solution,
     member_to_witt,
-    recheck_member,
     rho_reduce,
     splitting_test,
     truncate_solution,
@@ -32,8 +31,11 @@ from ramibound.solver import (
 from ramibound.witt import (
     LocalRing,
     ideal_membership_gt,
+    power_frobenius,
     teichmuller_powers,
     witt_add,
+    witt_arith_symbolic,
+    witt_neg,
     witt_sub,
 )
 from test_cli import run_cli
@@ -98,6 +100,27 @@ def test_image_and_splitting(prob6, prob3):
     assert ok6 and count6 == 3
     ok3, count3 = splitting_test(prob3, 3)
     assert not ok3 and count3 == 1
+
+
+def recheck_member(prob, member, c):
+    """Oracle: whether the member's residual phi(X) - X * A~ lies in
+    [a^{>c/p^s}], with the Witt sums and products taken by the symbolic
+    universal polynomials instead of the ghost solving of ``_residual``."""
+    ring, p = LocalRing(prob.model), prob.p
+    X = member_to_witt(prob, member)
+    (XA,) = padic.mat_mul(
+        (X,),
+        prob.A_tilde,
+        lambda a, b: witt_arith_symbolic(ring, p, a, b, "mul"),
+        lambda a, b: witt_arith_symbolic(ring, p, a, b, "add"),
+    )
+    level = prob.quotient_level(c)
+    for x, xa in zip(X, XA):
+        phi_x, neg_xa = power_frobenius(ring, p, x), witt_neg(ring, p, xa)
+        res = witt_arith_symbolic(ring, p, phi_x, neg_xa, "add")
+        if not ideal_membership_gt(res, level, strict=True):
+            return False
+    return True
 
 
 def test_members_recheck_with_symbolic_arithmetic(prob6):
