@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -97,14 +96,6 @@ def emit_report(report, fmt: str = "json") -> str:
             lines.append("\t".join(cell(row.get(k)) for k in keys))
         return "\n".join(lines) + "\n"
     raise InputError(f"unknown format {fmt!r}")
-
-
-def bound_report_from_json(data: dict) -> bounds_mod.BoundReport:
-    """Inverse of the JSON serialization of a bound report."""
-    parse = {"int": int, "str": str, "Rat": lambda v: parse_rat(str(v))}
-    return bounds_mod.BoundReport(
-        **{f.name: parse[f.type](data[f.name]) for f in fields(bounds_mod.BoundReport)}
-    )
 
 
 # ---------------------------------------------------------------------------

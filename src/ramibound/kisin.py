@@ -431,6 +431,8 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
 def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitness:
     """B' = B*h with u^N = E(u)^r * h, so A*B' = u^N * I.  Requires u^N to
     vanish in the quotient by E^r, i.e. the division to be exact."""
+    if N < 1:
+        raise InputError("N must be >= 1")
     q = mod.q
     er_poly = mod.E.power(wit.r, q)
     quot, rem = divide_by_monic((0,) * N + (1,), er_poly, mod.p, mod.n)
@@ -676,13 +678,3 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
         raise AssertionError("mod-p witness re-verification failed")
     return C, avail
 
-
-def result_as_kisin_module(res: EtaleToKisinResult, p: int, E: EisensteinPoly,
-                           uprec: int | None = None) -> KisinModule:
-    """Package an integral prime-field conversion result as a length-1 module."""
-    if res.field_modulus != (0, 1):
-        raise InputError("only prime-field matrices lift to the Z/p layer here")
-    matrix = [
-        [tuple(c[0] % p for c in entry) for entry in row] for row in res.matrix
-    ]
-    return kisin_new(p, 1, E, matrix, uprec=uprec, r_hint=max(res.r, 1))

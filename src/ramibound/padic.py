@@ -14,7 +14,8 @@ This module holds the package's one arithmetic kernel:
   :func:`poly_divmod_monic` (mod q, or over exact integers when q is None);
   both reduce modulo q once, at the end.  The product multiplies only pairs
   of nonzero coefficients, and the division walks only the divisor's nonzero
-  low terms, one for a binomial model x^m + a;
+  low terms, one for a binomial model x^m + a (a local-field model lists
+  those of its g once, and its products divide by that list);
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
@@ -287,20 +288,29 @@ def poly_divmod_monic(
     d = len(den) - 1
     if d < 0 or (den[d] if q is None else den[d] % q) != 1:
         raise InputError("divisor must be monic")
+    return _divmod_by_low_terms(num, d, _monic_low_terms(den, d, q), q)
+
+
+def _monic_low_terms(den: tuple[int, ...], d: int, q: int | None) -> list:
+    """(k - d, a_k) for the nonzero a_k, k < d, of a monic divisor of degree
+    d (nonzero mod q when q is given): eliminating degree i subtracts
+    c * a_k from degree i + (k - d)."""
+    return [(k, v) for k, v in enumerate(den[:d], -d) if (v if q is None else v % q)]
+
+
+def _divmod_by_low_terms(
+    num, d: int, low: list, q: int | None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The loop of :func:`poly_divmod_monic`, given the divisor's degree and
+    its low terms from :func:`_monic_low_terms`."""
     rem = list(num)
     quot = [0] * (len(rem) - d)
-    if quot:
-        # (k - d, a_k) for the nonzero a_k, k < d: eliminating degree i
-        # subtracts c * a_k from degree i + (k - d)
-        low = [
-            (k, v) for k, v in enumerate(den[:d], -d) if (v if q is None else v % q)
-        ]
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] if q is None else rem[i] % q
-            if c:
-                quot[i - d] = c
-                for k, v in low:
-                    rem[i + k] -= c * v
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] if q is None else rem[i] % q
+        if c:
+            quot[i - d] = c
+            for k, v in low:
+                rem[i + k] -= c * v
     rem = rem[:d] if q is None else [v % q for v in rem[:d]]
     return poly_trim(quot), poly_trim(rem)
 
@@ -398,9 +408,6 @@ class QuotRing:
         _, rem = poly_divmod_monic(coeffs, self.modulus_poly, self.q)
         return rem
 
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return poly_add(a, b, self.q)
-
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return self.reduce(poly_convolve(a, b))
 
@@ -449,6 +456,15 @@ class LocalFieldModel:
         """(g_0 / p)^-1 mod q, for exact division by the uniformizer."""
         return pow((self.g.coeffs[0] // self.p) % self.q, -1, self.q)
 
+    @cached_property
+    def g_low_terms(self) -> list:
+        """The nonzero low terms of g mod q, as the division walks them."""
+        return _monic_low_terms(self.g.coeffs, self.m, self.q)
+
+    def reduce(self, coeffs) -> tuple[int, ...]:
+        """Remainder of an integer coefficient sequence modulo g and q."""
+        return _divmod_by_low_terms(coeffs, self.m, self.g_low_terms, self.q)[1]
+
     @property
     def full_aprec(self) -> int:
         return self.m * self.prec
@@ -457,6 +473,10 @@ class LocalFieldModel:
         return LocalElement(self, (0,) * self.m, self.full_aprec)
 
     def one(self) -> "LocalElement":
+        return self._one
+
+    @cached_property
+    def _one(self) -> "LocalElement":
         return self.from_int(1)
 
     def from_int(self, c: int) -> "LocalElement":
@@ -464,8 +484,7 @@ class LocalFieldModel:
 
     def from_coeffs(self, coeffs: tuple[int, ...]) -> "LocalElement":
         if len(coeffs) > self.m:
-            _, rem = poly_divmod_monic(coeffs, self.g.coeffs, self.q)
-            coeffs = rem
+            coeffs = self.reduce(coeffs)
         vec = tuple(coeffs[i] % self.q if i < len(coeffs) else 0 for i in range(self.m))
         return LocalElement(self, vec, self.full_aprec)
 
@@ -538,9 +557,8 @@ class LocalElement:
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        prod = poly_convolve(self.coeffs, other.coeffs)
-        _, rem = poly_divmod_monic(prod, self.model.g.coeffs, self.model.q)
-        vec = tuple(rem[i] if i < len(rem) else 0 for i in range(self.model.m))
+        rem = self.model.reduce(poly_convolve(self.coeffs, other.coeffs))
+        vec = rem + (0,) * (self.model.m - len(rem))
         # aprec is min(self.aprec + v(other), other.aprec + v(self), full),
         # a factor's aprec standing in for its valuation when it is zero at
         # precision; each term is at least its own factor's aprec, so the
@@ -560,9 +578,6 @@ class LocalElement:
 
     def pow(self, k: int) -> "LocalElement":
         return power(self, k, operator.mul, self.model.one())
-
-    def eq_at_prec(self, other: "LocalElement") -> bool:
-        return (self - other).is_zero_at_prec()
 
     # -- division ----------------------------------------------------------
 
@@ -654,13 +669,11 @@ class LocalElement:
         """Per-coefficient digit counts k_j describing a^{>level}: an element
         lies in the ideal iff p^{k_j} divides coefficient j for all j."""
         m = self.model.m
-        e_norm = self.model.e_norm
-        out = []
-        for j in range(m):
-            qv = Fraction(level, e_norm) - Fraction(j, m)
-            k = max(0, qv.__floor__() + 1)
-            out.append(k)
-        return tuple(out)
+        # k_j = max(0, floor(level/e_norm - j/m) + 1), over one denominator
+        lv = Fraction(level)
+        step = lv.denominator * self.model.e_norm
+        top, den = lv.numerator * m, step * m
+        return tuple(max(0, (top - j * step) // den + 1) for j in range(m))
 
     def truncate_to_level(self, level: Rat) -> tuple[int, ...]:
         """Canonical representative of the class mod a^{>level}: coefficient j

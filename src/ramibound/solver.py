@@ -87,6 +87,10 @@ class JSetProblem:
     jset_memo: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # write-once memo {a': _LiftConstants} filled by _lift_attempt
+    lift_memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def d(self) -> int:
@@ -563,18 +567,60 @@ def _decompose_valuation(prob: JSetProblem, v: Rat) -> LocalElement:
     return model.uniformizer_pow(i).mul_int(model.p ** j)
 
 
+@dataclass(frozen=True)
+class _LiftConstants:
+    """What a lift needs that depends only on the problem and on a':
+    [pi^N], the powers beta^{p^i} and (pi^N * beta)^{p^i}, and the divisor
+    halves of the latter, one per Witt level begun so far."""
+
+    pi_n: LocalElement
+    beta_pows: tuple
+    divisor_pows: tuple
+    div_parts: list
+
+    def parts(self, level: int) -> list:
+        """The divisor halves of the first ``level`` powers; each is made
+        when a lift first reaches its level, so a power that is zero at
+        precision fails only there."""
+        for zp in self.divisor_pows[len(self.div_parts):level]:
+            self.div_parts.append(zp.divisor())
+        return self.div_parts
+
+
+def _lift_constants(
+    prob: JSetProblem, ring: LocalRing, a_prime: Rat
+) -> _LiftConstants:
+    """The problem's lift constants for a', made on first use."""
+    known = prob.lift_memo.get(a_prime)
+    if known is not None:
+        return known
+    p, n = prob.p, prob.n
+    pi_n = prob.pi_s().pow(prob.N)
+    beta = _decompose_valuation(prob, a_prime).div(pi_n)
+    consts = _LiftConstants(
+        pi_n,
+        teichmuller_powers(ring, p, beta, n),
+        teichmuller_powers(ring, p, pi_n * beta, n),
+        [],
+    )
+    prob.lift_memo[a_prime] = consts
+    return consts
+
+
 def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> LiftResult:
     """One lift of a level-a class at the problem's model precision.
 
     From the congruence defect a' of X, beta has valuation a' - N/p^s, and
     Z -> (phi(X + [beta] Z) * B~ - [pi^N] X) / [pi^N * beta] is iterated
     from Z = 0 until X + [beta] Z is certified to ``target_digits``, one Witt
-    level at a time (the p-adic digit induction).  Everything that stays
-    fixed within the attempt is computed once, as a local, and each level
-    takes a slice of it: the powers beta^{p^i}, [pi^N] X, and the divisor
-    half ``(z^{p^i}).divisor()`` of the division by [pi^N * beta], taken when
-    level i + 1 begins (a power that is zero at precision fails only once its
-    level is reached), so each Teichmueller power is inverted once.  A
+    level at a time (the p-adic digit induction).  What depends only on the
+    problem and a' is kept on the problem, per a', by ``_lift_constants``:
+    [pi^N], the powers beta^{p^i} and (pi^N * beta)^{p^i}, and the divisor
+    halves ``(z^{p^i}).divisor()`` of the division by [pi^N * beta], each
+    taken when a lift first reaches level i + 1 (a power that is zero at
+    precision fails only once its level is reached).  So every lift of the
+    problem with the same a' shares them, and each Teichmueller power is
+    inverted once per problem.  [pi^N] X is computed once per attempt.  A
     step needs only phi(X + [beta] Z); the certificate of Z computes it
     anyway and hands it to ``_residual`` and to the next step.
 
@@ -618,10 +664,10 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"threshold {level_a_q}: starting point is not a level-a solution"
         )
 
-    pi_n = prob.pi_s().pow(prob.N)
+    # kept per problem and a': each Witt level takes a slice
+    consts = _lift_constants(prob, ring, a_prime)
+    beta_pows = consts.beta_pows
     n_over_ps = Fraction(prob.N, p ** prob.s)
-    alpha = _decompose_valuation(prob, a_prime)
-    beta = alpha.div(pi_n)
     v_beta = a_prime - n_over_ps
     gamma = min(v_beta, (p - 1) * v_beta - n_over_ps)
     if gamma <= 0:
@@ -629,12 +675,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     target_vk = Fraction(target_digits * model.e_norm)
     budget = int(-(-target_vk // gamma)) + 2
 
-    # fixed for the whole attempt: each Witt level takes a slice
-    beta_pows = teichmuller_powers(ring, p, beta, n)
-    divisor = pi_n * beta
-    divisor_pows = teichmuller_powers(ring, p, divisor, n)
-    div_parts: list = []  # (divisor^{p^i}).divisor() for the levels begun
-    piNX = tuple(teichmuller_scale(ring, p, pi_n, X[i]) for i in range(d))
+    piNX = tuple(teichmuller_scale(ring, p, consts.pi_n, X[i]) for i in range(d))
     trace: list = []
 
     def moved(Z: tuple, level: int) -> tuple:
@@ -646,12 +687,12 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             for i in range(d)
         )
 
-    def step(phi: tuple, Bl: tuple, level: int) -> tuple:
+    def step(phi: tuple, Bl: tuple, parts: list, level: int) -> tuple:
         """The next Z, from phi(X + [beta] * Z): only the Frobenius of the
         moved point enters, so certify() hands it over."""
         (MB,) = mat_mul((phi,), Bl, *_witt_ops(ring, p))
         return tuple(
-            _teich_div(witt_sub(ring, p, MB[i], piNX[i][:level]), div_parts)
+            _teich_div(witt_sub(ring, p, MB[i], piNX[i][:level]), parts)
             for i in range(d)
         )
 
@@ -672,21 +713,16 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
                 out.append(f">={v.value}" if isinstance(v, LowerBound) else str(v))
         return tuple(out)
 
-    def solve(level: int) -> tuple:
-        """(Z, Y) for the certified Z at this Witt level."""
+    def solve(Z: tuple, level: int) -> tuple:
+        """(Z, Y) for the certified Z at this Witt level, iterated from Z."""
         nonlocal iterations
-        if level == 1:
-            Z = tuple((model.zero(),) for _ in range(d))
-        else:
-            low, _ = solve(level - 1)
-            Z = tuple(vec + (model.zero(),) for vec in low)
-        div_parts.append(divisor_pows[level - 1].divisor())
+        parts = consts.parts(level)
         Bl = tuple(
             tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
         )
         phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
         for it in range(1, budget + 1):
-            Z_next = step(phi, Bl, level)
+            Z_next = step(phi, Bl, parts, level)
             delta = tuple(witt_sub(ring, p, Z_next[i], Z[i]) for i in range(d))
             delta_zero = all(_witt_vec_is_zero(dv) for dv in delta)
             Z = Z_next
@@ -703,8 +739,14 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"no convergence within {budget} iterations at Witt level {level}"
         )
 
-    # solve(n) returns only once certify() has accepted X_exact's residual
-    _, X_exact = solve(n)
+    # each level starts from the last one's Z with a zero component added;
+    # solve() returns only once certify() has accepted X_exact's residual.
+    # A loop, not recursion: a closure that calls itself is a reference
+    # cycle, which would keep the attempt's values alive until the cyclic
+    # garbage collector runs
+    Z = tuple(() for _ in range(d))
+    for level in range(1, n + 1):
+        Z, X_exact = solve(tuple(vec + (model.zero(),) for vec in Z), level)
     diff = tuple(witt_sub(ring, p, X_exact[i], X[i]) for i in range(d))
     for entry in diff:
         if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b), True):

@@ -18,6 +18,19 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
   depend on the chosen lifts because integer polynomials respect
   congruences.
 
+For a sum or product, w_0 is the identity, so component 0 is computed in A
+by the ring's own ``add`` or ``mul`` (for Z/p^M and local-field elements
+that is mod q = p^M, reduced by g), and the ghost solve starts at component
+1 from the lift of that z_0.  The lift is congruent mod q to the companion
+value that solving w_0 would give, and a = b (mod q) implies
+a^(p^k) = b^(p^k) (mod p^k q).  By induction on m, each numerator
+G_m - sum_{i<m} p^i z_i^(p^(m-i)) then changes by a multiple of p^m q, so
+the division by p^m is exact exactly when it was before (the
+``IntegralityError`` checks stay) and z_m changes by a multiple of q:
+every z_m mod q is unchanged.  The precision of every output component,
+component 0 included, is the one ``lower`` gives: the least over all input
+components and full precision.
+
 A coefficient ring A plugs in through an adapter that supplies ``g``,
 ``lift(a)`` (a representative of a in Z[x]/g), ``lower(zs, inputs)``
 (companion values mapped into A, with the precision of the input components)
@@ -418,28 +431,35 @@ class LocalRing:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_ghosts(R, p: int, x: tuple, ops: tuple) -> list:
-    lx = [R.lift(c) for c in x]
-    return [_ghost(lx, m, p, ops) for m in range(len(x))]
+def _lifted_ghosts(R, p: int, x: tuple, ops: tuple, start: int = 0) -> list:
+    """Ghost components w_start..w_{n-1} of x, in the companion ring; x is
+    lifted only when there is a ghost component to compute."""
+    ms = range(start, len(x))
+    lx = [R.lift(c) for c in x] if ms else []
+    return [_ghost(lx, m, p, ops) for m in ms]
 
 
-def _witt_combine(R, p: int, x: tuple, y: tuple, combine) -> tuple:
-    """The Witt vector whose ghost components are combine(w_m(x), w_m(y))."""
+def _witt_combine(R, p: int, x: tuple, y: tuple, op, combine) -> tuple:
+    """The Witt vector whose ghost components are combine(w_m(x), w_m(y)).
+    Component 0 is op(x_0, y_0) in A, since w_0 is the identity; its lift
+    is G_0, and the ghost solve finds the components from 1 on."""
     if len(x) != len(y):
         raise InputError("Witt vectors of different lengths")
+    if not x:
+        raise InputError("Witt vectors must have length >= 1")
     ops = _companion_ops(R.g)
-    gx = _lifted_ghosts(R, p, x, ops)
-    gy = _lifted_ghosts(R, p, y, ops)
-    gz = [combine(a, b) for a, b in zip(gx, gy)]
+    gx = _lifted_ghosts(R, p, x, ops, 1)
+    gy = _lifted_ghosts(R, p, y, ops, 1)
+    gz = [R.lift(op(x[0], y[0]))] + [combine(a, b) for a, b in zip(gx, gy)]
     return R.lower(_solve_ghosts(gz, p, ops), tuple(x) + tuple(y))
 
 
 def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, companion_add)
+    return _witt_combine(R, p, x, y, R.add, companion_add)
 
 
 def witt_mul(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, partial(companion_mul, R.g))
+    return _witt_combine(R, p, x, y, R.mul, partial(companion_mul, R.g))
 
 
 def witt_neg(R, p: int, x: tuple) -> tuple:

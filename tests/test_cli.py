@@ -1,13 +1,13 @@
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
-from ramibound.bounds import ramification_report
+from ramibound.bounds import BoundReport, ramification_report
 from ramibound.cli import (
-    bound_report_from_json,
     emit_report,
     format_rat,
     main,
@@ -21,6 +21,14 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def bound_report_from_json(data: dict) -> BoundReport:
+    """Inverse of the JSON serialization of a bound report."""
+    parse = {"int": int, "str": str, "Rat": lambda v: parse_rat(str(v))}
+    return BoundReport(
+        **{f.name: parse[f.type](data[f.name]) for f in fields(BoundReport)}
+    )
 
 
 def run_json(argv):

@@ -82,6 +82,8 @@ def test_digits_below_one_is_refused(digits):
         ["bounds", "--eisenstein", "3,1", "--N", "-1"],
         JSET + ["--N", "-1"],
         JSET + ["--N", "0"],
+        ["kisin-height", "--E", "3,1", "--matrix", "3:1", "--N", "-2"],
+        ["kisin-height", "--E", "3,1", "--matrix", "3:1", "--N", "0"],
     ],
 )
 def test_N_below_one_is_refused(argv):

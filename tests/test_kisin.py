@@ -11,7 +11,6 @@ from ramibound.kisin import (
     height_witness,
     kisin_new,
     modp_height_witness,
-    result_as_kisin_module,
     tame_character_oracle,
     tame_lift_build,
     u_power_witness,
@@ -26,6 +25,16 @@ from ramibound.padic import (
 )
 
 E13 = eisenstein_validate((3, 1), 3)
+
+
+def result_as_kisin_module(res, p, E, uprec=None):
+    """Package an integral prime-field conversion result as a length-1 module."""
+    if res.field_modulus != (0, 1):
+        raise InputError("only prime-field matrices lift to the Z/p layer here")
+    matrix = [
+        [tuple(c[0] % p for c in entry) for entry in row] for row in res.matrix
+    ]
+    return kisin_new(p, 1, E, matrix, uprec=uprec, r_hint=max(res.r, 1))
 
 
 def naive_mat_mul(A, B, q):
@@ -162,6 +171,10 @@ def test_u_power_witness():
     w2 = height_witness(m2, 1)
     with pytest.raises(InputError):
         u_power_witness(m2, w2, 1)
+    # u^N for N <= 0 is no annihilation exponent, whatever divides it
+    for N in (0, -2):
+        with pytest.raises(InputError, match="N must be >= 1"):
+            u_power_witness(m1, w1, N)
 
 
 def test_uprec_guard():

@@ -35,6 +35,11 @@ from ramibound.padic import (
 )
 
 
+def eq_at_prec(a, b):
+    """Equality of two local-field elements at the precision of both."""
+    return (a - b).is_zero_at_prec()
+
+
 def test_mod9_arithmetic():
     R = PAdicTrunc(3, 2)
     assert R.add(4, 7) == 2
@@ -90,8 +95,11 @@ def test_quotient_ring_axioms_random():
     for _ in range(200):
         a, b, c = rand(), rand(), rand()
         assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.add(a, b) == ring.add(b, a)
+        q = ring.q
+        assert ring.mul(a, poly_add(b, c, q)) == poly_add(
+            ring.mul(a, b), ring.mul(a, c), q
+        )
+        assert poly_add(a, b, q) == poly_add(b, a, q)
         assert ring.mul(a, b) == ring.mul(b, a)
 
 
@@ -265,9 +273,9 @@ def test_division_and_inverse():
     u = model.from_coeffs((2, 1, 0, 5, 0, 1))
     w = u * x.pow(4)
     d = w.div(x.pow(3))
-    assert d.eq_at_prec(u * x)
+    assert eq_at_prec(d, u * x)
     inv = u.unit_inverse()
-    assert (u * inv).eq_at_prec(model.one())
+    assert eq_at_prec(u * inv, model.one())
     with pytest.raises(NonUnitError):
         x.unit_inverse()
     # dividing by something of larger valuation is rejected
@@ -285,6 +293,25 @@ def test_truncation_levels():
     deep_level = F(3)
     with pytest.raises(UndecidableError):
         shallow.from_coeffs((1,)).truncate_to_level(deep_level)
+
+
+def test_coeff_cutoffs_match_fraction_formula():
+    """k_j = max(0, floor(level/e_norm - j/m) + 1), taken with Fractions."""
+    rng = random.Random(12)
+    for m in (1, 2, 6, 12, 27):
+        g = eisenstein_validate((3,) + (0,) * (m - 1) + (1,), 3)
+        for e_norm in (1, 2, 3):
+            zero = LocalFieldModel(g, 4, e_norm=e_norm).zero()
+            levels = [0, 1, 7, F(1, 2), F(-1, 3), F(m * e_norm, 3), F(5, 1)]
+            levels += [
+                F(rng.randrange(-20, 200), rng.randrange(1, 40)) for _ in range(60)
+            ]
+            for level in levels:
+                want = tuple(
+                    max(0, (F(level, e_norm) - F(j, m)).__floor__() + 1)
+                    for j in range(m)
+                )
+                assert zero.coeff_cutoffs(level) == want, (m, e_norm, level)
 
 
 def test_min_integer_strictly_above():

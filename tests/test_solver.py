@@ -618,9 +618,11 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
 
 
 def test_readme_lift_product_count(monkeypatch):
-    """The README `--digits 6` lift makes 1718 polynomial products (3990
-    while powers multiplied by one and the ghost solve divided by p^0); a
-    kernel that brings back trivial products fails here."""
+    """The README `--digits 6` lift makes 1190 polynomial products (3990
+    while powers multiplied by one and the ghost solve divided by p^0, 1718
+    while every lift attempt inverted its own divisors); a kernel that
+    brings back trivial products, or a lifter that inverts again, fails
+    here."""
     real = padic.poly_convolve
     calls = []
 
@@ -639,7 +641,7 @@ def test_readme_lift_product_count(monkeypatch):
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(calls) == 1718
+    assert len(calls) == 1190
 
 
 def lift_work(monkeypatch):
@@ -708,3 +710,52 @@ def test_length_two_lifter_work_counts(monkeypatch):
     assert [lr.problem.n for _, _, lr in done] == [2]
     assert {level for level, _, _ in done[0][2].trace} == {1, 2}
     check_lift_work(done, n=2)
+
+
+def count_inversions(monkeypatch):
+    calls = []
+    real = LocalElement.unit_inverse
+
+    def inverse(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(LocalElement, "unit_inverse", inverse)
+    return calls
+
+
+def test_second_lift_of_a_class_inverts_nothing(monkeypatch):
+    """The divisors a lift inverts depend only on the problem and a', and the
+    problem keeps them: lifting the same class again inverts no unit."""
+    def fresh():
+        return build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
+
+    probe = fresh()
+    member = next(
+        m for m in jset_enumerate(probe, "a").members
+        if lift_solution(probe, m, target_digits=6).iterations
+    )
+    prob = fresh()
+    calls = count_inversions(monkeypatch)
+    first = lift_solution(prob, member, target_digits=6)
+    assert first.problem is prob
+    assert len(calls) == 2  # beta = alpha / [pi^N], and the level-1 divisor
+    del calls[:]
+    again = lift_solution(prob, member, target_digits=6)
+    assert calls == []
+    assert (again.X, again.trace) == (first.X, first.trace)
+
+
+def test_solve_lift_calls_share_no_lift_state(monkeypatch):
+    """Each call builds its problem, so a second identical call inverts as
+    many units as the first."""
+    calls = count_inversions(monkeypatch)
+    counts, outs = [], []
+    for _ in range(2):
+        code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
+        assert code == 0
+        counts.append(len(calls))
+        outs.append(out)
+        del calls[:]
+    assert counts[0] == counts[1] > 0
+    assert outs[0] == outs[1]

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -15,13 +16,17 @@ from ramibound.witt import (
     LocalRing,
     ZpMRing,
     ZZRing,
+    _companion_ops,
+    _ghost,
     _pmul,
+    _solve_ghosts,
     _solve_universal,
     _var,
     companion_mul,
     companion_pow,
     ghost_components,
     ghost_identity_holds_symbolically,
+    companion_add,
     ghost_solve_valuations,
     ideal_membership_gt,
     int_to_witt,
@@ -35,6 +40,7 @@ from ramibound.witt import (
     witt_mul,
     witt_sub,
 )
+from test_padic import eq_at_prec
 
 ZZ = ZZRing()
 
@@ -317,6 +323,76 @@ def test_int_to_witt_local_matches_integers(coeffs, p):
             assert int_to_witt(R, p, c, n) == want, (c, n)
 
 
+def all_ghost_arith(R, p, x, y, op):
+    """Witt sum or product with every component, 0 included, solved from the
+    ghost components in the companion ring Z[x]/g."""
+    ops = _companion_ops(R.g)
+    combine = companion_add if op == "add" else partial(companion_mul, R.g)
+    lx, ly = [R.lift(c) for c in x], [R.lift(c) for c in y]
+    gz = [
+        combine(_ghost(lx, m, p, ops), _ghost(ly, m, p, ops)) for m in range(len(x))
+    ]
+    return R.lower(_solve_ghosts(gz, p, ops), tuple(x) + tuple(y))
+
+
+def _random_local(model, rng):
+    """Full precision, reduced aprec, zero at precision (known to a reduced
+    aprec, or to full) and exact zero."""
+    full = model.full_aprec
+    vec = tuple(
+        rng.choice([0, 1, 2, 5]) * 3 ** rng.randrange(model.prec + 1) % model.q
+        for _ in range(model.m)
+    )
+    kind = rng.randrange(5)
+    if kind == 0:
+        return LocalElement(model, vec, full)
+    if kind == 1:
+        return LocalElement(model, vec, rng.randrange(1, full))
+    if kind == 2:
+        a = rng.randrange(full)
+        shifted = model.uniformizer_pow(a) * model.from_coeffs(vec)
+        return LocalElement(model, shifted.coeffs, a)
+    if kind == 3:
+        return LocalElement(model, (0,) * model.m, rng.randrange(full + 1))
+    return model.zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_zero_by_ring_matches_all_ghost_path(n):
+    """Component 0 from the ring operation, and the ghost solve from 1, give
+    the coefficients and precision of the ghost solve of every component."""
+    rng = random.Random(40 + n)
+    cases = [(ZZ, p, lambda: rng.randrange(-30, 31)) for p in (3, 5)]
+    for p, M in ((3, 1), (3, 3), (5, 2)):
+        R = ZpMRing(PAdicTrunc(p, M))
+        cases.append((R, p, lambda q=p ** M: rng.randrange(q)))
+    models = (((3, 0, 0, 1), 4), ((3, 3, 1), 3), ((-3,) + (0,) * 5 + (1,), 2))
+    for coeffs, prec in models:
+        model = LocalFieldModel(eisenstein_validate(coeffs, 3), prec)
+        cases.append((LocalRing(model), 3, partial(_random_local, model, rng)))
+    seen = set()
+    for R, p, draw in cases:
+        for _ in range(40):
+            x = tuple(draw() for _ in range(n))
+            y = tuple(draw() for _ in range(n))
+            for op in ("add", "mul"):
+                got = witt_arith(R, p, x, y, op)
+                want = all_ghost_arith(R, p, x, y, op)
+                # LocalElement equality compares coefficients and aprec
+                assert got == want, (R, op, x, y)
+                if isinstance(R, LocalRing):
+                    full = R.model.full_aprec
+                    seen.update((c.aprec < full, c.is_zero_at_prec()) for c in x + y)
+    # inputs at full and reduced precision, zero at precision or not
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_witt_arith_refuses_length_zero():
+    for op in ("add", "mul"):
+        with pytest.raises(InputError, match="length >= 1"):
+            witt_arith(ZZ, 3, (), (), op)
+
+
 def test_local_witt_results_carry_input_precision():
     model = LocalFieldModel(eisenstein_validate((3, 0, 0, 1), 3), 6)
     R = LocalRing(model)
@@ -406,4 +482,4 @@ def test_witt_sub_roundtrip_local():
         s = witt_add(R, 3, x, y)
         back = witt_sub(R, 3, s, y)
         for got, want in zip(back, x):
-            assert got.eq_at_prec(want)
+            assert eq_at_prec(got, want)
