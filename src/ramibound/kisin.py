@@ -677,4 +677,3 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
     if not is_scalar_mod_u(prod, tgt, avail, F.zero(), operator.eq):
         raise AssertionError("mod-p witness re-verification failed")
     return C, avail
-

@@ -14,8 +14,8 @@ This module holds the package's one arithmetic kernel:
   :func:`poly_divmod_monic` (mod q, or over exact integers when q is None);
   both reduce modulo q once, at the end.  The product multiplies only pairs
   of nonzero coefficients, and the division walks only the divisor's nonzero
-  low terms, one for a binomial model x^m + a (a local-field model lists
-  those of its g once, and its products divide by that list);
+  low terms, one for a binomial model x^m + a (a local-field model and a
+  quotient ring list those of their modulus once, and reduce by that list);
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
@@ -404,9 +404,15 @@ class QuotRing:
     def modulus_poly(self) -> tuple[int, ...]:
         return self.E.power(self.r, self.q)
 
+    @cached_property
+    def modulus_low_terms(self) -> list:
+        """The nonzero low terms of E^r mod q, as the division walks them."""
+        return _monic_low_terms(self.modulus_poly, self.E.e * self.r, self.q)
+
     def reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        _, rem = poly_divmod_monic(coeffs, self.modulus_poly, self.q)
-        return rem
+        """Remainder modulo E^r and q."""
+        d = self.E.e * self.r
+        return _divmod_by_low_terms(coeffs, d, self.modulus_low_terms, self.q)[1]
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return self.reduce(poly_convolve(a, b))
