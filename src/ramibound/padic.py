@@ -513,7 +513,7 @@ class LocalElement:
     aprec: int
 
     def _check(self, other: "LocalElement") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise BaseMismatchError("elements of different local-field models")
 
     # -- valuation ---------------------------------------------------------
@@ -551,7 +551,7 @@ class LocalElement:
     def __add__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
         q = self.model.q
-        vec = tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
+        vec = tuple([(a + b) % q for a, b in zip(self.coeffs, other.coeffs)])
         return LocalElement(self.model, vec, min(self.aprec, other.aprec))
 
     def __sub__(self, other: "LocalElement") -> "LocalElement":
@@ -559,7 +559,7 @@ class LocalElement:
 
     def __neg__(self) -> "LocalElement":
         q = self.model.q
-        return LocalElement(self.model, tuple((-a) % q for a in self.coeffs), self.aprec)
+        return LocalElement(self.model, tuple([-a % q for a in self.coeffs]), self.aprec)
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)

@@ -417,12 +417,16 @@ class LocalRing:
         return poly_trim(a.coeffs)
 
     def lower(self, zs, inputs) -> tuple:
+        """Companion values, each of degree < m, as elements known to the
+        least precision of the inputs."""
         model = self.model
         aprec = min([e.aprec for e in inputs] + [model.full_aprec])
+        m, q = model.m, model.q
         out = []
         for z in zs:
-            vec = tuple((z[i] if i < len(z) else 0) % model.q for i in range(model.m))
-            out.append(LocalElement(model, vec, aprec))
+            # one tuple of length m: no tuple of each length z has
+            vec = [v % q for v in z] + [0] * (m - len(z))
+            out.append(LocalElement(model, tuple(vec), aprec))
         return tuple(out)
 
 
