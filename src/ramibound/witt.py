@@ -424,7 +424,8 @@ class LocalRing:
         m, q = model.m, model.q
         out = []
         for z in zs:
-            # one tuple of length m: no tuple of each length z has
+            # from a list: short tuples of every length would be parked in
+            # CPython's per-length tuple free lists and raise peak memory
             vec = [v % q for v in z] + [0] * (m - len(z))
             out.append(LocalElement(model, tuple(vec), aprec))
         return tuple(out)
