@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InputError,
@@ -29,6 +30,8 @@ from .errors import (
 )
 from .padic import (
     EisensteinPoly,
+    _divmod_by_low_terms,
+    _monic_low_terms,
     divide_by_monic,
     eisenstein_validate,
     mat_mul,
@@ -123,10 +126,17 @@ class GF:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
+    @cached_property
+    def modulus_low_terms(self) -> list:
+        """The nonzero low terms of the modulus mod p, as the division walks
+        them."""
+        return _monic_low_terms(self.modulus, self.f, self.p)
+
     def mul(self, a, b):
         if self.f == 1:
             return ((a[0] * b[0]) % self.p,)
-        r = poly_divmod_monic(poly_convolve(a, b), self.modulus, self.p)[1]
+        prod = poly_convolve(a, b)
+        r = _divmod_by_low_terms(prod, self.f, self.modulus_low_terms, self.p)[1]
         return r + (0,) * (self.f - len(r))
 
     def pow(self, a, k: int):

@@ -43,7 +43,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count, repeat
+from math import gcd
 
 from .errors import (
     BaseMismatchError,
@@ -458,6 +459,11 @@ class LocalFieldModel:
         return self.p ** self.prec
 
     @cached_property
+    def p_exponents(self) -> dict[int, int]:
+        """{p^k: k} for 0 <= k <= prec: the divisors of q and their exponents."""
+        return {self.p ** k: k for k in range(self.prec + 1)}
+
+    @cached_property
     def g0_unit_inverse(self) -> int:
         """(g_0 / p)^-1 mod q, for exact division by the uniformizer."""
         return pow((self.g.coeffs[0] // self.p) % self.q, -1, self.q)
@@ -520,20 +526,24 @@ class LocalElement:
 
     def xval(self) -> int | None:
         """Exact valuation in x-units, or None when zero at precision: the
-        least term m * v_p(a_j) + j below aprec.  Term j is at least j, so the
-        scan stops once j reaches the least term so far or aprec."""
-        p, m, q = self.model.p, self.model.m, self.model.q
-        best, bound = None, self.aprec
-        for j, a in enumerate(self.coeffs):
-            if j >= bound:
-                break
-            a, t = a % q, j
-            while a and t < bound:
-                if a % p:
-                    best = bound = t
-                    break
-                a, t = a // p, t + m
-        return best
+        least term m * v_p(a_j) + j below aprec, over the coefficients that
+        are nonzero mod q.  The least v_p(a_j), capped at prec, is v_p of
+        gcd(q, a_0, ..., a_{m-1}) = p^v; as j < m, the least term is m * v + j
+        for the first j with p^(v+1) not dividing a_j, and no term is below
+        aprec when that one is not.  The element is immutable, so this runs
+        once per element."""
+        return self._xval
+
+    @cached_property
+    def _xval(self) -> int | None:
+        model = self.model
+        g = gcd(model.q, *self.coeffs)
+        v = model.p_exponents[g]
+        if v == model.prec:
+            return None
+        j = next(compress(count(), map(operator.mod, self.coeffs, repeat(g * model.p))))
+        t = model.m * v + j
+        return t if t < self.aprec else None
 
     def valuation(self) -> Rat | LowerBound:
         """v_K-valuation; LowerBound(e_norm * aprec / m) when zero at precision."""
@@ -587,24 +597,36 @@ class LocalElement:
 
     # -- division ----------------------------------------------------------
 
-    def shift_down(self) -> "LocalElement":
-        """Exact division by the uniformizer x; requires x | self.  With
-        precision left, x divides self exactly when p divides coefficient 0."""
-        if self.aprec < 1:
-            raise PrecisionError("no precision left for division")
-        q = self.model.q
-        p = self.model.p
-        g = self.model.g.coeffs
-        m = self.model.m
-        z0 = self.coeffs[0] % q
-        if z0 % p != 0:
-            raise PrecisionError("element is not divisible by the uniformizer")
-        w_top = (-(z0 // p) * self.model.g0_unit_inverse) % q
-        vec = [0] * m
-        vec[m - 1] = w_top
-        for j in range(1, m):
-            vec[j - 1] = (self.coeffs[j] + w_top * g[j]) % q
-        return LocalElement(self.model, tuple(vec), self.aprec - 1)
+    def shift_down(self, k: int = 1) -> "LocalElement":
+        """Exact division by x^k; requires x^k | self.  With precision left,
+        x divides an element exactly when p divides its coefficient 0, and
+        the quotient is known to one x-unit less.  All k single divisions run
+        on one coefficient list, and one element is built: the coefficients
+        mod q, the precision and the refusals (no precision left before not
+        divisible, at the first single division that fails) are those of k
+        single divisions."""
+        if not k:
+            return self
+        model = self.model
+        q, p, m = model.q, model.p, model.m
+        u = model.g0_unit_inverse
+        # adding w * g, which is 0 in the ring, with w = -(z_0/p)(g_0/p)^-1
+        # clears coefficient 0 mod q and leaves x times the coefficients from
+        # 1 on, w on top; g's low terms from degree 1 on feed those below it
+        low = [(t + m - 1, v) for t, v in model.g_low_terms if t > -m]
+        vec = list(self.coeffs)
+        for i in range(k):
+            if self.aprec - i < 1:
+                raise PrecisionError("no precision left for division")
+            z0 = vec[0] % q
+            if z0 % p != 0:
+                raise PrecisionError("element is not divisible by the uniformizer")
+            w = (-(z0 // p) * u) % q
+            del vec[0]
+            vec.append(w)
+            for j, v in low:
+                vec[j] += w * v
+        return LocalElement(model, tuple([v % q for v in vec]), self.aprec - k)
 
     def unit_inverse(self) -> "LocalElement":
         """Inverse of a unit (valuation 0), by a mod-p power series then
@@ -644,22 +666,17 @@ class LocalElement:
         k = self.xval()
         if k is None:
             raise PrecisionError("division by an element that is zero at precision")
-        den = self
-        for _ in range(k):
-            den = den.shift_down()
-        return k, den.unit_inverse()
+        return k, self.shift_down(k).unit_inverse()
 
     def div_by(self, k: int, inv: "LocalElement") -> "LocalElement":
         """The numerator half of :meth:`div`: self / (x^k * u), given
-        ``(k, u^-1)`` from the divisor's :meth:`divisor`.  A numerator that is
-        zero at precision gives zero known to x^(aprec - k); one of valuation
-        below k raises PrecisionError."""
+        ``(k, u^-1)`` from the divisor's :meth:`divisor`, as
+        ``shift_down(k) * inv``, so it is known to x^(aprec - k) at most.  A
+        numerator that is zero at precision gives zero known to
+        x^(aprec - k); one of valuation below k raises PrecisionError."""
         if self.is_zero_at_prec():
             return LocalElement(self.model, (0,) * self.model.m, max(self.aprec - k, 0))
-        num = self
-        for _ in range(k):
-            num = num.shift_down()
-        return num * inv
+        return self.shift_down(k) * inv
 
     def div(self, other: "LocalElement") -> "LocalElement":
         """Exact division; the divisor's valuation must not exceed ours.

@@ -25,7 +25,10 @@ Every matrix of Witt vectors is multiplied by the kernel's
 
 Working precision is self-tuning: when a certification cannot be reached at
 the current model precision the problem is rebuilt at twice the digit count
-and the computation retried.
+and the computation retried.  A lift skips, without iterating, a precision
+at which the precision rules prove that no iterate can be certified, and
+each rebuilt problem is kept on the problem the caller passed, so all lifts
+of one call share it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import BoundConstants, bound_constants, exact_nilpotency_index
 from .errors import (
@@ -89,6 +93,11 @@ class JSetProblem:
     )
     # write-once memo {a': _LiftConstants} filled by _lift_attempt
     lift_memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    # write-once memo {digits: with_precision(self, digits)} filled by
+    # lift_solution
+    boosted: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -534,7 +543,24 @@ class LiftResult:
     gamma: Rat | None
     a_prime: Rat | None
     certified_digits: int
-    trace: tuple
+    # (Witt level, iteration, ((xval, aprec) per increment component)) per step
+    steps: tuple
+
+    @cached_property
+    def trace(self) -> tuple:
+        """(Witt level, iteration, increment valuations) per step: the
+        v_K-valuation of each component of the increment Z' - Z, or ">=v"
+        for one that is zero at precision, known to valuation v.  Made from
+        ``steps`` when first read."""
+        model = self.problem.model
+        scale = Fraction(model.e_norm, model.m)
+        return tuple(
+            (level, it, tuple(
+                f">={scale * aprec}" if xv is None else str(scale * xv)
+                for xv, aprec in vals
+            ))
+            for level, it, vals in self.steps
+        )
 
 
 def lift_solution(
@@ -544,17 +570,33 @@ def lift_solution(
 ) -> LiftResult:
     """Refine a level-a congruence class into an exact solution.
 
-    Retries with doubled model precision whenever certification (not
-    convergence) fails; non-convergence means the starting point violated
-    the level-a precondition and is reported as such.
+    Tries the model precisions P, 2P, ..., 2^(LIFT_ATTEMPTS-1) P in turn and
+    moves to the next whenever an attempt raises PrecisionError: either
+    certification (not convergence) failed, or ``_lift_attempt`` proved
+    before its first step that certification cannot succeed at that
+    precision.  Non-convergence means the starting point violated the
+    level-a precondition and is reported as such.
+
+    The problem at 2^i P is ``with_precision(prob, 2^i P)``, built once and
+    kept in ``prob.boosted``; all lifts on ``prob`` share it, and with it the
+    lift constants it keeps per a'.  The state lives on the caller's
+    problem, so two calls that build their problems share nothing.
     """
     cur = prob
     for _ in range(LIFT_ATTEMPTS - 1):
         try:
             return _lift_attempt(cur, member, target_digits)
         except PrecisionError:
-            cur = with_precision(cur, cur.model.prec * 2)
+            cur = _boosted(prob, cur.model.prec * 2)
     return _lift_attempt(cur, member, target_digits)
+
+
+def _boosted(prob: JSetProblem, digits: int) -> JSetProblem:
+    """``with_precision(prob, digits)``, kept in ``prob.boosted``."""
+    known = prob.boosted.get(digits)
+    if known is None:
+        known = prob.boosted[digits] = with_precision(prob, digits)
+    return known
 
 
 def _decompose_valuation(prob: JSetProblem, v: Rat) -> LocalElement:
@@ -607,6 +649,52 @@ def _lift_constants(
     return consts
 
 
+def _residual_aprec_bound(prob: JSetProblem, consts: _LiftConstants) -> int | None:
+    """An upper bound B on the precision ``aprec`` of component 0 of every
+    residual that a certificate of ``_lift_attempt`` checks at this model
+    precision, or None where the argument below does not apply.
+
+    Let F = m * prec be full precision, k = v_x(pi^N * beta) the x-valuation
+    of the divisor of the first Witt level, and b = v_x(beta) (beta's aprec
+    when beta is zero at precision).  Then B = F - k + b, for every rank d
+    and Witt length n, provided k >= 1:
+
+    1. Every Z a certificate sees comes out of a step, whose component 0 is
+       ``div_by(k, inv)`` of a numerator known to aprec <= F.  A numerator
+       zero at precision gives aprec max(aprec - k, 0) <= F - k; otherwise
+       ``shift_down(k)`` leaves aprec - k < F, and the product by the unit
+       inverse (the sharp rule: min(F, a.aprec + v(b), b.aprec + v(a)),
+       each term taken when that factor's aprec is below F) keeps at most
+       aprec - k + v_x(inv) = aprec - k.  So z.aprec <= F - k < F.
+    2. Component 0 of Y = X + [beta] Z is X_0 + beta * z_0.  By the sharp
+       rule, as z.aprec < F, beta * z_0 is known to at most z.aprec + b;
+       the Witt sum takes the least aprec of its inputs (the weak rule), so
+       Y_0 is known to at most F - k + b = B.
+    3. Component 0 of residual entry j, phi(Y)_j - sum_i Y_i * A~_ij, is a
+       Witt sum of Witt products that each have Y_i among their inputs, so
+       by the weak rule it is known to at most B.
+    4. A certificate accepts a component only when it is zero at precision
+       with aprec >= target_x, or when its xval, which is below its aprec,
+       is >= target_x.  For every n the lift certifies Witt level 1, on
+       component 0, before any other level.
+
+    So if B < target_x no certificate of the attempt can accept at this
+    precision, and iterating could only end in an error: PrecisionError (a
+    stationary increment, a residual zero at precision below the target, or
+    a division refused), or, had the step budget run out first,
+    NonConvergenceError.  In that second case the lift now moves on to the
+    next precision where it used to stop; the tests check on every lift of
+    the test and bench instances that each skipped precision raised
+    PrecisionError.
+    """
+    k = consts.divisor_pows[0].xval()
+    if not k:
+        return None
+    beta = consts.beta_pows[0]
+    b = beta.xval()
+    return prob.model.full_aprec - k + (beta.aprec if b is None else b)
+
+
 def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> LiftResult:
     """One lift of a level-a class at the problem's model precision.
 
@@ -622,11 +710,21 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     problem with the same a' shares them, and each Teichmueller power is
     inverted once per problem.  [pi^N] X is computed once per attempt.  A
     step needs only phi(X + [beta] Z); the certificate of Z computes it
-    anyway and hands it to ``_residual`` and to the next step.
+    anyway and hands it to ``_residual`` and to the next step.  Each step
+    takes the xval of each component of the increment Z' - Z once: it decides
+    whether the iteration is stationary and is kept for the trace, whose
+    strings are made only when ``LiftResult.trace`` is read.
 
-    Raises PrecisionError when certification fails at this precision (the
-    caller retries at doubled precision), NonConvergenceError when the
-    starting point is not a level-a solution or the budget runs out.
+    Before the first step, once a' and gamma are checked, the attempt
+    bounds the precision of every residual it could certify by
+    ``_residual_aprec_bound``; below the target it raises PrecisionError at
+    once, without iterating.  A model below the target digits is refused
+    before any work, as no residual is known beyond full precision.
+
+    Raises PrecisionError when certification fails, or cannot succeed, at
+    this precision (the caller retries at doubled precision),
+    NonConvergenceError when the starting point is not a level-a solution or
+    the budget runs out.
     """
     ring = _ring(prob)
     p, n, d = prob.p, prob.n, prob.d
@@ -674,9 +772,14 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         raise NonConvergenceError("contraction gain is not positive")
     target_vk = Fraction(target_digits * model.e_norm)
     budget = int(-(-target_vk // gamma)) + 2
+    bound = _residual_aprec_bound(prob, consts)
+    if bound is not None and bound < target_x:
+        raise PrecisionError(
+            f"no iterate's residual is known beyond x-precision {bound} < {target_x}"
+        )
 
     piNX = tuple(teichmuller_scale(ring, p, consts.pi_n, X[i]) for i in range(d))
-    trace: list = []
+    steps: list = []
 
     def moved(Z: tuple, level: int) -> tuple:
         """X + [beta] * Z on the first ``level`` Witt components."""
@@ -705,14 +808,6 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
 
     iterations = 0
 
-    def _vals_of(vecs: tuple) -> tuple:
-        out = []
-        for vec in vecs:
-            for comp in vec:
-                v = comp.valuation()
-                out.append(f">={v.value}" if isinstance(v, LowerBound) else str(v))
-        return tuple(out)
-
     def solve(Z: tuple, level: int) -> tuple:
         """(Z, Y) for the certified Z at this Witt level, iterated from Z."""
         nonlocal iterations
@@ -723,15 +818,18 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
         for it in range(1, budget + 1):
             Z_next = step(phi, Bl, parts, level)
-            delta = tuple(witt_sub(ring, p, Z_next[i], Z[i]) for i in range(d))
-            delta_zero = all(_witt_vec_is_zero(dv) for dv in delta)
+            vals = tuple(
+                (c.xval(), c.aprec)
+                for i in range(d)
+                for c in witt_sub(ring, p, Z_next[i], Z[i])
+            )
             Z = Z_next
-            trace.append((level, it, _vals_of(delta)))
+            steps.append((level, it, vals))
             iterations = max(iterations, it)
             Y, phi, done = certify(Z, level)
             if done:
                 return Z, Y
-            if delta_zero:
+            if all(xv is None for xv, _ in vals):
                 raise PrecisionError(
                     "iteration is stationary but the residual is not certified"
                 )
@@ -752,7 +850,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b), True):
             raise AssertionError("lift strayed outside the level-b class")
     return LiftResult(
-        prob, X_exact, iterations, gamma, a_prime, target_digits, tuple(trace)
+        prob, X_exact, iterations, gamma, a_prime, target_digits, tuple(steps)
     )
 
 

@@ -20,8 +20,10 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
 
 For a sum or product, w_0 is the identity, so component 0 is computed in A
 by the ring's own ``add`` or ``mul`` (for Z/p^M and local-field elements
-that is mod q = p^M, reduced by g), and the ghost solve starts at component
-1 from the lift of that z_0.  The lift is congruent mod q to the companion
+that is mod q = p^M, reduced by g) and kept: it is never lifted and lowered
+again, and ``lower`` only sets its precision.  The ghost solve starts at
+component 1 from the lift of that z_0, which is taken only when there is a
+component from 1 on to solve.  The lift is congruent mod q to the companion
 value that solving w_0 would give, and a = b (mod q) implies
 a^(p^k) = b^(p^k) (mod p^k q).  By induction on m, each numerator
 G_m - sum_{i<m} p^i z_i^(p^(m-i)) then changes by a multiple of p^m q, so
@@ -31,14 +33,17 @@ every z_m mod q is unchanged.  The precision of every output component,
 component 0 included, is the one ``lower`` gives: the least over all input
 components and full precision.
 
-A coefficient ring A plugs in through an adapter that supplies ``g``,
-``lift(a)`` (a representative of a in Z[x]/g), ``lower(zs, inputs)``
-(companion values mapped into A, with the precision of the input components)
-and the A-side operations ``from_int``, ``zero``, ``add``, ``neg``, ``mul``
-and ``pow``.  :class:`ZZRing` (exact integers) and :class:`ZpMRing` (Z/p^M)
-have g = x, so their companion ring is Z; :class:`LocalRing` (elements of a
-local-field model) has the model's Eisenstein g, and its A side is
-LocalElement's arithmetic, which tracks the absolute precision.
+A coefficient ring A plugs in through an adapter, a
+:class:`CoefficientRing`, that supplies ``g``, ``lift(a)`` (a representative
+of a in Z[x]/g), ``lower(z0, zs, inputs)`` (component 0 as an element of A
+and the companion values of the components from 1 on, mapped into A with
+the precision of the input components) and the A-side operations
+``from_int``, ``zero``, ``add``, ``neg``, ``mul`` and ``pow``.  The adapter
+builds its companion ring Z[x]/g from ``g`` once, on first use.
+:class:`ZZRing` (exact integers) and :class:`ZpMRing` (Z/p^M) have g = x,
+so their companion ring is Z; :class:`LocalRing` (elements of a local-field
+model) has the model's Eisenstein g, and its A side is LocalElement's
+arithmetic, which tracks the absolute precision.
 
 Also here: the Teichmueller scaling formula, the componentwise p-power map
 (not a ring homomorphism away from characteristic p), graded-ideal
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import (
     IntegralityError,
@@ -64,9 +69,10 @@ from .padic import (
     LowerBound,
     PAdicTrunc,
     Rat,
+    _divmod_by_low_terms,
+    _monic_low_terms,
     is_odd_prime,
     poly_convolve,
-    poly_divmod_monic,
     poly_trim,
     power,
 )
@@ -197,17 +203,18 @@ def _ghost(xs: list, m: int, p: int, ops: tuple):
     return acc
 
 
-def _solve_ghosts(ghosts: list, p: int, ops: tuple) -> list:
-    """Components z_0..z_{n-1} with ghost components G_0..G_{n-1}:
+def _solve_ghosts(ghosts: list, p: int, ops: tuple, known=()) -> list:
+    """Components z_k..z_{n-1} with ghost components G_k..G_{n-1}, given the
+    components z_0..z_{k-1} in ``known`` (k = 0 by default):
     z_m = (G_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m, each division exact;
     z_0 is G_0 itself."""
     pow_, add, scale, div_exact = ops
-    zs: list = []
-    for m, acc in enumerate(ghosts):
+    zs: list = list(known)
+    for m, acc in enumerate(ghosts, len(zs)):
         for i, z in enumerate(zs):
             acc = add(acc, scale(pow_(z, p ** (m - i)), -(p ** i)))
         zs.append(div_exact(acc, p ** m) if m else acc)
-    return zs
+    return zs[len(known):]
 
 
 def _packed_ops(mul) -> tuple:
@@ -296,14 +303,6 @@ def companion_add(x: tuple, y: tuple) -> tuple:
     )
 
 
-def companion_mul(g: tuple, x: tuple, y: tuple) -> tuple:
-    return poly_divmod_monic(poly_convolve(x, y), g)[1]
-
-
-def companion_pow(g: tuple, x: tuple, k: int) -> tuple:
-    return power(x, k, partial(companion_mul, g), (1,))
-
-
 def companion_scale(x: tuple, c: int) -> tuple:
     return tuple(c * v for v in x)
 
@@ -317,9 +316,26 @@ def companion_div_exact(x: tuple, q: int) -> tuple:
     return tuple(out)
 
 
-def _companion_ops(g: tuple) -> tuple:
-    pow_ = partial(companion_pow, g)
-    return pow_, companion_add, companion_scale, companion_div_exact
+class CompanionRing:
+    """Z[x]/g for a monic integer polynomial g.  The nonzero low terms of g
+    are listed once, so a product is one :func:`poly_convolve` and one pass
+    of the division kernel (:func:`poly_divmod_monic`'s loop).  ``ops`` are
+    the (power, sum, integer scale, exact division) of the ghost solver."""
+
+    def __init__(self, g: tuple):
+        g = poly_trim(g)
+        self.deg = len(g) - 1
+        if self.deg < 0 or g[-1] != 1:
+            raise InputError("divisor must be monic")
+        self.g = g
+        self.low_terms = _monic_low_terms(g, self.deg, None)
+        self.ops = (self.pow, companion_add, companion_scale, companion_div_exact)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        return _divmod_by_low_terms(poly_convolve(x, y), self.deg, self.low_terms, None)[1]
+
+    def pow(self, x: tuple, k: int) -> tuple:
+        return power(x, k, self.mul, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +343,17 @@ def _companion_ops(g: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class ZZRing:
+class CoefficientRing:
+    """Base of the adapters.  An adapter supplies ``g``, ``lift``, ``lower``
+    and the A-side operations; the companion ring is derived from ``g`` here,
+    once per adapter."""
+
+    @cached_property
+    def companion(self) -> CompanionRing:
+        return CompanionRing(self.g)
+
+
+class ZZRing(CoefficientRing):
     """Exact integers; the companion ring is Z[x]/(x) = Z."""
 
     g = (0, 1)
@@ -353,8 +379,8 @@ class ZZRing:
     def lift(self, a):
         return (a,)
 
-    def lower(self, zs, inputs) -> tuple:
-        return tuple(z[0] if z else 0 for z in zs)
+    def lower(self, z0, zs, inputs) -> tuple:
+        return (z0,) + tuple(z[0] if z else 0 for z in zs)
 
 
 class ZpMRing(ZZRing):
@@ -382,11 +408,11 @@ class ZpMRing(ZZRing):
     def lift(self, a):
         return (a % self.ring.modulus,)
 
-    def lower(self, zs, inputs) -> tuple:
-        return tuple(v % self.ring.modulus for v in super().lower(zs, inputs))
+    def lower(self, z0, zs, inputs) -> tuple:
+        return tuple(v % self.ring.modulus for v in super().lower(z0, zs, inputs))
 
 
-class LocalRing:
+class LocalRing(CoefficientRing):
     """Elements of a local-field model; the companion ring is Z[x]/g(x) for
     the model's Eisenstein g.  The A side is LocalElement's arithmetic, which
     tracks the absolute precision ``aprec``."""
@@ -416,13 +442,14 @@ class LocalRing:
     def lift(self, a: LocalElement):
         return poly_trim(a.coeffs)
 
-    def lower(self, zs, inputs) -> tuple:
-        """Companion values, each of degree < m, as elements known to the
-        least precision of the inputs."""
+    def lower(self, z0: LocalElement, zs, inputs) -> tuple:
+        """z0 and the companion values zs, each of degree < m, as elements
+        known to the least precision of the inputs.  z0 is already an element
+        with reduced coefficients, so only its precision is set."""
         model = self.model
         aprec = min([e.aprec for e in inputs] + [model.full_aprec])
         m, q = model.m, model.q
-        out = []
+        out = [z0 if z0.aprec == aprec else LocalElement(model, z0.coeffs, aprec)]
         for z in zs:
             # from a list: short tuples of every length would be parked in
             # CPython's per-length tuple free lists and raise peak memory
@@ -446,17 +473,22 @@ def _lifted_ghosts(R, p: int, x: tuple, ops: tuple, start: int = 0) -> list:
 
 def _witt_combine(R, p: int, x: tuple, y: tuple, op, combine) -> tuple:
     """The Witt vector whose ghost components are combine(w_m(x), w_m(y)).
-    Component 0 is op(x_0, y_0) in A, since w_0 is the identity; its lift
-    is G_0, and the ghost solve finds the components from 1 on."""
+    Component 0 is z_0 = op(x_0, y_0) in A, since w_0 is the identity, and
+    is kept; its lift is G_0, taken only when the ghost solve has components
+    from 1 on to find."""
     if len(x) != len(y):
         raise InputError("Witt vectors of different lengths")
     if not x:
         raise InputError("Witt vectors must have length >= 1")
-    ops = _companion_ops(R.g)
-    gx = _lifted_ghosts(R, p, x, ops, 1)
-    gy = _lifted_ghosts(R, p, y, ops, 1)
-    gz = [R.lift(op(x[0], y[0]))] + [combine(a, b) for a, b in zip(gx, gy)]
-    return R.lower(_solve_ghosts(gz, p, ops), tuple(x) + tuple(y))
+    z0 = op(x[0], y[0])
+    zs = []
+    if len(x) > 1:
+        ops = R.companion.ops
+        gx = _lifted_ghosts(R, p, x, ops, 1)
+        gy = _lifted_ghosts(R, p, y, ops, 1)
+        gz = [combine(a, b) for a, b in zip(gx, gy)]
+        zs = _solve_ghosts(gz, p, ops, [R.lift(z0)])
+    return R.lower(z0, zs, tuple(x) + tuple(y))
 
 
 def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
@@ -464,7 +496,7 @@ def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
 
 
 def witt_mul(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, R.mul, partial(companion_mul, R.g))
+    return _witt_combine(R, p, x, y, R.mul, R.companion.mul)
 
 
 def witt_neg(R, p: int, x: tuple) -> tuple:
@@ -516,14 +548,16 @@ def power_frobenius(R, p: int, x: tuple) -> tuple:
 
 def int_to_witt(R, p: int, c: int, n: int) -> tuple:
     """Image of the integer c under Z -> W_n(A): the components solve the
-    ghost equations w_m = c, exactly, then map into A."""
-    return R.lower(_solve_ghosts([(c,)] * n, p, _companion_ops(R.g)), ())
+    ghost equations w_m = c, exactly, then map into A.  Component 0 is c
+    itself, passed to ``lower`` as R.from_int(c)."""
+    zs = _solve_ghosts([(c,)] * (n - 1), p, R.companion.ops, [(c,)])
+    return R.lower(R.from_int(c), zs, ())
 
 
 def ghost_components(R, p: int, x: tuple) -> tuple:
     """Ghost map, computed in the companion ring and mapped back into A
-    (exact over ZZRing)."""
-    return R.lower(_lifted_ghosts(R, p, x, _companion_ops(R.g)), x)
+    (exact over ZZRing).  w_0 is x_0 itself, passed to ``lower`` as is."""
+    return R.lower(x[0], _lifted_ghosts(R, p, x, R.companion.ops, 1), x)
 
 
 def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):

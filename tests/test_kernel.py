@@ -29,6 +29,7 @@ from ramibound.padic import (
     power,
 )
 from ramibound.witt import (
+    CompanionRing,
     LocalRing,
     _packed_ops,
     _padd,
@@ -36,8 +37,6 @@ from ramibound.witt import (
     _solve_ghosts,
     _var,
     companion_add,
-    companion_mul,
-    companion_pow,
     companion_scale,
 )
 
@@ -104,8 +103,26 @@ def test_companion_lpow_matches_repeated_product():
     R = LocalRing(LocalFieldModel(eisenstein_validate((3, 0, 1), 3), 6))
     for x in ((2, 1), (-3, 4), (0, 1)):
         for k in KS:
-            want = repeated(x, k, lambda a, b: companion_mul(R.g, a, b), (1,))
-            assert companion_pow(R.g, x, k) == want, (x, k)
+            want = repeated(x, k, R.companion.mul, (1,))
+            assert R.companion.pow(x, k) == want, (x, k)
+
+
+@pytest.mark.parametrize("g", [(0, 1), (3, 0, 1), (-3, 6, 9, 0, -3, 1), (6, 3, 0, 0, 1)])
+def test_companion_mul_matches_division_kernel(g):
+    """The companion product, with g's low terms listed once, is the
+    convolution reduced by poly_divmod_monic."""
+    rng = random.Random(len(g) * 11)
+    C = CompanionRing(g + (0,))  # trailing zeros of g are trimmed
+    assert C.g == g and C.deg == len(g) - 1
+    for _ in range(60):
+        x = tuple(rng.randrange(-50, 51) for _ in range(rng.randrange(len(g))))
+        y = tuple(
+            rng.randrange(-9, 10) * 3 ** rng.randrange(4)
+            for _ in range(rng.randrange(len(g)))
+        )
+        assert C.mul(x, y) == poly_divmod_monic(poly_convolve(x, y), g)[1], (x, y)
+    with pytest.raises(InputError, match="monic"):
+        CompanionRing((3, 2))
 
 
 def test_packed_ppow_matches_repeated_product():
@@ -390,13 +407,13 @@ def test_local_element_pow_matches_identity_start(coeffs):
 def test_companion_pow_matches_identity_start(coeffs):
     g = coeffs
     rng = random.Random(sum(coeffs))
-    mul = partial(companion_mul, g)
+    C = CompanionRing(g)
     for _ in range(6):
         x = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(len(g))))
         for k in range(12):
-            got = companion_pow(g, x, k)
+            got = C.pow(x, k)
             # x^1 is x itself, untrimmed; the identity start trims it
-            assert poly_trim(got) == identity_start_power(x, k, mul, (1,)), (x, k)
+            assert poly_trim(got) == identity_start_power(x, k, C.mul, (1,)), (x, k)
 
 
 def test_gf_pow_matches_identity_start():
@@ -471,6 +488,61 @@ def test_shift_down_matches_checked_version(coeffs):
     }
 
 
+def single_shifts(elem, k):
+    """k single divisions by x, by the checked reference."""
+    for _ in range(k):
+        elem = checked_shift_down(elem)
+    return elem
+
+
+@pytest.mark.parametrize("coeffs", MODELS)
+def test_one_pass_shift_matches_single_shifts(coeffs):
+    """shift_down(k) and div_by(k, inv) run all k divisions by x on one list:
+    same coefficients mod q, precision and refusal as k single shifts, also
+    for coefficients outside [0, q)."""
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 4)
+    rng = random.Random(5 * len(coeffs) + 1)
+    m, q, full = model.m, model.q, model.full_aprec
+    seen = set()
+    for _ in range(300):
+        a = rng.randrange(2 * m)
+        rest = tuple(rng.randrange(q) for _ in range(m))
+        base = model.uniformizer_pow(a) * model.from_coeffs(rest)
+        aprec = rng.choice([full, rng.randrange(full + 1), a, a + 1, max(a - 1, 0)])
+        vec = tuple(c + q * rng.randrange(-2, 3) for c in base.coeffs)
+        elem = LocalElement(model, vec, aprec)
+        k = rng.randrange(a + 3)
+        unit = model.from_coeffs((rng.choice([1, 2]),) + rest[1:])
+        inv = unit.unit_inverse()
+        try:
+            want = single_shifts(elem, k)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError) as got:
+                elem.shift_down(k)
+            assert str(got.value) == str(exc), (elem, k)
+            if not elem.is_zero_at_prec():
+                with pytest.raises(PrecisionError) as got:
+                    elem.div_by(k, inv)
+                assert str(got.value) == str(exc), (elem, k)
+            seen.add(str(exc))
+            continue
+        got = elem.shift_down(k)
+        assert (got.coeffs, got.aprec) == (want.coeffs, want.aprec), (elem, k)
+        quot = elem.div_by(k, inv)
+        if elem.is_zero_at_prec():
+            assert quot.is_zero_at_prec() and quot.aprec == max(aprec - k, 0)
+        else:
+            prod = want * inv
+            assert (quot.coeffs, quot.aprec) == (prod.coeffs, prod.aprec), (elem, k)
+        seen.add("divided" if k else "k = 0")
+    assert seen == {
+        "divided",
+        "k = 0",
+        "no precision left for division",
+        "element is not divisible by the uniformizer",
+    }
+
+
 def test_ghost_solve_divides_by_no_unit_power():
     """z_0 is G_0 itself: the solver never divides by p^0 = 1."""
     divisors = []
@@ -480,7 +552,7 @@ def test_ghost_solve_divides_by_no_unit_power():
         return tuple(v // c for v in x)
 
     g = (3, 0, 1)
-    ops = (partial(companion_pow, g), companion_add, companion_scale, div_exact)
+    ops = (CompanionRing(g).pow, companion_add, companion_scale, div_exact)
     ghosts = [(2, 1), (2 + 3 * 7, 1 + 3 * 5), (2 + 9 * 4, 1 + 9 * 2)]
     zs = _solve_ghosts(ghosts, 3, ops)
     assert zs[0] is ghosts[0]

@@ -597,9 +597,11 @@ LIFT_ARGS = [
 
 @pytest.mark.parametrize(
     "digits, digest, retries",
-    [  # sha256 of the full output, recorded before the lifter kept its divisor
+    [  # sha256 of the full output, recorded before the lifter kept its divisor;
+        # at 24 digits the 25 lifts that need 48 digits share one rebuilt
+        # problem (25 rebuilds while each lift rebuilt its own)
         ("6", "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a", 0),
-        ("24", "eb922bd2ec36674237445d37fb0a9ebd9f837d88b19d8c333588a84e5d848f38", 25),
+        ("24", "eb922bd2ec36674237445d37fb0a9ebd9f837d88b19d8c333588a84e5d848f38", 1),
     ],
 )
 def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
@@ -762,3 +764,160 @@ def test_solve_lift_calls_share_no_lift_state(monkeypatch):
         del calls[:]
     assert counts == [7, 7]
     assert outs[0] == outs[1]
+
+
+def ladder_without_precheck(prob, member, target_digits, monkeypatch):
+    """The lift ladder before the precheck and the kept rebuilt problems:
+    each rung's problem rebuilt from the last by with_precision, and every
+    attempt iterated until it certifies or fails.  Returns the LiftResult or
+    the exception that ended the ladder, and {digits: exception type or
+    None} per rung tried."""
+    rungs = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_residual_aprec_bound", lambda prob, consts: None)
+        cur = prob
+        for rung in range(solver.LIFT_ATTEMPTS):
+            prec = cur.model.prec
+            try:
+                lr = solver._lift_attempt(cur, member, target_digits)
+            except PrecisionError as exc:
+                rungs[prec] = type(exc)
+                if rung == solver.LIFT_ATTEMPTS - 1:
+                    return exc, rungs
+                cur = with_precision(cur, prec * 2)
+            except NonConvergenceError as exc:
+                rungs[prec] = type(exc)
+                return exc, rungs
+            else:
+                rungs[prec] = None
+                return lr, rungs
+
+
+def ladder_with_precheck(prob, member, target_digits, monkeypatch):
+    """lift_solution, and the digits of every rung its precheck skipped."""
+    skipped = []
+    real = solver._lift_attempt
+
+    def attempt(cur, *args):
+        try:
+            return real(cur, *args)
+        except PrecisionError as exc:
+            if str(exc).startswith("no iterate's residual is known beyond"):
+                skipped.append(cur.model.prec)
+            raise
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_lift_attempt", attempt)
+        try:
+            return lift_solution(prob, member, target_digits), skipped
+        except (PrecisionError, NonConvergenceError) as exc:
+            return exc, skipped
+
+
+def ramified_problem():
+    E2 = eisenstein_validate((-3, 0, 1), 3)
+    model = LocalFieldModel(
+        eisenstein_validate((-3, 0, 0, 0, 0, 0, 1), 3), 24, e_norm=2
+    )
+    return build_jset_problem(kisin_new(3, 1, E2, [[(0, 1)]], r_hint=1), model, s=1, r=1)
+
+
+def length_two_problem():
+    mod = kisin_new(3, 2, E13, [[(0, 0, 1)]], r_hint=3)
+    return build_jset_problem(mod, model_of_degree(27, prec=16), s=3, r=3)
+
+
+def length_two_members(prob):
+    ring = LocalRing(prob.model)
+    exact = ((tuple([0, 1] + [0] * 25), tuple([0] * 3 + [1] + [0] * 23)),)
+    w = member_to_witt(
+        prob, ((tuple([0] * 6 + [1] + [0] * 20), tuple([0] * 15 + [1] + [0] * 11)),)
+    )
+    moved = witt_add(ring, 3, member_to_witt(prob, exact)[0], w[0])
+    return [exact, (tuple(c.coeffs for c in moved),)]
+
+
+def level_a_members(prob):
+    return list(jset_enumerate(prob, "a").members)
+
+
+PRECHECK_INSTANCES = {
+    # the README instance (bench lift-deg12 at 24 digits), and 48 digits,
+    # where the 24-digit model is below the target and 48 digits are skipped
+    "readme": (
+        lambda: build_jset_problem(u_module(), model_of_degree(6), s=1, r=1),
+        level_a_members, (6, 24, 48),
+    ),
+    # bench lift-deg12: 243 classes over x^12 + 3
+    "deg12": (
+        lambda: build_jset_problem(u_module(), model_of_degree(12), s=1, r=1),
+        level_a_members, (12,),
+    ),
+    # bench enum-rank2: the rank-2 swap module (d = 2)
+    "rank2": (
+        lambda: build_jset_problem(
+            kisin_new(3, 1, E13, [[(), (0, 1)], [(1,), ()]], r_hint=1),
+            model_of_degree(6), s=1, r=1,
+        ),
+        level_a_members, (5, 24),
+    ),
+    "ramified": (ramified_problem, level_a_members, (6, 24)),
+    # bench witt-len2: n = 2, where 16 digits skip the 16-digit model
+    "length2": (length_two_problem, length_two_members, (6, 16)),
+    # a level-b class that is no level-a solution: NonConvergenceError
+    "not-level-a": (
+        lambda: build_jset_problem(u_module(), model_of_degree(9), s=1, r=1),
+        lambda prob: [((tuple([0, 1] + [0] * 7),),)], (4,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECHECK_INSTANCES))
+def test_precheck_skips_only_rungs_that_cannot_certify(monkeypatch, name):
+    """Against the old ladder on every lift of the test and bench instances:
+    an equal LiftResult at the same final precision (or the same error), and
+    every rung the precheck skips raised PrecisionError there."""
+    build, members_of, digits_list = PRECHECK_INSTANCES[name]
+    members = members_of(build())
+    skips = 0
+    for digits in digits_list:
+        old_prob, new_prob = build(), build()
+        for member in members:
+            want, rungs = ladder_without_precheck(old_prob, member, digits, monkeypatch)
+            got, skipped = ladder_with_precheck(new_prob, member, digits, monkeypatch)
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (member, digits)
+            else:
+                assert got == want, (member, digits)
+                assert got.problem.model.prec == want.problem.model.prec
+                assert got.trace == want.trace
+            for prec in skipped:
+                assert rungs[prec] is PrecisionError, (member, digits, prec)
+            skips += len(skipped)
+    # rungs skipped over all lifts and digit targets: d = 2, e_norm = 2 and
+    # n = 2 each skip at least one
+    want = {"readme": 50, "rank2": 8, "ramified": 2, "length2": 1}
+    assert skips == want.get(name, 0)
+
+
+def test_readme_lifts_at_24_digits_share_one_rebuilt_problem(monkeypatch):
+    """The 25 README lifts that need 48 digits skip the 24-digit model and
+    share one 48-digit problem, kept on the caller's problem, with its lift
+    constants: with_precision runs once for the 27 lifts."""
+    rebuilds = []
+    real = solver.with_precision
+
+    def counting(prob, digits):
+        rebuilds.append(digits)
+        return real(prob, digits)
+
+    monkeypatch.setattr(solver, "with_precision", counting)
+    prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
+    exact, lifts = exact_solution_set(prob, target_digits=24)
+    assert len(exact) == 3 and len(lifts) == 27
+    assert rebuilds == [48]
+    boosted = prob.boosted[48]
+    assert sum(lr.problem is boosted for lr in lifts) == 25
+    assert sum(lr.problem is prob for lr in lifts) == 2
+    assert len(boosted.lift_memo) == 3 and prob.boosted.keys() == {48}
+    assert boosted.boosted == {}

@@ -1,9 +1,12 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import ramibound
 
 SRC = Path(ramibound.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_assert_statements_in_library():
@@ -17,3 +20,22 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_bench_tracer_targets_resolve():
+    """Every function the benchmark's tracer wraps is still defined where
+    the tracer looks for it (in the module, or in the class for a method),
+    so a rename fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for mod_name, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"ramibound.{mod_name}")
+        *cls_path, fn_name = attr.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if not callable(vars(owner).get(fn_name) if owner is not None else None):
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, f"tracer targets missing from src: {missing}"

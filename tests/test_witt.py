@@ -11,22 +11,24 @@ from ramibound.padic import (
     LocalFieldModel,
     PAdicTrunc,
     eisenstein_validate,
+    poly_convolve,
+    poly_divmod_monic,
+    power,
 )
 from ramibound.witt import (
     LocalRing,
     ZpMRing,
     ZZRing,
-    _companion_ops,
     _ghost,
     _pmul,
     _solve_ghosts,
     _solve_universal,
     _var,
-    companion_mul,
-    companion_pow,
     ghost_components,
     ghost_identity_holds_symbolically,
     companion_add,
+    companion_div_exact,
+    companion_scale,
     ghost_solve_valuations,
     ideal_membership_gt,
     int_to_witt,
@@ -302,15 +304,15 @@ def test_integer_adapters_match_integer_arithmetic():
             assert ZZ.pow(a, k) == a ** k
             # the companion ring Z[x]/(x) is Z on 1-tuples
             la, lb = ZZ.lift(a), ZZ.lift(b)
-            assert ZZ.lower([la, lb, ()], ()) == (a, b, 0)
-            assert ZZ.lower([companion_mul(ZZ.g, la, lb)], ()) == (a * b,)
-            assert ZZ.lower([companion_pow(ZZ.g, la, k)], ()) == (a ** k,)
+            assert ZZ.lower(a, [lb, ()], ()) == (a, b, 0)
+            assert ZZ.lower(0, [ZZ.companion.mul(la, lb)], ())[1:] == (a * b,)
+            assert ZZ.lower(0, [ZZ.companion.pow(la, k)], ())[1:] == (a ** k,)
             ra, rb = R.from_int(a), R.from_int(b)
             assert (ra, rb) == (a % q, b % q)
             assert (R.add(ra, rb), R.neg(ra)) == ((a + b) % q, -a % q)
             assert (R.mul(ra, rb), R.pow(ra, k)) == (a * b % q, a ** k % q)
             assert R.lift(a) == (a % q,)
-            assert R.lower([(a,), (b,), ()], ()) == (a % q, b % q, 0)
+            assert R.lower(a, [(b,), ()], ()) == (a % q, b % q, 0)
 
 
 @pytest.mark.parametrize("coeffs, p", [((3, 0, 0, 1), 3), ((5, 0, 1), 5)])
@@ -325,14 +327,31 @@ def test_int_to_witt_local_matches_integers(coeffs, p):
 
 def all_ghost_arith(R, p, x, y, op):
     """Witt sum or product with every component, 0 included, solved from the
-    ghost components in the companion ring Z[x]/g."""
-    ops = _companion_ops(R.g)
+    ghost components in the companion ring Z[x]/g and lowered from there:
+    ``lower`` maps the companion values it is given from component 1 on, so
+    a zero component 0 is put in front and dropped."""
+    ops = reference_ops(R.g)
     combine = companion_add if op == "add" else partial(companion_mul, R.g)
     lx, ly = [R.lift(c) for c in x], [R.lift(c) for c in y]
     gz = [
         combine(_ghost(lx, m, p, ops), _ghost(ly, m, p, ops)) for m in range(len(x))
     ]
-    return R.lower(_solve_ghosts(gz, p, ops), tuple(x) + tuple(y))
+    zs = _solve_ghosts(gz, p, ops)
+    return R.lower(R.zero(), zs, tuple(x) + tuple(y))[1:]
+
+
+def companion_mul(g, x, y):
+    """The companion product by the generic division, as the reference."""
+    return poly_divmod_monic(poly_convolve(x, y), g)[1]
+
+
+def companion_pow(g, x, k):
+    return power(x, k, partial(companion_mul, g), (1,))
+
+
+def reference_ops(g):
+    """The ghost solver's operations on the reference companion product."""
+    return partial(companion_pow, g), companion_add, companion_scale, companion_div_exact
 
 
 def _random_local(model, rng):
@@ -383,8 +402,48 @@ def test_component_zero_by_ring_matches_all_ghost_path(n):
                 if isinstance(R, LocalRing):
                     full = R.model.full_aprec
                     seen.update((c.aprec < full, c.is_zero_at_prec()) for c in x + y)
+            # the ghost map and the integers pass their component 0 the
+            # same way: as the element itself, and as R.from_int(c)
+            ops = reference_ops(R.g)
+            lx = [R.lift(c) for c in x]
+            ghosts = [_ghost(lx, m, p, ops) for m in range(n)]
+            assert ghost_components(R, p, x) == R.lower(R.zero(), ghosts, x)[1:]
+            c = rng.randrange(-30, 31)
+            zs = _solve_ghosts([(c,)] * n, p, ops)
+            assert int_to_witt(R, p, c, n) == R.lower(R.zero(), zs, ())[1:]
     # inputs at full and reduced precision, zero at precision or not
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class CountingLocalRing(LocalRing):
+    def __init__(self, model):
+        super().__init__(model)
+        self.lifts = 0
+
+    def lift(self, a):
+        self.lifts += 1
+        return super().lift(a)
+
+
+def test_component_zero_is_kept_and_lifted_only_for_a_ghost_solve():
+    """Length 1: component 0 is the ring's own sum or product, its precision
+    set to the least input precision, and nothing is lifted.  Length n >= 2:
+    x and y are lifted for their ghost components, and z_0 once."""
+    model = LocalFieldModel(eisenstein_validate((3, 0, 0, 1), 3), 4)
+    R = CountingLocalRing(model)
+    a = model.from_coeffs((2, 1, 5))
+    short = LocalElement(model, model.from_coeffs((1, 3)).coeffs, 7)
+    for op, ring_op in ((witt_add, R.add), (witt_mul, R.mul)):
+        (z,) = op(R, 3, (a,), (short,))
+        direct = ring_op(a, short)
+        assert z.coeffs == direct.coeffs and z.aprec == 7
+        (same,) = op(R, 3, (a,), (a,))
+        assert same == ring_op(a, a)
+    assert R.lifts == 0
+    for n in (2, 3):
+        R.lifts = 0
+        witt_mul(R, 3, (a,) * n, (short,) * n)
+        assert R.lifts == 2 * n + 1
 
 
 def test_witt_arith_refuses_length_zero():
