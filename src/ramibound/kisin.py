@@ -30,8 +30,8 @@ from .errors import (
 )
 from .padic import (
     EisensteinPoly,
-    _divmod_by_low_terms,
     _monic_low_terms,
+    _remainder_by_low_terms,
     divide_by_monic,
     eisenstein_validate,
     mat_mul,
@@ -136,7 +136,7 @@ class GF:
         if self.f == 1:
             return ((a[0] * b[0]) % self.p,)
         prod = poly_convolve(a, b)
-        r = _divmod_by_low_terms(prod, self.f, self.modulus_low_terms, self.p)[1]
+        r = _remainder_by_low_terms(prod, self.f, self.modulus_low_terms, self.p)
         return r + (0,) * (self.f - len(r))
 
     def pow(self, a, k: int):

@@ -15,7 +15,8 @@ This module holds the package's one arithmetic kernel:
   both reduce modulo q once, at the end.  The product multiplies only pairs
   of nonzero coefficients, and the division walks only the divisor's nonzero
   low terms, one for a binomial model x^m + a (a local-field model and a
-  quotient ring list those of their modulus once, and reduce by that list);
+  quotient ring list those of their modulus once, and reduce by that list
+  without building a quotient);
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
@@ -289,7 +290,10 @@ def poly_divmod_monic(
     d = len(den) - 1
     if d < 0 or (den[d] if q is None else den[d] % q) != 1:
         raise InputError("divisor must be monic")
-    return _divmod_by_low_terms(num, d, _monic_low_terms(den, d, q), q)
+    rem = _divide_by_low_terms(num, d, _monic_low_terms(den, d, q), q)
+    if q is not None:
+        rem = [v % q for v in rem]
+    return poly_trim(rem[d:]), poly_trim(rem[:d])
 
 
 def _monic_low_terms(den: tuple[int, ...], d: int, q: int | None) -> list:
@@ -299,21 +303,26 @@ def _monic_low_terms(den: tuple[int, ...], d: int, q: int | None) -> list:
     return [(k, v) for k, v in enumerate(den[:d], -d) if (v if q is None else v % q)]
 
 
-def _divmod_by_low_terms(
-    num, d: int, low: list, q: int | None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _divide_by_low_terms(num, d: int, low: list, q: int | None) -> list:
     """The loop of :func:`poly_divmod_monic`, given the divisor's degree and
-    its low terms from :func:`_monic_low_terms`."""
+    its low terms from :func:`_monic_low_terms`, on a copy of ``num``.  Each
+    eliminated digit c stays in the slot it clears, where it already stands
+    (mod q), so no quotient list is built: entries d and up are the quotient
+    and those below d the remainder, neither yet reduced mod q."""
     rem = list(num)
-    quot = [0] * (len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i] if q is None else rem[i] % q
         if c:
-            quot[i - d] = c
             for k, v in low:
                 rem[i + k] -= c * v
-    rem = rem[:d] if q is None else [v % q for v in rem[:d]]
-    return poly_trim(quot), poly_trim(rem)
+    return rem
+
+
+def _remainder_by_low_terms(num, d: int, low: list, q: int | None) -> tuple[int, ...]:
+    """Only the remainder of :func:`_divide_by_low_terms`, reduced mod q when
+    q is given and trimmed."""
+    rem = _divide_by_low_terms(num, d, low, q)[:d]
+    return poly_trim(rem if q is None else [v % q for v in rem])
 
 
 def divide_by_monic(
@@ -413,7 +422,7 @@ class QuotRing:
     def reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """Remainder modulo E^r and q."""
         d = self.E.e * self.r
-        return _divmod_by_low_terms(coeffs, d, self.modulus_low_terms, self.q)[1]
+        return _remainder_by_low_terms(coeffs, d, self.modulus_low_terms, self.q)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return self.reduce(poly_convolve(a, b))
@@ -475,7 +484,7 @@ class LocalFieldModel:
 
     def reduce(self, coeffs) -> tuple[int, ...]:
         """Remainder of an integer coefficient sequence modulo g and q."""
-        return _divmod_by_low_terms(coeffs, self.m, self.g_low_terms, self.q)[1]
+        return _remainder_by_low_terms(coeffs, self.m, self.g_low_terms, self.q)
 
     @property
     def full_aprec(self) -> int:

@@ -710,10 +710,11 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     problem with the same a' shares them, and each Teichmueller power is
     inverted once per problem.  [pi^N] X is computed once per attempt.  A
     step needs only phi(X + [beta] Z); the certificate of Z computes it
-    anyway and hands it to ``_residual`` and to the next step.  Each step
-    takes the xval of each component of the increment Z' - Z once: it decides
-    whether the iteration is stationary and is kept for the trace, whose
-    strings are made only when ``LiftResult.trace`` is read.
+    anyway and hands it to ``_residual`` and to the next step, and the first
+    step at Witt level 1 takes phi(X) from the start's residual.  Each step
+    takes the xval of each component of the increment Z' - Z once: it
+    decides whether the iteration is stationary and is kept for the trace,
+    whose strings are made only when ``LiftResult.trace`` is read.
 
     Before the first step, once a' and gamma are checked, the attempt
     bounds the precision of every residual it could certify by
@@ -736,7 +737,8 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     X = member_to_witt(prob, member)
     level_a_q = prob.quotient_level(prob.level_a)
 
-    res = _residual(prob, ring, X, n)
+    phi_X = tuple(power_frobenius(ring, p, vec) for vec in X)
+    res = _residual(prob, ring, X, n, phi=phi_X)
     if all(_witt_vec_val_ge(entry, target_x) for entry in res):
         return LiftResult(prob, X, 0, None, None, target_digits, ())
 
@@ -808,14 +810,16 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
 
     iterations = 0
 
-    def solve(Z: tuple, level: int) -> tuple:
-        """(Z, Y) for the certified Z at this Witt level, iterated from Z."""
+    def solve(Z: tuple, level: int, phi: tuple | None) -> tuple:
+        """(Z, Y) for the certified Z at this Witt level, iterated from Z;
+        ``phi``, when given, is phi(X + [beta] Z), already computed."""
         nonlocal iterations
         parts = consts.parts(level)
         Bl = tuple(
             tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
         )
-        phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
+        if phi is None:
+            phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
         for it in range(1, budget + 1):
             Z_next = step(phi, Bl, parts, level)
             vals = tuple(
@@ -842,9 +846,13 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     # A loop, not recursion: a closure that calls itself is a reference
     # cycle, which would keep the attempt's values alive until the cyclic
     # garbage collector runs
+    # at level 1, X + [beta] * 0 is X's component 0 itself (the coefficients
+    # mod q and the aprec), whose Frobenius the start's residual has made
     Z = tuple(() for _ in range(d))
+    phi = tuple(vec[:1] for vec in phi_X)
     for level in range(1, n + 1):
-        Z, X_exact = solve(tuple(vec + (model.zero(),) for vec in Z), level)
+        Z, X_exact = solve(tuple(vec + (model.zero(),) for vec in Z), level, phi)
+        phi = None
     diff = tuple(witt_sub(ring, p, X_exact[i], X[i]) for i in range(d))
     for entry in diff:
         if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b), True):

@@ -6,11 +6,16 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
 
 * :func:`universal_polys` solves them over Q on packed integer polynomials
   and checks that every coefficient is an integer.  Their product is a
-  Kronecker substitution in X_0: after the change of coordinates
-  (x0, y0) -> (x0, x0 + y0), the terms of a weighted-homogeneous polynomial
-  fall into few runs of x0 values, and each run is one signed big integer
-  with slots of S bits, S sized per product from the operands.  Y_0's field
-  must hold the largest x0 + y0 of the product, or the product raises;
+  Kronecker substitution along one variable, chosen per product: X_0 after
+  the change of coordinates (x0, y0) -> (x0, x0 + y0), or X_1 after
+  (x1, x0) -> (x1, x0 + p x1).  The terms fall into runs of that variable's
+  exponent, each run one signed big integer with slots of S bits, S sized
+  per product from the operands, and the axis with fewer pairs of runs is
+  taken.  The sum polynomials have long runs along X_0.  The product
+  polynomials P_m are bihomogeneous (X-weight and Y-weight p^m each), so
+  along X_0 every run is one term, and along X_1 the runs are long.  Y_0's
+  field must hold the largest x0 + y0 of the product, or the product
+  raises; X_1 is taken only when X_0's field holds the largest x0 + p x1;
 * :func:`witt_add`, :func:`witt_mul` and :func:`int_to_witt` solve them on
   concrete values in an exact companion ring Z[x]/g, on integer coefficient
   tuples.  Every division by a power of p there is exact because the
@@ -56,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import zip_longest
 
 from .errors import (
     IntegralityError,
@@ -69,8 +75,8 @@ from .padic import (
     LowerBound,
     PAdicTrunc,
     Rat,
-    _divmod_by_low_terms,
     _monic_low_terms,
+    _remainder_by_low_terms,
     is_odd_prime,
     poly_convolve,
     poly_trim,
@@ -85,48 +91,93 @@ from .padic import (
 # i (X_i, then Y_i at n+i) in field i.  Monomial product is then integer
 # addition of keys.
 #
-# The product works by Kronecker substitution in X_0.  Every polynomial of
-# the ghost solve is weighted-homogeneous (X_i and Y_i of weight p^i), so
-# once the other exponents are fixed, x0 + y0 is fixed while x0 still runs.
-# Each key is rewritten in the coordinates (x0, y0) -> (x0, x0 + y0): x0
-# leaves its field and is added into Y_0's field.  The terms that share the
-# rewritten key form one run of x0 values and are packed into one signed
-# integer sum c * 2^(S*x0).  One big-integer product per pair of runs does
-# the work of the whole run-by-run convolution, and balanced digits of width
-# S read the coefficients back.  The slot width S is the bit length of
-# max|a| * max|b| * min(len a, len b), which bounds every coefficient of the
-# product, plus one bit for the sign.  Y_0's field must hold the largest
-# x0 + y0 of the product: the largest of each factor, added, must stay below
-# 2**bits, or the product raises.  In :func:`universal_polys` it does, since
-# x0 + y0 <= 2 p^(n-1) < 2**bits.
+# The product works by Kronecker substitution along one variable, its axis.
+# An axis (v, u, c) is a change of coordinates: the exponent e_v of
+# variable v leaves its field and c * e_v is added into the field of u.  The
+# terms that share the rewritten key form one run of e_v values and are
+# packed into one signed integer sum coeff * 2^(S*e_v).  One big-integer
+# product per pair of runs does the work of the whole run-by-run
+# convolution, and balanced digits of width S read the coefficients back.
+# The slot width S is the bit length of max|a| * max|b| * min(len a, len b),
+# which bounds every coefficient of the product, plus one bit for the sign.
+#
+# Every polynomial of the ghost solve is weighted-homogeneous (X_i and Y_i
+# of weight p^i), so the axis (X_0, Y_0, 1) gives long runs for the sums
+# and the ghost components: once the other exponents are fixed, x0 + y0 is
+# fixed while x0 still runs.  The product polynomial P_m is bihomogeneous,
+# of X-weight and of Y-weight p^m each: fixing every exponent but x0 and y0
+# fixes x0 and y0 apart, so along X_0 each of its runs is one term.  Along
+# (X_1, X_0, p) the X-weight x0 + p x1 + ... is fixed while x1 runs, and
+# the runs are long again.  Each product takes, of the axes whose rewritten
+# field holds the product's largest e_u + c e_v, the one with the fewest
+# pairs of runs (runs of a times runs of b), counted on the rewritten keys
+# alone; a tie goes to X_0.  X_0's field Y_0 must hold the largest x0 + y0
+# of the product, or the product raises, whatever the other axis: in
+# :func:`universal_polys` it does, since x0 + y0 <= 2 p^(n-1) < 2**bits.
 
 
-def _kronecker_pack(a: dict, bits: int, shift: int, width: int) -> tuple[dict, int]:
-    """The runs {rewritten key: packed integer} of ``a``, and the largest
-    x0 + y0 of its terms."""
+def _kronecker_axis(a: dict, b: dict, bits: int, n: int, p: int) -> tuple:
+    """((v, u, c), pairs): the axis that packs the product of a and b into
+    the fewest pairs of runs, and that number of pairs; see above.  The
+    axes are (X_0, Y_0, 1) and, for n >= 2, (X_1, X_0, p).  X_0's overflow
+    raises; the other axis is passed over when it would overflow."""
     mask = (1 << bits) - 1
+
+    def top(v: int, u: int, c: int) -> int:
+        sv, su = bits * v, bits * u
+        return sum(
+            max(((k >> su) & mask) + c * ((k >> sv) & mask) for k in f) for f in (a, b)
+        )
+
+    x0_y0 = top(0, n, 1)
+    if x0_y0 >= 1 << bits:
+        raise InputError(
+            f"product exponent x0 + y0 = {x0_y0} overflows a {bits}-bit field"
+        )
+    best = None
+    for v, u, c in ((0, n, 1), (1, 0, p))[: min(n, 2)]:
+        sv = bits * v
+        delta = (c << (bits * u)) - (1 << sv)
+        pairs = 1
+        for f in (a, b):
+            pairs *= len({k + ((k >> sv) & mask) * delta for k in f})
+        if best is None or pairs < best[1] and top(v, u, c) < 1 << bits:
+            best = (v, u, c), pairs
+    return best
+
+
+def _kronecker_pack(a: dict, bits: int, v: int, delta: int, width: int) -> dict:
+    """The runs {rewritten key: packed integer} of ``a`` along variable v,
+    whose key moves by ``delta`` per unit of e_v."""
+    mask = (1 << bits) - 1
+    sv = bits * v
     runs: dict = {}
     get = runs.get
     for k, c in a.items():
-        x0 = k & mask
-        r = k - x0 + (x0 << shift)
-        runs[r] = get(r, 0) + (c << (width * x0))
-    return runs, max((k & mask) + (k >> shift & mask) for k in a)
+        e = (k >> sv) & mask
+        r = k + e * delta
+        runs[r] = get(r, 0) + (c << (width * e))
+    return runs
 
 
-def _pmul(a: dict, b: dict, bits: int, n: int) -> dict:
-    """Product of two packed polynomials in 2n variables; see above."""
+def _pmul(a: dict, b: dict, bits: int, n: int, p: int) -> dict:
+    """Product of two packed polynomials in 2n variables; see above.
+
+    The axis (X_1, X_0, p) is taken only when X_0's field holds the largest
+    x0 + p x1 of each factor, added.  In :func:`universal_polys` it always
+    does.  That sum is the largest x0 + p x1 of the product, since the
+    leading forms of a linear weight multiply without cancelling over Z, and
+    x0 + p x1 is at most the X-weight of a term (X_i of weight p^i).  Every
+    product there, of powers of ghost components and of solved polynomials
+    or of G_m(X) by G_m(Y), has X-weight at most p^(n-1) < 2**bits."""
     if not a or not b:
         return {}
+    (v, u, c), _ = _kronecker_axis(a, b, bits, n, p)
+    delta = (c << (bits * u)) - (1 << (bits * v))
     bound = max(map(abs, a.values())) * max(map(abs, b.values()))
     width = (bound * min(len(a), len(b))).bit_length() + 1
-    shift = bits * n
-    ra, top_a = _kronecker_pack(a, bits, shift, width)
-    rb, top_b = _kronecker_pack(b, bits, shift, width)
-    if top_a + top_b >= 1 << bits:
-        raise InputError(
-            f"product exponent x0 + y0 = {top_a + top_b} overflows a {bits}-bit field"
-        )
+    ra = _kronecker_pack(a, bits, v, delta, width)
+    rb = _kronecker_pack(b, bits, v, delta, width)
     acc: dict = {}
     get = acc.get
     for ka, va in ra.items():
@@ -134,40 +185,43 @@ def _pmul(a: dict, b: dict, bits: int, n: int) -> dict:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
     out = {}
-    step = 1 - (1 << shift)  # x0 -> x0 + 1 with x0 + y0 fixed
+    step = -delta  # e_v -> e_v + 1 with e_u + c e_v fixed
     full = 1 << width
     half = full >> 1
     low = full - 1
-    for r, v in acc.items():
+    for r, val in acc.items():
         key = r
-        while v:
-            d = v & low
+        while val:
+            d = val & low
             if not d:  # skip the run of empty slots at once
-                z = ((v & -v).bit_length() - 1) // width
-                v >>= width * z
+                z = ((val & -val).bit_length() - 1) // width
+                val >>= width * z
                 key += step * z
                 continue
             if d >= half:
                 d -= full
             out[key] = d
-            v = (v - d) >> width
+            val = (val - d) >> width
             key += step
     return out
 
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        c = out.get(k, 0) + v
-        if c:
-            out[k] = c
+def _padd(a: dict, b: dict, c: int = 1) -> dict:
+    """a + c*b for a nonzero integer c, as a new dict (the inputs are not
+    changed); terms that cancel are dropped.  The larger operand is copied
+    and the smaller one walked."""
+    if len(a) >= len(b):
+        out, walk, f = dict(a), b, c
+    else:
+        out, walk, f = {k: c * v for k, v in b.items()}, a, 1
+    get = out.get
+    for k, v in walk.items():
+        s = get(k, 0) + f * v
+        if s:
+            out[k] = s
         elif k in out:
             del out[k]
     return out
-
-
-def _pscale(a: dict, c: int) -> dict:
-    return {k: c * v for k, v in a.items()}
 
 
 def _pdiv_exact(a: dict, c: int) -> dict:
@@ -195,11 +249,11 @@ def unpack_exponents(key: int, nvars: int, bits: int) -> tuple[int, ...]:
 
 def _ghost(xs: list, m: int, p: int, ops: tuple):
     """Ghost component w_m = sum_{i<=m} p^i x_i^(p^(m-i)) in the ring whose
-    (power, sum, integer scale, exact division) are ``ops``."""
-    pow_, add, scale, _ = ops
+    (power, scaled sum a + c*b, exact division) are ``ops``."""
+    pow_, add_scaled, _ = ops
     acc = pow_(xs[0], p ** m)
     for i in range(1, m + 1):
-        acc = add(acc, scale(pow_(xs[i], p ** (m - i)), p ** i))
+        acc = add_scaled(acc, pow_(xs[i], p ** (m - i)), p ** i)
     return acc
 
 
@@ -208,23 +262,23 @@ def _solve_ghosts(ghosts: list, p: int, ops: tuple, known=()) -> list:
     components z_0..z_{k-1} in ``known`` (k = 0 by default):
     z_m = (G_m - sum_{i<m} p^i z_i^(p^(m-i))) / p^m, each division exact;
     z_0 is G_0 itself."""
-    pow_, add, scale, div_exact = ops
+    pow_, add_scaled, div_exact = ops
     zs: list = list(known)
     for m, acc in enumerate(ghosts, len(zs)):
         for i, z in enumerate(zs):
-            acc = add(acc, scale(pow_(z, p ** (m - i)), -(p ** i)))
+            acc = add_scaled(acc, pow_(z, p ** (m - i)), -(p ** i))
         zs.append(div_exact(acc, p ** m) if m else acc)
     return zs[len(known):]
 
 
 def _packed_ops(mul) -> tuple:
-    """(power, sum, integer scale, exact division) on packed polynomials,
-    with the product ``mul``."""
+    """(power, scaled sum, exact division) on packed polynomials, with the
+    product ``mul``."""
 
     def pow_(a: dict, k: int) -> dict:
         return power(a, k, mul, {0: 1})
 
-    return pow_, _padd, _pscale, _pdiv_exact
+    return pow_, _padd, _pdiv_exact
 
 
 @dataclass(frozen=True)
@@ -240,9 +294,12 @@ class WittUniversalPolys:
     prods: tuple
 
     def exponent_dict(self, poly: dict) -> dict[tuple[int, ...], int]:
-        return {
-            unpack_exponents(k, 2 * self.n, self.bits): v for k, v in poly.items()
-        }
+        """{exponent vector: coefficient}, in the order of ``poly``; each
+        exponent is read for all keys at once, one column per variable."""
+        mask = (1 << self.bits) - 1
+        keys = list(poly)
+        cols = [[k >> (self.bits * i) & mask for k in keys] for i in range(2 * self.n)]
+        return dict(zip(zip(*cols), poly.values()))
 
 
 def _solve_universal(p: int, n: int, bits: int, mul) -> tuple[tuple, tuple]:
@@ -267,7 +324,7 @@ def universal_polys(p: int, n: int) -> WittUniversalPolys:
     if n < 1:
         raise InputError("length must be >= 1")
     bits = max(2, (p ** (n - 1)).bit_length() + 1)
-    sums, prods = _solve_universal(p, n, bits, partial(_pmul, bits=bits, n=n))
+    sums, prods = _solve_universal(p, n, bits, partial(_pmul, bits=bits, n=n, p=p))
     return WittUniversalPolys(p, n, bits, sums, prods)
 
 
@@ -275,7 +332,7 @@ def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
     """Check ghost_m(S(X,Y)) = ghost_m(X) + ghost_m(Y) (and the product
     analogue) as polynomial identities over Z."""
     up = universal_polys(p, n)
-    mul = partial(_pmul, bits=up.bits, n=n)
+    mul = partial(_pmul, bits=up.bits, n=n, p=p)
     ops = _packed_ops(mul)
     xs = [_var(i, up.bits) for i in range(n)]
     ys = [_var(n + i, up.bits) for i in range(n)]
@@ -296,15 +353,9 @@ def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
 # tuples of degree < deg g; trailing zeros may be dropped.  Z is Z[x]/(x).
 
 
-def companion_add(x: tuple, y: tuple) -> tuple:
-    n = max(len(x), len(y))
-    return tuple(
-        (x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(n)
-    )
-
-
-def companion_scale(x: tuple, c: int) -> tuple:
-    return tuple(c * v for v in x)
+def companion_add(x: tuple, y: tuple, c: int = 1) -> tuple:
+    """x + c*y as a new tuple."""
+    return tuple(a + c * b for a, b in zip_longest(x, y, fillvalue=0))
 
 
 def companion_div_exact(x: tuple, q: int) -> tuple:
@@ -320,7 +371,7 @@ class CompanionRing:
     """Z[x]/g for a monic integer polynomial g.  The nonzero low terms of g
     are listed once, so a product is one :func:`poly_convolve` and one pass
     of the division kernel (:func:`poly_divmod_monic`'s loop).  ``ops`` are
-    the (power, sum, integer scale, exact division) of the ghost solver."""
+    the (power, scaled sum, exact division) of the ghost solver."""
 
     def __init__(self, g: tuple):
         g = poly_trim(g)
@@ -329,10 +380,12 @@ class CompanionRing:
             raise InputError("divisor must be monic")
         self.g = g
         self.low_terms = _monic_low_terms(g, self.deg, None)
-        self.ops = (self.pow, companion_add, companion_scale, companion_div_exact)
+        self.ops = (self.pow, companion_add, companion_div_exact)
 
     def mul(self, x: tuple, y: tuple) -> tuple:
-        return _divmod_by_low_terms(poly_convolve(x, y), self.deg, self.low_terms, None)[1]
+        return _remainder_by_low_terms(
+            poly_convolve(x, y), self.deg, self.low_terms, None
+        )
 
     def pow(self, x: tuple, k: int) -> tuple:
         return power(x, k, self.mul, (1,))

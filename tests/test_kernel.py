@@ -20,6 +20,8 @@ from ramibound.kisin import (
 from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
+    _monic_low_terms,
+    _remainder_by_low_terms,
     eisenstein_validate,
     mat_mul,
     poly_convolve,
@@ -37,7 +39,6 @@ from ramibound.witt import (
     _solve_ghosts,
     _var,
     companion_add,
-    companion_scale,
 )
 
 from test_kisin import naive_mat_mul
@@ -128,7 +129,7 @@ def test_companion_mul_matches_division_kernel(g):
 def test_packed_ppow_matches_repeated_product():
     # X_0 + Y_0^2 - 3 in the two variables X_0, Y_0 (n = 1)
     x = _padd(_padd(_var(0, 8), _var(1, 8, 2)), {0: -3})
-    pow_ = _packed_ops(partial(_pmul, bits=8, n=1))[0]
+    pow_ = _packed_ops(partial(_pmul, bits=8, n=1, p=3))[0]
     for k in range(9):
         assert pow_(x, k) == repeated(x, k, schoolbook_pmul, {0: 1}), k
 
@@ -376,6 +377,41 @@ def test_divmod_matches_dense_walk(q):
         assert poly_divmod_monic(prod, den, q) == dense_divmod_monic(prod, den, q)
 
 
+def quotient_building_divmod(num, d, low, q):
+    """The division loop as it was before it left each quotient digit in
+    the slot it clears: a quotient list built and trimmed on every call."""
+    rem = list(num)
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] if q is None else rem[i] % q
+        if c:
+            quot[i - d] = c
+            for k, v in low:
+                rem[i + k] -= c * v
+    rem = rem[:d] if q is None else [v % q for v in rem[:d]]
+    return poly_trim(quot), poly_trim(rem)
+
+
+@pytest.mark.parametrize("q", [None, 3, 9, 3 ** 12])
+def test_remainder_kernel_matches_quotient_building_kernel(q):
+    """The remainder-only division and poly_divmod_monic, on one loop that
+    builds no quotient list, against the loop that built one."""
+    rng = random.Random(92 if q is None else q + 1)
+    divisors = MODELS + [(9, 0, 1), (0, 0, 1), (1,), (-6, 0, 0, 1)]
+    for _ in range(400):
+        monic = tuple(sparse_factor(rng, rng.randrange(5), 30)) + (1,)
+        den = rng.choice(divisors + [monic])
+        d = len(den) - 1
+        low = _monic_low_terms(den, d, q)
+        num = sparse_factor(rng, rng.randrange(30), 3 ** 20)
+        if rng.randrange(3) == 0:
+            num = schoolbook_convolve(num, sparse_factor(rng, rng.randrange(14), 3 ** 20))
+        want = quotient_building_divmod(num, d, low, q)
+        assert poly_divmod_monic(num, den, q) == want, (num, den)
+        assert _remainder_by_low_terms(num, d, low, q) == want[1], (num, den)
+        assert _remainder_by_low_terms(tuple(num), d, low, q) == want[1]
+
+
 def test_power_matches_identity_start_on_integers():
     for x in (0, 1, -1, 2, -3, 7, 3 ** 20):
         for k in range(65):
@@ -552,7 +588,7 @@ def test_ghost_solve_divides_by_no_unit_power():
         return tuple(v // c for v in x)
 
     g = (3, 0, 1)
-    ops = (CompanionRing(g).pow, companion_add, companion_scale, div_exact)
+    ops = (CompanionRing(g).pow, companion_add, div_exact)
     ghosts = [(2, 1), (2 + 3 * 7, 1 + 3 * 5), (2 + 9 * 4, 1 + 9 * 2)]
     zs = _solve_ghosts(ghosts, 3, ops)
     assert zs[0] is ghosts[0]

@@ -1,12 +1,14 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import ramibound
 
 SRC = Path(ramibound.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def test_no_assert_statements_in_library():
@@ -39,3 +41,19 @@ def test_bench_tracer_targets_resolve():
         if not callable(vars(owner).get(fn_name) if owner is not None else None):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"tracer targets missing from src: {missing}"
+
+
+def test_bench_library_contract(monkeypatch):
+    """The benchmark's ``import_library`` still finds what its calls use:
+    the symbolic workload clears the cache of ``universal_polys`` before
+    each call, so dropping the ``lru_cache`` fails here and not only as a
+    failed benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name; import_library may
+    # put the checkout's src on sys.path
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(workloads)
+    lib = workloads.import_library()
+    assert callable(getattr(lib["universal_polys_cache"], "cache_clear", None))

@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from ramibound import witt
 from ramibound.errors import InputError, UndecidableError, ValuationTieError
 from ramibound.padic import (
     LocalElement,
@@ -20,6 +21,8 @@ from ramibound.witt import (
     ZpMRing,
     ZZRing,
     _ghost,
+    _kronecker_axis,
+    _padd,
     _pmul,
     _solve_ghosts,
     _solve_universal,
@@ -28,7 +31,6 @@ from ramibound.witt import (
     ghost_identity_holds_symbolically,
     companion_add,
     companion_div_exact,
-    companion_scale,
     ghost_solve_valuations,
     ideal_membership_gt,
     int_to_witt,
@@ -109,23 +111,136 @@ def test_packed_product_matches_schoolbook():
             )
         for a, b in cases:
             want = schoolbook_pmul(a, b)
-            assert _pmul(a, b, bits, n) == want, (n, a, b)
-            assert _pmul(b, a, bits, n) == want, (n, a, b)
+            assert _pmul(a, b, bits, n, 5) == want, (n, a, b)
+            assert _pmul(b, a, bits, n, 5) == want, (n, a, b)
 
 
 def test_packed_product_field_width_guard():
     bits, n = 3, 1
     x0, y0 = _var(0, bits), _var(n, bits)
     # x0 + y0 = 4 + 3 = 7 fits in 3 bits; one more X_0 does not
-    assert _pmul(_var(0, bits, 4), _var(n, bits, 3), bits, n) == {
+    assert _pmul(_var(0, bits, 4), _var(n, bits, 3), bits, n, 3) == {
         4 + (3 << bits): 1
     }
     with pytest.raises(InputError):
-        _pmul(_var(0, bits, 4), {(3 << bits) + 1: 1}, bits, n)
+        _pmul(_var(0, bits, 4), {(3 << bits) + 1: 1}, bits, n, 3)
     # one factor alone past the field: X_0^4 Y_0^4 has x0 + y0 = 8
     with pytest.raises(InputError):
-        _pmul({4 + (4 << bits): 1}, {0: 1}, bits, n)
-    assert _pmul(x0, y0, bits, n) == {1 + (1 << bits): 1}
+        _pmul({4 + (4 << bits): 1}, {0: 1}, bits, n, 3)
+    assert _pmul(x0, y0, bits, n, 3) == {1 + (1 << bits): 1}
+
+
+def _random_weighted(rng, p, n, bits, weights, terms, coeff):
+    """A random polynomial whose terms have X-weight and Y-weight drawn from
+    ``weights`` (X_i and Y_i of weight p^i): one pair (p^m, p^m) gives the
+    shape of the product polynomial P_m, all splits of p^m that of S_m."""
+
+    def exps(w):
+        out = []
+        for i in range(n - 1, 0, -1):
+            e = rng.randrange(w // p ** i + 1)
+            out.append(e)
+            w -= e * p ** i
+        return [w] + out[::-1]
+
+    poly = {}
+    for _ in range(terms):
+        wx, wy = rng.choice(weights)
+        key = sum(e << (bits * i) for i, e in enumerate(exps(wx) + exps(wy)))
+        poly[key] = rng.choice([-1, 1]) * rng.randrange(1, coeff)
+    return poly
+
+
+def test_packed_product_axis_per_product_matches_schoolbook():
+    """Bihomogeneous factors (the shape of P_m) pack along X_1, where X_0
+    has runs of one term; mixed factors, bihomogeneous against weighted
+    homogeneous (the shape of S_m) or against random exponents, take
+    whichever axis has fewer pairs of runs, and both axes occur.  Every
+    product equals the schoolbook one."""
+    rng = random.Random(89)
+    for p, n in ((3, 2), (3, 3), (5, 2), (5, 3)):
+        bits = (4 * p ** (n - 1)).bit_length()  # x0 + y0 <= 4 p^(n-1)
+        axes = set()
+        for _ in range(12):
+            w = p ** rng.randrange(1, n)
+            bihom = [(w, w)]
+            a, b = (_random_weighted(rng, p, n, bits, bihom, 30, 10 ** 6) for _ in "ab")
+            assert _kronecker_axis(a, b, bits, n, p)[0] == (1, 0, p), (p, n, a, b)
+            splits = [(k, w - k) for k in range(w + 1)]
+            mixed = [
+                _random_weighted(rng, p, n, bits, splits, rng.randrange(1, 30), 10 ** 6),
+                _random_packed(rng, n, bits, 2, rng.randrange(1, 12), 50),
+            ]
+            for c in [b] + mixed:
+                axes.add(_kronecker_axis(a, c, bits, n, p)[0])
+                want = schoolbook_pmul(a, c)
+                assert _pmul(a, c, bits, n, p) == want == _pmul(c, a, bits, n, p)
+        assert axes == {(0, n, 1), (1, 0, p)}, (p, n)
+
+
+def test_packed_product_x1_axis_field_guard():
+    """X_1 has fewer runs but its field X_0 would overflow: X_0 is taken."""
+    n, p = 2, 5
+    for bits in (4, 5):
+        # X_1^2 + X_0^5 X_1: x0 + 5 x1 = 10 on both terms, one run along X_1
+        a = {2 << bits: 1, 5 + (1 << bits): 1}
+        axis = _kronecker_axis(a, a, bits, n, p)
+        # 10 + 10 overflows 4 bits but not 5; x0 + y0 = 5 + 5 fits both
+        assert axis == (((0, n, 1), 4) if bits == 4 else ((1, 0, p), 1))
+        assert _pmul(a, a, bits, n, p) == schoolbook_pmul(a, a)
+    # X_0's own overflow is refused, whatever X_1 would do
+    with pytest.raises(InputError, match=r"x0 \+ y0 = 16 overflows a 4-bit field"):
+        _pmul({8: 1}, {8 << (4 * n): 1}, 4, n, p)
+
+
+def test_universal_polys_run_pair_count(monkeypatch):
+    """The solve of the (5, 4) universal polynomials and the symbolic ghost
+    check each multiply at most 40,612 pairs of runs (119,959 while every
+    product packed along X_0)."""
+    universal_polys(5, 4)  # cached, so the check below solves nothing
+    real = witt._kronecker_axis
+    pairs = []
+
+    def counting(*args):
+        axis, count = real(*args)
+        pairs.append(count)
+        return axis, count
+
+    monkeypatch.setattr(witt, "_kronecker_axis", counting)
+    solved = universal_polys.__wrapped__(5, 4)
+    assert solved.sums == universal_polys(5, 4).sums
+    solve_pairs, pairs[:] = sum(pairs), []
+    assert ghost_identity_holds_symbolically(5, 4)
+    assert len(pairs) == 132
+    assert solve_pairs <= 40612 and sum(pairs) <= 40612, (solve_pairs, sum(pairs))
+
+
+def test_add_scaled_matches_add_and_scale():
+    """The ghost solver's fused a + c*b, on packed polynomials and on
+    companion tuples, against a sum and a scaling done apart; the inputs
+    are left as they were."""
+    rng = random.Random(87)
+    for _ in range(200):
+        c = rng.choice([1, -1, 3, -25, 5 ** 9])
+        a = _random_packed(rng, 2, 6, 5, rng.randrange(12), 100)
+        b = _random_packed(rng, 2, 6, 5, rng.randrange(12), 100)
+        if rng.randrange(3) == 0:  # terms of a + c*b that cancel
+            a.update({k: -c * v for k, v in b.items() if rng.randrange(2)})
+        before = (dict(a), dict(b))
+        want = dict(a)
+        for k, v in b.items():
+            want[k] = want.get(k, 0) + c * v
+        want = {k: v for k, v in want.items() if v}
+        assert _padd(a, b, c) == want, (a, b, c)
+        assert (a, b) == before
+        x = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(6)))
+        y = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(6)))
+        width = max(len(x), len(y))
+        pad = lambda t: t + (0,) * (width - len(t))  # noqa: E731
+        assert companion_add(x, y, c) == tuple(
+            u + v for u, v in zip(pad(x), pad(tuple(c * v for v in y)))
+        )
+        assert companion_add(x, y) == tuple(u + v for u, v in zip(pad(x), pad(y)))
 
 
 ORACLE_CASES = [(3, n) for n in (1, 2, 3, 4)] + [(5, n) for n in (1, 2, 3, 4)]
@@ -351,7 +466,7 @@ def companion_pow(g, x, k):
 
 def reference_ops(g):
     """The ghost solver's operations on the reference companion product."""
-    return partial(companion_pow, g), companion_add, companion_scale, companion_div_exact
+    return partial(companion_pow, g), companion_add, companion_div_exact
 
 
 def _random_local(model, rng):
