@@ -307,7 +307,19 @@ def cmd_tame_lift(args) -> dict:
     }
 
 
+def _witnesses(module, args):
+    """The height witness, N and the u^N witness of the module."""
+    wit = kisin_mod.height_witness(module, args.r)
+    N = args.N
+    if N is None:
+        N = bounds_mod.exact_nilpotency_index(module.E, args.n, args.r)
+    return wit, N, kisin_mod.u_power_witness(module, wit, N)
+
+
 def cmd_kisin_height(args) -> dict:
+    """Without --uprec, a precision refusal is retried at twice the
+    u-precision, with at most as many doublings as the lifter's ladder; an
+    explicit --uprec is used as given."""
     p = _infer_prime(args)
     E = _eisenstein_from_args(args, p)
     if E is None or args.matrix is None:
@@ -323,18 +335,25 @@ def cmd_kisin_height(args) -> dict:
         "r": args.r,
         "rank": module.rank,
     }
-    try:
-        wit = kisin_mod.height_witness(module, args.r)
-    except NotHeightError as exc:
-        out["has_height_witness"] = False
-        out["reason"] = str(exc)
-        return out
+    doublings = 0 if args.uprec is not None else solver_mod.LIFT_ATTEMPTS - 1
+    for attempt in range(doublings + 1):
+        try:
+            wit, N, wu = _witnesses(module, args)
+            break
+        except NotHeightError as exc:
+            out["has_height_witness"] = False
+            out["reason"] = str(exc)
+            return out
+        except PrecisionError:
+            if attempt == doublings:
+                raise
+            module = kisin_mod.kisin_new(
+                p, args.n, E, matrix, uprec=2 * module.uprec, r_hint=max(args.r, 1)
+            )
     out["has_height_witness"] = True
     out["B"] = [[list(e) for e in row] for row in wit.B]
     out["verified_uprec"] = wit.uprec
-    N = bounds_mod.exact_nilpotency_index(E, args.n, args.r) if args.N is None else args.N
     out["N"] = N
-    wu = kisin_mod.u_power_witness(module, wit, N)
     out["B_u_power"] = [[list(e) for e in row] for row in wu.B]
     return out
 

@@ -9,6 +9,15 @@ for n > 1.  Every witness is re-verified before it is returned: A*B, by the
 kernel's :func:`ramibound.padic.mat_mul`, must equal c*I modulo u^prec
 (:func:`is_scalar_mod_u`).
 
+The mod-p layer works on one series form: a series over F_{p^f} = F_p[y]/(m)
+is one flat list of residues mod p, f per u-degree, so coefficient t of the
+field element at u^k stands at index k*f + t (for f = 1, one residue per
+u-degree).  A product is one :func:`ramibound.padic.poly_convolve` of the
+two lists with their u-degrees spaced 2f - 1 apart, so that the products of
+two field elements never overlap, followed by one reduction of each u-degree
+by m mod p.  The etale path takes Laurent series of field-element tuples and
+flattens them at its boundary only.
+
 The tame-lift builder produces the cyclic module with phi(e_{i+1}) =
 (u+p)^{n_i} e_i together with its filtered-module data and the exponent of
 the level-d fundamental character it realizes; an independent oracle recovers
@@ -18,10 +27,10 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, product, zip_longest
 
 from .errors import (
     InputError,
@@ -56,26 +65,30 @@ def _fp_polgcd(a: tuple, b: tuple, p: int) -> tuple:
     return a
 
 
+def _has_root(mod: tuple, p: int) -> bool:
+    """Whether the polynomial vanishes at some element of F_p (Horner)."""
+    for x in range(p):
+        acc = 0
+        for c in reversed(mod):
+            acc = (acc * x + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def _is_irreducible(mod: tuple, p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree f >= 2 over F_p."""
+    """Ben-Or's test for a monic polynomial m of degree f >= 2 over F_p with
+    no root in F_p: m is irreducible iff gcd(m, y^(p^i) - y) = 1 for every
+    i <= f/2.  The root test has settled i = 1 (y^p - y is the product of
+    the y - c), so the gcds start at i = 2; a reducible m usually has a
+    factor of small degree and is rejected at a small i."""
     f = len(mod) - 1
     R = GF(p, f, mod)  # the ring F_p[y]/(mod), a field iff the test passes
     y = (0, 1) + (0,) * (f - 2)
-    if R.pow(y, p ** f) != y:
-        return False
-    primes = set()
-    ff = f
-    d = 2
-    while d * d <= ff:
-        if ff % d == 0:
-            primes.add(d)
-            while ff % d == 0:
-                ff //= d
-        d += 1
-    if ff > 1:
-        primes.add(ff)
-    for t in primes:
-        if len(_fp_polgcd(mod, R.sub(R.pow(y, p ** (f // t)), y), p)) > 1:
+    z = R.pow(y, p)
+    for _ in range(2, f // 2 + 1):
+        z = R.pow(z, p)
+        if len(_fp_polgcd(mod, R.sub(z, y), p)) > 1:
             return False
     return True
 
@@ -92,15 +105,17 @@ class GF:
 
     @staticmethod
     def create(p: int, f: int) -> "GF":
+        """The search walks the monic candidates in lexicographic order of
+        their coefficients from the constant term up, starting at constant
+        term 1 (a zero constant term gives the factor y); a candidate with a
+        root in F_p is rejected before Ben-Or's test runs."""
         if f < 1:
             raise InputError("extension degree must be >= 1")
         if f == 1:
             return GF(p, 1, (0, 1))
-        for tail in itertools.product(range(p), repeat=f):
-            mod = tuple(tail) + (1,)
-            if mod[0] == 0:
-                continue
-            if _is_irreducible(mod, p):
+        for tail in product(range(1, p), *[range(p)] * (f - 1)):
+            mod = tail + (1,)
+            if not _has_root(mod, p) and _is_irreducible(mod, p):
                 return GF(p, f, mod)
         raise AssertionError("irreducible polynomial must exist")
 
@@ -154,35 +169,51 @@ class GF:
         return self.pow(a, self.p)
 
     def elements(self):
-        for combo in itertools.product(range(self.p), repeat=self.f):
+        for combo in product(range(self.p), repeat=self.f):
             yield tuple(combo)
 
 
 # ---------------------------------------------------------------------------
 # Series linear algebra over a field (the mod-p layer)
 # ---------------------------------------------------------------------------
-# A series is a plain list of field elements (index = u-exponent), always
-# read modulo u^prec for an explicitly tracked prec.
+# A series over F = F_{p^f} is one flat list of residues mod p, f per
+# u-degree (see the module docstring), always read modulo u^prec for an
+# explicitly tracked prec and as zero past its end.
+
+
+def _spread(a: list, f: int, w: int) -> list:
+    """The u-degrees of a flat series, each f residues, spaced w >= f apart."""
+    blocks = len(a) // f
+    if not blocks:
+        return []
+    out = [0] * ((blocks - 1) * w + f)
+    for t in range(f):
+        out[t::w] = a[t::f]
+    return out
 
 
 def series_mul(F: GF, a: list, b: list, prec: int) -> list:
-    out = [F.zero()] * min(prec, max(len(a) + len(b) - 1, 0))
-    for i, va in enumerate(a):
-        if F.is_zero(va) or i >= prec:
-            continue
-        for j, vb in enumerate(b):
-            if i + j >= prec:
-                break
-            out[i + j] = F.add(out[i + j], F.mul(va, vb))
+    """a*b mod u^prec: one convolution of the two lists with their u-degrees
+    spaced 2f - 1 apart, then each u-degree reduced by the modulus mod p."""
+    f, p = F.f, F.p
+    if f == 1:
+        return [v % p for v in poly_convolve(a, b, prec)]
+    w = 2 * f - 1
+    prod = poly_convolve(_spread(a, f, w), _spread(b, f, w), prec * w)
+    out = []
+    for s in range(0, len(prod), w):
+        r = _remainder_by_low_terms(prod[s : s + w], f, F.modulus_low_terms, p)
+        out += r
+        out += [0] * (f - len(r))
     return out
 
 
 def series_add(F: GF, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [
-        F.add(a[i] if i < len(a) else F.zero(), b[i] if i < len(b) else F.zero())
-        for i in range(n)
-    ]
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % F.p for x, y in zip(a, b)]
+    out += a[len(b) :]
+    return out
 
 
 def _series_ops(F: GF, prec: int):
@@ -191,28 +222,36 @@ def _series_ops(F: GF, prec: int):
 
 
 def series_neg(F: GF, a: list) -> list:
-    return [F.neg(v) for v in a]
+    return [(-v) % F.p for v in a]
 
 
 def series_val(F: GF, a: list, prec: int) -> int | None:
-    for i, v in enumerate(a):
-        if i >= prec:
-            break
-        if not F.is_zero(v):
-            return i
-    return None
+    i = next(compress(count(), a[: prec * F.f]), None)
+    return None if i is None else i // F.f
 
 
 def series_inv_unit(F: GF, a: list, prec: int) -> list:
-    if not a or F.is_zero(a[0]):
+    """1/a mod u^prec.  Over F_p each u-degree is one dot product of the
+    recurrence b_k = -b_0 * (a_1 b_(k-1) + ... + a_k b_0); over F_{p^f},
+    f > 1, Newton's iteration b <- b*(2 - a*b) doubles the u-precision of b
+    at each step, from the inverse of a's constant term."""
+    f, p = F.f, F.p
+    if not any(a[:f]):
         raise InputError("series inverse needs a unit constant term")
-    inv0 = F.inv(a[0])
-    out = [inv0]
-    for k in range(1, prec):
-        acc = F.zero()
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc = F.add(acc, F.mul(a[i], out[k - i]))
-        out.append(F.neg(F.mul(inv0, acc)))
+    if f == 1:
+        a = a[:prec] + [0] * (prec - len(a))
+        inv0 = pow(a[0], -1, p)
+        out = [inv0]
+        for k in range(1, prec):
+            out.append(-inv0 * sum(map(operator.mul, a[k:0:-1], out)) % p)
+        return out
+    out = list(F.inv(tuple(a[:f])))
+    done = 1
+    while done < prec:
+        done = min(2 * done, prec)
+        err = series_mul(F, a, out, done)  # 1 + O(u^(done/2))
+        err[:f] = [0] * f
+        out = series_add(F, out, series_neg(F, series_mul(F, out, err, done)))
     return out
 
 
@@ -239,7 +278,7 @@ def series_det(F: GF, mat, prec: int) -> list:
 def series_adjugate(F: GF, mat, prec: int):
     d = len(mat)
     if d == 1:
-        return [[[F.one()]]]
+        return [[list(F.one())]]
     out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -255,28 +294,27 @@ def series_solve(F: GF, A, M, prec: int):
 
     Returns (C, prec').  Raises NotHeightError when the unique Laurent
     solution is not integral, PrecisionError when det A vanishes entirely at
-    this truncation.
+    this truncation or its valuation uses up the u-precision.
     """
+    f = F.f
     det = series_det(F, A, prec)
     v = series_val(F, det, prec)
     if v is None:
         raise PrecisionError("matrix determinant vanishes at this u-precision")
-    unit = det[v:]
-    unit_inv = series_inv_unit(F, unit, max(prec - v, 1))
-    adj = series_adjugate(F, A, prec)
     out_prec = prec - 2 * v
     if out_prec <= 0:
         raise PrecisionError("u-precision exhausted by determinant valuation")
+    unit_inv = series_inv_unit(F, det[v * f :], prec - v)
     C = []
-    for row in mat_mul(adj, M, *_series_ops(F, prec)):
+    for row in mat_mul(series_adjugate(F, A, prec), M, *_series_ops(F, prec)):
         C.append([])
         for acc in row:
             t = series_mul(F, acc, unit_inv, prec - v)
-            if any(not F.is_zero(c) for c in t[:v]):
+            if any(t[: v * f]):
                 raise NotHeightError(
                     "solution acquires a pole: no witness at this height"
                 )
-            C[-1].append(t[v:])
+            C[-1].append(t[v * f :])
     return C, out_prec
 
 
@@ -350,23 +388,17 @@ def _mat_mul_series(A, B, q: int, prec: int):
     )
 
 
-def is_scalar_mod_u(M, c, prec: int, zero, eq) -> bool:
-    """Whether the square matrix M of series equals c * I modulo u^prec.
-    Series are coefficient sequences, padded with ``zero``; ``eq`` decides
-    whether two coefficients agree."""
+def is_scalar_mod_u(M, c, prec: int, q: int) -> bool:
+    """Whether the square matrix M of series over Z/q equals c * I modulo
+    u^prec.  Series are integer coefficient sequences, read as zero past
+    their end."""
     for i, row in enumerate(M):
         for j, a in enumerate(row):
             b = c if i == j else ()
-            for t in range(prec):
-                av = a[t] if t < len(a) else zero
-                bv = b[t] if t < len(b) else zero
-                if not eq(av, bv):
-                    return False
+            pairs = zip_longest(a[:prec], b[:prec], fillvalue=0)
+            if any((x - y) % q for x, y in pairs):
+                return False
     return True
-
-
-def _mod_q_eq(q: int):
-    return lambda a, b: (a - b) % q == 0
 
 
 @dataclass(frozen=True)
@@ -390,19 +422,13 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
         raise PrecisionError("u-precision below e*r + 1 cannot certify the height")
     F = GF.create(p, 1)
     d = mod.rank
-
-    def to_f(entry: tuple) -> list:
-        return [(c % p,) for c in entry]
-
-    A_f = [[to_f(mod.entry(i, j)) for j in range(d)] for i in range(d)]
+    A_f = [[[c % p for c in entry] for entry in row] for row in mod.entries]
     target = mod.E.power(r, q)
-    target_f = [[to_f(target) if i == j else [] for j in range(d)] for i in range(d)]
-
-    C0, avail = series_solve(F, A_f, target_f, P)
-    B = [
-        [poly_trim(tuple(c[0] for c in C0[i][j])) for j in range(d)]
-        for i in range(d)
-    ]
+    target_f = [c % p for c in target]
+    C, avail = series_solve(
+        F, A_f, [[target_f if i == j else [] for j in range(d)] for i in range(d)], P
+    )
+    B = [[poly_trim(entry) for entry in row] for row in C]
 
     for k in range(1, n):
         prod = _mat_mul_series(mod.entries, B, q, avail)
@@ -412,28 +438,22 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
             row = []
             for j in range(d):
                 tgt = target if i == j else ()
-                ent = []
-                for t in range(avail):
-                    av = (tgt[t] if t < len(tgt) else 0) - (
-                        prod[i][j][t] if t < len(prod[i][j]) else 0
-                    )
-                    av %= q
-                    if av % pk:
-                        raise AssertionError("digit residual not divisible")
-                    ent.append(((av // pk) % p,))
-                row.append(ent)
+                pairs = zip_longest(tgt[:avail], prod[i][j], fillvalue=0)
+                res = [(t - v) % q for t, v in pairs]
+                if any(v % pk for v in res):
+                    raise AssertionError("digit residual not divisible")
+                row.append([(v // pk) % p for v in res])
             R_f.append(row)
-        Ck, avail = series_solve(F, A_f, R_f, avail)
+        C, avail = series_solve(F, A_f, R_f, avail)
         for i in range(d):
             for j in range(d):
-                lifted = tuple(c[0] * pk for c in Ck[i][j])
-                B[i][j] = poly_add(B[i][j], lifted, q)
+                B[i][j] = poly_add(B[i][j], tuple(c * pk for c in C[i][j]), q)
 
     if avail < mod.E.e * r + 1:
         raise PrecisionError("witness certified below e*r + 1; raise uprec")
-    Bt = tuple(tuple(B[i][j] for j in range(d)) for i in range(d))
+    Bt = tuple(map(tuple, B))
     prod = _mat_mul_series(mod.entries, Bt, q, avail)
-    if not is_scalar_mod_u(prod, target, avail, 0, _mod_q_eq(q)):
+    if not is_scalar_mod_u(prod, target, avail, q):
         raise AssertionError("witness re-verification failed")
     return HeightWitness(Bt, avail, r)
 
@@ -457,7 +477,7 @@ def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitne
         for i in range(d)
     )
     prod = _mat_mul_series(mod.entries, Bp, q, avail)
-    if not is_scalar_mod_u(prod, (0,) * N + (1,), avail, 0, _mod_q_eq(q)):
+    if not is_scalar_mod_u(prod, (0,) * N + (1,), avail, q):
         raise AssertionError("u-power witness re-verification failed")
     return HeightWitness(Bp, avail, wit.r)
 
@@ -528,24 +548,34 @@ def tame_character_oracle(p: int, d: int, seq) -> TameOracleResult:
 
     Writing each value as c_i * t^{a_i} with t^q = u (q = p^d - 1) and c_i in
     F_{p^d}, Frobenius compatibility forces p*a_{i+1} = a_i + q*n_i around the
-    cycle.  Enumerating admissible starts a_0 in [0, q] and reading the
+    cycle.  Solving for the admissible starts a_0 in [0, q] and reading the
     t -> zeta*t action on the solution line gives the character exponent a_0
     mod q.  The sign convention (no inversion under the Hom) is anchored by
-    the period-1, exponent-1 case and frozen."""
+    the period-1, exponent-1 case and frozen.
+
+    The starts are solved one p-digit of a_0 at a time.  Step i asks that p
+    divide a_i + q*n_i, and a_i mod p depends only on a_0 mod p^(i+1).  A
+    state (r, a) is a residue r of a_0 mod p^i that passes steps 0 to i-1,
+    with a = a_i computed from r; the digit c at p^i turns a_i into a_i + c,
+    because each of the i divisions so far divides c*p^i exactly.  Each stage
+    tries all p digits against the next step, so the search takes O(d*p)
+    steps in all.  After d stages r runs over the residues of a_0 mod p^d,
+    each of which has one representative in [0, q], and r is a start when
+    the cycle closes: a_d = r.  The full scan of all q + 1 starts is the
+    tests' oracle."""
     seq = _tame_seq(p, d, seq)
     q = p ** d - 1
-    starts = []
-    for a0 in range(q + 1):
-        a = a0
-        ok = True
-        for i in range(d):
-            t = a + q * seq[i]
-            if t % p:
-                ok = False
-                break
-            a = t // p
-        if ok and a == a0:
-            starts.append(a0)
+    states = [(0, 0)]
+    place = 1
+    for n_i in seq:
+        states = [
+            (r + c * place, (a + c + q * n_i) // p)
+            for r, a in states
+            for c in range(p)
+            if not (a + c + q * n_i) % p
+        ]
+        place *= p
+    starts = sorted(r for r, a in states if a == r)
     if not starts:
         raise AssertionError("the cyclic exponent system always has a solution")
     exps = {a0 % q for a0 in starts}
@@ -599,30 +629,26 @@ def etale_new(field: GF, entries, e: int, uprec: int = 32) -> EtalePhiModule:
         raise InputError("Frobenius matrix must be square")
     rows = tuple(tuple(entries[i][j] for j in range(d)) for i in range(d))
     mod = EtalePhiModule(field, rows, e, uprec)
-    _, det_val = _etale_det_val(mod)
-    if det_val is None:
+    if _etale_det_val(mod) is None:
         raise InputError("Frobenius matrix is not etale: det vanishes")
     return mod
 
 
-def _etale_det_val(mod: EtalePhiModule):
+def _etale_det_val(mod: EtalePhiModule) -> int | None:
+    """val_u(det) of the Frobenius matrix, None when the determinant
+    vanishes at the truncation.  The entries are shifted down to one common
+    base, so that each becomes a series, and flattened into the series form
+    here, at the boundary of the mod-p layer."""
     F = mod.field
-    d = mod.rank
-    # common downward shift so every entry becomes a series
     shifts = [ent.shift for row in mod.entries for ent in row]
     base = min(shifts) if shifts else 0
-    mat = []
-    for row in mod.entries:
-        mat_row = []
-        for ent in row:
-            pad = ent.shift - base
-            mat_row.append([F.zero()] * pad + list(ent.coeffs))
-        mat.append(mat_row)
-    det = series_det(F, mat, mod.uprec)
-    v = series_val(F, det, mod.uprec)
-    if v is None:
-        return None, None
-    return det, v + d * base
+    mat = [
+        [[0] * ((ent.shift - base) * F.f) + [c for el in ent.coeffs for c in el]
+         for ent in row]
+        for row in mod.entries
+    ]
+    v = series_val(F, series_det(F, mat, mod.uprec), mod.uprec)
+    return None if v is None else v + mod.rank * base
 
 
 @dataclass(frozen=True)
@@ -664,26 +690,9 @@ def etale_to_kisin(mod: EtalePhiModule) -> EtaleToKisinResult:
         mod.e,
         mod.uprec,
     )
-    _, det_val = _etale_det_val(rescaled)
+    det_val = _etale_det_val(rescaled)
     if det_val is None:
         raise PrecisionError("determinant vanished at truncation after rescaling")
     r = -(-det_val // mod.e)
     return EtaleToKisinResult(F.modulus, t, r, tuple(mat), det_val)
 
-
-def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
-    """Witness A*B = u^{e*r} * I over F_q[[u]]; the mod-p incarnation of the
-    height condition (E is congruent to u^e there)."""
-    F = field
-    d = len(matrix)
-    A_f = [[list(matrix[i][j]) for j in range(d)] for i in range(d)]
-    er = e * r
-    if er >= uprec:
-        raise PrecisionError("u-precision too small for this height")
-    tgt = [F.zero()] * er + [F.one()]
-    M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
-    C, avail = series_solve(F, A_f, M, uprec)
-    prod = mat_mul(A_f, C, *_series_ops(F, avail))
-    if not is_scalar_mod_u(prod, tgt, avail, F.zero(), operator.eq):
-        raise AssertionError("mod-p witness re-verification failed")
-    return C, avail

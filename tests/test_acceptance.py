@@ -36,7 +36,6 @@ from ramibound.kisin import (
     etale_to_kisin,
     height_witness,
     kisin_new,
-    modp_height_witness,
     tame_character_oracle,
     tame_lift_build,
     u_power_witness,
@@ -76,6 +75,7 @@ from ramibound.witt import (
 )
 
 from test_herbrand import random_concave_plf
+from test_kisin import modp_height_witness
 
 
 @contextmanager

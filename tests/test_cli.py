@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -110,6 +111,17 @@ def test_tame_lift_command():
     assert data["agree"] is True
     assert data["matrix"][0][1] == [0, 1]
     assert data["filtration"] == [0, 1]
+
+
+def test_tame_lift_period_15_pinned():
+    """A period-15 sequence over p = 3: the stdout recorded while the oracle
+    scanned all 3^15 starts and the field search ran Rabin's test on every
+    candidate (about 6 s then)."""
+    seq = "1,0,2,1,1,0,2,0,1,2,2,0,1,0,1"
+    code, out = run_cli(["tame-lift", "--p", "3", "--seq", seq])
+    assert code == 0
+    digest = "83884044bba33a5f731d1515bb1b7ceb3bced31f111f4032d47494fa81d3e2a4"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_kisin_height_command():

@@ -3,6 +3,7 @@ option values, prime inference, and calls that share one parser."""
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,49 @@ def test_N_below_one_is_refused(argv):
 def test_uprec_below_one_is_refused(uprec):
     argv = ["kisin-height", "--E", "3,1", "--matrix", "0", "--uprec", uprec]
     assert run(argv) == (2, "", "error: u-precision must be >= 1\n")
+
+
+KISIN_SHORT = [
+    "kisin-height", "--eisenstein=-3,0,1", "--n", "1", "--r", "2",
+    "--matrix", "0:0:1,0:0:0:0:0:2;0,0:0:0:0:1",
+]
+
+
+def test_kisin_height_retries_at_doubled_uprec():
+    """The default u-precision (16 here) certifies below e*r + 1; without
+    --uprec the witness is found at 32, and an explicit --uprec 16 still
+    refuses with exit 4."""
+    code, out, err = run(KISIN_SHORT)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["has_height_witness"] is True
+    assert (report["verified_uprec"], report["N"]) == (20, 4)
+    assert run(KISIN_SHORT + ["--uprec", "32"]) == (code, out, err)
+    refused = (4, "", "error: witness certified below e*r + 1; raise uprec\n")
+    assert run(KISIN_SHORT + ["--uprec", "16"]) == refused
+
+
+def test_kisin_height_retry_stops_after_the_ladder(monkeypatch):
+    """An N that no u-precision certifies: the default and its 2, 4, 8 and
+    16 times are tried, as many as the lifter's ladder, then exit 4; with
+    --uprec only the given one is tried."""
+    seen = []
+    real = cli.kisin_mod.height_witness
+
+    def recording(module, r):
+        seen.append(module.uprec)
+        return real(module, r)
+
+    monkeypatch.setattr(cli.kisin_mod, "height_witness", recording)
+    argv = ["kisin-height", "--E", "3,1", "--n", "1", "--r", "1", "--matrix", "3:1"]
+    code, out, err = run(argv + ["--N", "1000"])
+    assert (code, out) == (4, "")
+    assert err == "error: u-precision too small to verify the u^N witness\n"
+    assert seen == [10, 20, 40, 80, 160]
+    assert len(seen) == cli.solver_mod.LIFT_ATTEMPTS
+    seen.clear()
+    assert run(argv + ["--N", "1000", "--uprec", "10"])[0] == 4
+    assert seen == [10]
 
 
 def test_solve_lift_has_no_level_option():

@@ -13,7 +13,6 @@ from ramibound.errors import InputError, PrecisionError
 from ramibound.kisin import (
     GF,
     _mat_mul_series,
-    _mod_q_eq,
     _series_ops,
     is_scalar_mod_u,
 )
@@ -41,7 +40,7 @@ from ramibound.witt import (
     companion_add,
 )
 
-from test_kisin import naive_mat_mul
+from test_kisin import flat, flat_matrix, naive_mat_mul, unflat
 from test_witt import schoolbook_pmul
 
 KS = range(21)
@@ -186,7 +185,7 @@ def test_gf_series_matrix_product_matches_naive():
             for _ in range(2)
         )
         prec = rng.randint(1, 8)
-        got = mat_mul(A, B, *_series_ops(F, prec))
+        got = mat_mul(flat_matrix(A), flat_matrix(B), *_series_ops(F, prec))
         for i in range(d):
             for j in range(d):
                 want = [F.zero()] * prec
@@ -195,8 +194,7 @@ def test_gf_series_matrix_product_matches_naive():
                         for t, b in enumerate(B[k][j]):
                             if s + t < prec:
                                 want[s + t] = F.add(want[s + t], F.mul(a, b))
-                entry = list(got[i][j]) + [F.zero()] * prec
-                assert entry[:prec] == want, (A, B, prec)
+                assert unflat(F, got[i][j], prec) == want, (A, B, prec)
 
 
 def _changed(M, i, j, t, zero, new):
@@ -215,30 +213,31 @@ def _scalar(c, d):
 def test_witness_check_integer_entries():
     q, prec, d = 9, 5, 2
     c = (0, 3, 1)
-    eq = _mod_q_eq(q)
     M = _scalar(c, d)
-    assert is_scalar_mod_u(M, c, prec, 0, eq)
+    assert is_scalar_mod_u(M, c, prec, q)
     for i in range(d):
         for j in range(d):
             for t in range(prec + 3):
                 bumped = _changed(M, i, j, t, 0, lambda v: v + 1)
-                assert is_scalar_mod_u(bumped, c, prec, 0, eq) == (t >= prec)
+                assert is_scalar_mod_u(bumped, c, prec, q) == (t >= prec)
                 # adding q changes nothing mod q
                 wrapped = _changed(M, i, j, t, 0, lambda v: v + q)
-                assert is_scalar_mod_u(wrapped, c, prec, 0, eq)
+                assert is_scalar_mod_u(wrapped, c, prec, q)
 
 
 def test_witness_check_gf_entries():
+    """Series over F_9 in the flat form: f = 2 residues mod p per u-degree,
+    so u-precision prec is 2*prec flat coefficients."""
     F = GF.create(3, 2)
     prec, d = 4, 3
     c = [F.zero(), F.one()]
     M = _scalar(c, d)
-    assert is_scalar_mod_u(M, c, prec, F.zero(), operator.eq)
+    assert is_scalar_mod_u(flat_matrix(M), flat(c), prec * F.f, F.p)
     for i in range(d):
         for j in range(d):
             for t in range(prec + 2):
                 bumped = _changed(M, i, j, t, F.zero(), lambda v: F.add(v, (0, 1)))
-                ok = is_scalar_mod_u(bumped, c, prec, F.zero(), operator.eq)
+                ok = is_scalar_mod_u(flat_matrix(bumped), flat(c), prec * F.f, F.p)
                 assert ok == (t >= prec), (i, j, t)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,17 +7,28 @@ from ramibound.errors import InputError, NotHeightError, PrecisionError
 from ramibound.kisin import (
     GF,
     Laurent,
+    _fp_polgcd,
+    _has_root,
+    _is_irreducible,
+    _series_ops,
     etale_new,
     etale_to_kisin,
     height_witness,
+    is_scalar_mod_u,
     kisin_new,
-    modp_height_witness,
+    series_adjugate,
+    series_det,
+    series_inv_unit,
+    series_mul,
+    series_solve,
+    series_val,
     tame_character_oracle,
     tame_lift_build,
     u_power_witness,
 )
 from ramibound.padic import (
     eisenstein_validate,
+    mat_mul,
     poly_add,
     poly_convolve,
     poly_divmod_monic,
@@ -66,6 +78,223 @@ def assert_witness(module, wit, target_poly):
 
 
 # ---------------------------------------------------------------------------
+# Oracles: the series layer on lists of field-element tuples, Rabin's
+# irreducibility search and the full scan of tame starts, which the library
+# replaced; and the mod-p height certificate on top of the library's layer
+# ---------------------------------------------------------------------------
+
+
+def flat(series):
+    """A series of field-element tuples in the library's flat form."""
+    return [c for el in series for c in el]
+
+
+def flat_matrix(M):
+    return [[flat(entry) for entry in row] for row in M]
+
+
+def unflat(F, a, prec):
+    """The first prec field elements of a flat series, zero past its end."""
+    els = [tuple(a[s : s + F.f]) for s in range(0, len(a), F.f)]
+    return (els + [F.zero()] * prec)[:prec]
+
+
+def tuple_series_mul(F: GF, a: list, b: list, prec: int) -> list:
+    out = [F.zero()] * min(prec, max(len(a) + len(b) - 1, 0))
+    for i, va in enumerate(a):
+        if F.is_zero(va) or i >= prec:
+            continue
+        for j, vb in enumerate(b):
+            if i + j >= prec:
+                break
+            out[i + j] = F.add(out[i + j], F.mul(va, vb))
+    return out
+
+
+def tuple_series_add(F: GF, a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return [
+        F.add(a[i] if i < len(a) else F.zero(), b[i] if i < len(b) else F.zero())
+        for i in range(n)
+    ]
+
+
+def tuple_series_ops(F: GF, prec: int):
+    """Entry product and sum for :func:`mat_mul` over F[[u]]/u^prec."""
+    return (
+        lambda a, b: tuple_series_mul(F, a, b, prec),
+        lambda a, b: tuple_series_add(F, a, b),
+    )
+
+
+def tuple_series_neg(F: GF, a: list) -> list:
+    return [F.neg(v) for v in a]
+
+
+def tuple_series_val(F: GF, a: list, prec: int) -> int | None:
+    for i, v in enumerate(a):
+        if i >= prec:
+            break
+        if not F.is_zero(v):
+            return i
+    return None
+
+
+def tuple_series_inv_unit(F: GF, a: list, prec: int) -> list:
+    if not a or F.is_zero(a[0]):
+        raise InputError("series inverse needs a unit constant term")
+    inv0 = F.inv(a[0])
+    out = [inv0]
+    for k in range(1, prec):
+        acc = F.zero()
+        for i in range(1, min(k, len(a) - 1) + 1):
+            acc = F.add(acc, F.mul(a[i], out[k - i]))
+        out.append(F.neg(F.mul(inv0, acc)))
+    return out
+
+
+def tuple_mat_minor(mat, i, j):
+    return [row[:j] + row[j + 1 :] for r, row in enumerate(mat) if r != i]
+
+
+def tuple_series_det(F: GF, mat, prec: int) -> list:
+    d = len(mat)
+    if d == 1:
+        return list(mat[0][0])
+    acc: list = []
+    sign = 1
+    for j in range(d):
+        sub = tuple_series_det(F, tuple_mat_minor(mat, 0, j), prec)
+        term = tuple_series_mul(F, mat[0][j], sub, prec)
+        if sign < 0:
+            term = tuple_series_neg(F, term)
+        acc = tuple_series_add(F, acc, term)
+        sign = -sign
+    return acc
+
+
+def tuple_series_adjugate(F: GF, mat, prec: int):
+    d = len(mat)
+    if d == 1:
+        return [[[F.one()]]]
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            sub = tuple_series_det(F, tuple_mat_minor(mat, i, j), prec)
+            if (i + j) % 2:
+                sub = tuple_series_neg(F, sub)
+            out[j][i] = sub  # transpose of cofactors
+    return out
+
+
+def tuple_series_solve(F: GF, A, M, prec: int):
+    """C with A*C = M over F[[u]]/u^prec', prec' = prec - 2*val(det A).
+
+    Returns (C, prec').  Raises NotHeightError when the unique Laurent
+    solution is not integral, PrecisionError when det A vanishes entirely at
+    this truncation.
+    """
+    det = tuple_series_det(F, A, prec)
+    v = tuple_series_val(F, det, prec)
+    if v is None:
+        raise PrecisionError("matrix determinant vanishes at this u-precision")
+    unit = det[v:]
+    unit_inv = tuple_series_inv_unit(F, unit, max(prec - v, 1))
+    adj = tuple_series_adjugate(F, A, prec)
+    out_prec = prec - 2 * v
+    if out_prec <= 0:
+        raise PrecisionError("u-precision exhausted by determinant valuation")
+    C = []
+    for row in mat_mul(adj, M, *tuple_series_ops(F, prec)):
+        C.append([])
+        for acc in row:
+            t = tuple_series_mul(F, acc, unit_inv, prec - v)
+            if any(not F.is_zero(c) for c in t[:v]):
+                raise NotHeightError(
+                    "solution acquires a pole: no witness at this height"
+                )
+            C[-1].append(t[v:])
+    return C, out_prec
+
+
+def rabin_is_irreducible(mod: tuple, p: int) -> bool:
+    """Rabin's test for a monic polynomial of degree f >= 2 over F_p."""
+    f = len(mod) - 1
+    R = GF(p, f, mod)  # the ring F_p[y]/(mod), a field iff the test passes
+    y = (0, 1) + (0,) * (f - 2)
+    if R.pow(y, p ** f) != y:
+        return False
+    primes = set()
+    ff = f
+    d = 2
+    while d * d <= ff:
+        if ff % d == 0:
+            primes.add(d)
+            while ff % d == 0:
+                ff //= d
+        d += 1
+    if ff > 1:
+        primes.add(ff)
+    for t in primes:
+        if len(_fp_polgcd(mod, R.sub(R.pow(y, p ** (f // t)), y), p)) > 1:
+            return False
+    return True
+
+
+def rabin_modulus(p: int, f: int) -> tuple:
+    """The first monic irreducible of degree f in lexicographic coefficient
+    order from the constant term up, by Rabin's test on every candidate."""
+    if f == 1:
+        return (0, 1)
+    for tail in itertools.product(range(p), repeat=f):
+        mod = tuple(tail) + (1,)
+        if mod[0] == 0:
+            continue
+        if rabin_is_irreducible(mod, p):
+            return mod
+    raise AssertionError("irreducible polynomial must exist")
+
+
+def scan_tame_starts(p: int, d: int, seq) -> tuple:
+    """Every start a_0 in [0, q], q = p^d - 1, of the cycle p*a_{i+1} = a_i
+    + q*n_i, by running the cycle from each of the q + 1 starts."""
+    q = p ** d - 1
+    starts = []
+    for a0 in range(q + 1):
+        a = a0
+        ok = True
+        for i in range(d):
+            t = a + q * seq[i]
+            if t % p:
+                ok = False
+                break
+            a = t // p
+        if ok and a == a0:
+            starts.append(a0)
+    return tuple(starts)
+
+
+def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
+    """Witness A*B = u^{e*r} * I over F_q[[u]] for a matrix of field-element
+    series (as etale_to_kisin returns it), by the library's series layer:
+    the mod-p incarnation of the height condition (E is congruent to u^e
+    there), re-verified by multiplication."""
+    F = field
+    d = len(matrix)
+    A = flat_matrix(matrix)
+    er = e * r
+    if er >= uprec:
+        raise PrecisionError("u-precision too small for this height")
+    tgt = [0] * (er * F.f) + list(F.one())
+    M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
+    C, avail = series_solve(F, A, M, uprec)
+    prod = mat_mul(A, C, *_series_ops(F, avail))
+    if not is_scalar_mod_u(prod, tgt, avail * F.f, F.p):
+        raise AssertionError("mod-p witness re-verification failed")
+    return C, avail
+
+
+# ---------------------------------------------------------------------------
 # finite fields
 # ---------------------------------------------------------------------------
 
@@ -111,6 +340,141 @@ def test_gf_prime_field_mul_matches_polynomial_path():
             for b in F.elements():
                 r = poly_divmod_monic(poly_convolve(a, b), F.modulus, p)[1]
                 assert F.mul(a, b) == r + (0,) * (1 - len(r))
+
+
+# ---------------------------------------------------------------------------
+# the flat series layer, the field search and the tame starts, each against
+# its oracle
+# ---------------------------------------------------------------------------
+
+FIELDS = [(3, 1), (3, 2), (5, 3)]
+
+
+def random_series(rng, F, length, unit=False):
+    """Field-element tuples, a third of them zero; a unit constant term
+    when asked."""
+    out = [
+        tuple(rng.randrange(F.p) for _ in range(F.f)) if rng.randrange(3) else F.zero()
+        for _ in range(length)
+    ]
+    if unit and length:
+        while not any(out[0]):
+            out[0] = tuple(rng.randrange(F.p) for _ in range(F.f))
+    return out
+
+
+@pytest.mark.parametrize("pf", FIELDS)
+def test_flat_series_product_and_inverse_match_tuple_oracle(pf):
+    F = GF.create(*pf)
+    rng = random.Random(F.order)
+    for _ in range(80):
+        a = random_series(rng, F, rng.randrange(8))
+        b = random_series(rng, F, rng.randrange(8))
+        prec = rng.randint(1, 12)
+        got = series_mul(F, flat(a), flat(b), prec)
+        assert len(got) % F.f == 0 and len(got) <= prec * F.f, (a, b, prec)
+        assert all(0 <= c < F.p for c in got)
+        want = tuple_series_mul(F, a, b, prec)
+        assert unflat(F, got, prec) == unflat(F, flat(want), prec), (a, b, prec)
+        assert series_val(F, flat(a), prec) == tuple_series_val(F, a, prec), a
+    for _ in range(40):
+        a = random_series(rng, F, rng.randint(1, 10), unit=True)
+        prec = rng.randint(1, 16)
+        got = series_inv_unit(F, flat(a), prec)
+        assert unflat(F, got, prec) == tuple_series_inv_unit(F, a, prec), (a, prec)
+    for bad in ([], [F.zero(), F.one()]):
+        with pytest.raises(InputError):
+            series_inv_unit(F, flat(bad), 3)
+
+
+def _solve_outcome(solve, F, A, M, prec, conv):
+    try:
+        C, out_prec = solve(F, A, M, prec)
+    except (NotHeightError, PrecisionError) as exc:
+        return type(exc), str(exc)
+    return out_prec, [[unflat(F, conv(e), out_prec) for e in row] for row in C]
+
+
+@pytest.mark.parametrize("pf", FIELDS)
+def test_flat_series_linear_algebra_matches_tuple_oracle(pf):
+    """Determinant, adjugate and solve over F_{p^f}[[u]]: the same series,
+    the same u-precision, or the same refusal with the same message."""
+    F = GF.create(*pf)
+    rng = random.Random(7 * F.order)
+    seen = set()
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        A = [
+            [random_series(rng, F, rng.randrange(5)) for _ in range(d)]
+            for _ in range(d)
+        ]
+        for i in range(d):  # a diagonal that is often u^k times a unit
+            shift = [F.zero()] * rng.randrange(3)
+            A[i][i] = shift + random_series(rng, F, 3, unit=True)
+        M = [
+            [random_series(rng, F, rng.randrange(6)) for _ in range(d)]
+            for _ in range(d)
+        ]
+        prec = rng.randint(1, 12)
+        det = series_det(F, flat_matrix(A), prec)
+        assert unflat(F, det, prec) == unflat(F, flat(tuple_series_det(F, A, prec)), prec)
+        adj = series_adjugate(F, flat_matrix(A), prec)
+        want_adj = tuple_series_adjugate(F, A, prec)
+        for i in range(d):
+            for j in range(d):
+                assert unflat(F, adj[i][j], prec) == unflat(F, flat(want_adj[i][j]), prec)
+        got = _solve_outcome(series_solve, F, flat_matrix(A), flat_matrix(M), prec, list)
+        want = _solve_outcome(tuple_series_solve, F, A, M, prec, flat)
+        assert got == want, (A, M, prec)
+        seen.add(got[0] if isinstance(got[0], type) else "solved")
+    assert seen == {"solved", NotHeightError, PrecisionError}
+
+
+def test_irreducibility_test_matches_rabin():
+    """Root test, then Ben-Or's test, on every monic candidate with a
+    nonzero constant term for p^f <= 729, against Rabin's test."""
+    for p, fmax in ((2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2), (23, 2)):
+        for f in range(2, fmax + 1):
+            for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
+                mod = tail + (1,)
+                new = not _has_root(mod, p) and _is_irreducible(mod, p)
+                assert new == rabin_is_irreducible(mod, p), mod
+
+
+def test_gf_create_matches_rabin_search():
+    """The same modulus as the search that ran Rabin's test on every
+    candidate, for every (p, f) with p^f <= 3^8; and the degree-15 modulus
+    over F_3, pinned from that search."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+              71, 73, 79):
+        f = 1
+        while p ** f <= 3 ** 8:
+            assert GF.create(p, f).modulus == rabin_modulus(p, f), (p, f)
+            f += 1
+    assert GF.create(3, 15).modulus == (1,) + (0,) * 12 + (1, 2, 1)
+
+
+def test_tame_oracle_starts_match_full_scan():
+    """Every sequence with p^d <= 729 for the odd primes p < 27 (a larger p
+    allows only period 1), and seeded sequences at d = 7, 8 over p = 3: the
+    digit-by-digit starts are the scanned ones, and the exponent is their
+    class mod p^d - 1."""
+    spans = ((3, 6), (5, 4), (7, 3), (11, 2), (13, 2), (17, 2), (19, 2), (23, 2))
+    cases = [
+        (p, seq)
+        for p, dmax in spans
+        for d in range(1, dmax + 1)
+        for seq in itertools.product(range(p), repeat=d)
+    ]
+    rng = random.Random(20080527)
+    for d in (7, 8):
+        cases += [(3, tuple(rng.randrange(3) for _ in range(d))) for _ in range(8)]
+    for p, seq in cases:
+        d = len(seq)
+        res = tame_character_oracle(p, d, seq)
+        starts = scan_tame_starts(p, d, seq)
+        assert res.consistent_starts == starts, (p, seq)
+        assert res.exponent == starts[0] % (p ** d - 1), (p, seq)
 
 
 # ---------------------------------------------------------------------------

@@ -620,11 +620,17 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
 
 
 def test_readme_lift_product_count(monkeypatch):
-    """The README `--digits 6` lift makes 1115 polynomial products (3990
-    while powers multiplied by one and the ghost solve divided by p^0, 1718
-    while every lift attempt inverted its own divisors, 1190 while the first
-    step recomputed the start's phi(X)); a kernel that brings back trivial
-    products, or a lifter that inverts or takes phi(X) again, fails here."""
+    """The README `--digits 6` lift makes 1117 polynomial products: 1111
+    local-field element products (the lifter and the problem build), one
+    product in the quotient ring for N, three in the height witnesses over
+    Z/p^n (the two re-verifications and B*h), and two in the mod-p series
+    solve (adj*M, and that product times the inverse unit), which joined the
+    kernel when the series became integer lists.  Before that it made 1115
+    (3990 while powers multiplied by one and the ghost solve divided by p^0,
+    1718 while every lift attempt inverted its own divisors, 1190 while the
+    first step recomputed the start's phi(X)); a kernel that brings back
+    trivial products, or a lifter that inverts or takes phi(X) again, fails
+    here."""
     real = padic.poly_convolve
     calls = []
 
@@ -643,7 +649,7 @@ def test_readme_lift_product_count(monkeypatch):
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(calls) == 1115
+    assert len(calls) == 1117
 
 
 def lift_work(monkeypatch):
