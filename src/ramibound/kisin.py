@@ -3,10 +3,11 @@
 A module of rank d is stored as its Frobenius matrix A over (Z/p^n)[u]
 truncated at u^P.  Height witnesses B with A*B = E(u)^r * I are found by
 linear algebra over F_p[[u]] (a discrete valuation ring, so Laurent-series
-elimination decides solvability) followed by digit-by-digit p-adic lifting;
-direct inversion is unavailable because the coefficient ring is not a domain
-for n > 1.  Every witness is re-verified before it is returned: A*B, by the
-kernel's :func:`ramibound.padic.mat_mul`, must equal c*I modulo u^prec
+elimination decides solvability) followed by digit-by-digit p-adic lifting,
+each digit solved with the one factorization of A mod p; direct inversion
+is unavailable because the coefficient ring is not a domain for n > 1.
+Every witness is re-verified before it is returned: A*B, by the kernel's
+:func:`ramibound.padic.mat_mul`, must equal c*I modulo u^prec
 (:func:`is_scalar_mod_u`).
 
 The mod-p layer works on one series form: a series over F_{p^f} = F_p[y]/(m)
@@ -15,8 +16,10 @@ field element at u^k stands at index k*f + t (for f = 1, one residue per
 u-degree).  A product is one :func:`ramibound.padic.poly_convolve` of the
 two lists with their u-degrees spaced 2f - 1 apart, so that the products of
 two field elements never overlap, followed by one reduction of each u-degree
-by m mod p.  The etale path takes Laurent series of field-element tuples and
-flattens them at its boundary only.
+in the field's quotient ring F_p[y]/(m), a
+:class:`ramibound.padic.MonicQuotient` (for f = 1, just mod p).  The etale
+path takes Laurent series of field-element tuples and flattens them at its
+boundary only.
 
 The tame-lift builder produces the cyclic module with phi(e_{i+1}) =
 (u+p)^{n_i} e_i together with its filtered-module data and the exponent of
@@ -39,14 +42,12 @@ from .errors import (
 )
 from .padic import (
     EisensteinPoly,
-    _monic_low_terms,
-    _remainder_by_low_terms,
+    MonicQuotient,
     divide_by_monic,
     eisenstein_validate,
     mat_mul,
     poly_add,
     poly_convolve,
-    poly_divmod_monic,
     poly_mod,
     poly_trim,
     power,
@@ -58,10 +59,11 @@ from .padic import (
 
 
 def _fp_polgcd(a: tuple, b: tuple, p: int) -> tuple:
+    """Euclid over F_p, each step a remainder by the divisor made monic."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
         inv = pow(b[-1], -1, p)
-        a, b = b, poly_divmod_monic(a, tuple((inv * c) % p for c in b), p)[1]
+        a, b = b, MonicQuotient([(inv * c) % p for c in b], p).reduce(a)
     return a
 
 
@@ -82,13 +84,11 @@ def _is_irreducible(mod: tuple, p: int) -> bool:
     i <= f/2.  The root test has settled i = 1 (y^p - y is the product of
     the y - c), so the gcds start at i = 2; a reducible m usually has a
     factor of small degree and is rejected at a small i."""
-    f = len(mod) - 1
-    R = GF(p, f, mod)  # the ring F_p[y]/(mod), a field iff the test passes
-    y = (0, 1) + (0,) * (f - 2)
-    z = R.pow(y, p)
-    for _ in range(2, f // 2 + 1):
+    R = MonicQuotient(mod, p)  # F_p[y]/(mod), a field iff the test passes
+    z = R.pow((0, 1), p)
+    for _ in range(2, (len(mod) - 1) // 2 + 1):
         z = R.pow(z, p)
-        if len(_fp_polgcd(mod, R.sub(z, y), p)) > 1:
+        if len(_fp_polgcd(mod, poly_add(z, (0, p - 1), p), p)) > 1:  # z - y
             return False
     return True
 
@@ -138,20 +138,12 @@ class GF:
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     @cached_property
-    def modulus_low_terms(self) -> list:
-        """The nonzero low terms of the modulus mod p, as the division walks
-        them."""
-        return _monic_low_terms(self.modulus, self.f, self.p)
+    def quotient(self) -> MonicQuotient:
+        return MonicQuotient(self.modulus, self.p)
 
     def mul(self, a, b):
-        if self.f == 1:
-            return ((a[0] * b[0]) % self.p,)
-        prod = poly_convolve(a, b)
-        r = _remainder_by_low_terms(prod, self.f, self.modulus_low_terms, self.p)
+        r = self.quotient.mul(a, b)
         return r + (0,) * (self.f - len(r))
 
     def pow(self, a, k: int):
@@ -202,7 +194,7 @@ def series_mul(F: GF, a: list, b: list, prec: int) -> list:
     prod = poly_convolve(_spread(a, f, w), _spread(b, f, w), prec * w)
     out = []
     for s in range(0, len(prod), w):
-        r = _remainder_by_low_terms(prod[s : s + w], f, F.modulus_low_terms, p)
+        r = F.quotient.reduce(prod[s : s + w])
         out += r
         out += [0] * (f - len(r))
     return out
@@ -289,33 +281,45 @@ def series_adjugate(F: GF, mat, prec: int):
     return out
 
 
-def series_solve(F: GF, A, M, prec: int):
-    """C with A*C = M over F[[u]]/u^prec', prec' = prec - 2*val(det A).
+class SeriesFactorization:
+    """A square matrix A over F[[u]]/u^prec factored once, for solving
+    A*C = M at any u-precision up to ``prec``: det A, its valuation v, the
+    adjugate and the inverse of the unit det A / u^v, each of which, cut to
+    a lower precision, is what A cut there gives.  The last two are needed
+    only when some precision leaves a solution: prec - 2v > 0."""
 
-    Returns (C, prec').  Raises NotHeightError when the unique Laurent
-    solution is not integral, PrecisionError when det A vanishes entirely at
-    this truncation or its valuation uses up the u-precision.
-    """
-    f = F.f
-    det = series_det(F, A, prec)
-    v = series_val(F, det, prec)
-    if v is None:
-        raise PrecisionError("matrix determinant vanishes at this u-precision")
-    out_prec = prec - 2 * v
-    if out_prec <= 0:
-        raise PrecisionError("u-precision exhausted by determinant valuation")
-    unit_inv = series_inv_unit(F, det[v * f :], prec - v)
-    C = []
-    for row in mat_mul(series_adjugate(F, A, prec), M, *_series_ops(F, prec)):
-        C.append([])
-        for acc in row:
-            t = series_mul(F, acc, unit_inv, prec - v)
-            if any(t[: v * f]):
-                raise NotHeightError(
-                    "solution acquires a pole: no witness at this height"
-                )
-            C[-1].append(t[v * f :])
-    return C, out_prec
+    def __init__(self, F: GF, A, prec: int):
+        self.F, self.prec = F, prec
+        det = series_det(F, A, prec)
+        self.v = series_val(F, det, prec)
+        if self.v is not None and prec - 2 * self.v > 0:
+            self.adj = series_adjugate(F, A, prec)
+            self.unit_inv = series_inv_unit(F, det[self.v * F.f :], prec - self.v)
+
+    def solve(self, M, prec: int):
+        """(C, prec') with A*C = M over F[[u]]/u^prec', prec' = prec -
+        2*val(det A).  Raises PrecisionError when det A vanishes at this
+        truncation or its valuation uses up the u-precision, and then
+        NotHeightError when the unique Laurent solution is not integral."""
+        if prec > self.prec:
+            raise InputError("solve above the factorization's u-precision")
+        F, v = self.F, self.v
+        if v is None or v >= prec:
+            raise PrecisionError("matrix determinant vanishes at this u-precision")
+        out_prec = prec - 2 * v
+        if out_prec <= 0:
+            raise PrecisionError("u-precision exhausted by determinant valuation")
+        C = []
+        for row in mat_mul(self.adj, M, *_series_ops(F, prec)):
+            C.append([])
+            for acc in row:
+                t = series_mul(F, acc, self.unit_inv, prec - v)
+                if any(t[: v * F.f]):
+                    raise NotHeightError(
+                        "solution acquires a pole: no witness at this height"
+                    )
+                C[-1].append(t[v * F.f :])
+        return C, out_prec
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +416,9 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
     """Solve A*B = E(u)^r * I over (Z/p^n)[u]/u^P.
 
     Mod p the system is solved by Laurent-series elimination; solutions are
-    then lifted one p-digit at a time, each digit again a mod-p solve.  A pole
-    at any stage means no witness exists at this height.
+    then lifted one p-digit at a time, each digit again a mod-p solve with
+    the same matrix A mod p, which is factored once.  A pole at any stage
+    means no witness exists at this height.
     """
     if r < 0:
         raise InputError("height must be nonnegative")
@@ -425,8 +430,9 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
     A_f = [[[c % p for c in entry] for entry in row] for row in mod.entries]
     target = mod.E.power(r, q)
     target_f = [c % p for c in target]
-    C, avail = series_solve(
-        F, A_f, [[target_f if i == j else [] for j in range(d)] for i in range(d)], P
+    factored = SeriesFactorization(F, A_f, P)
+    C, avail = factored.solve(
+        [[target_f if i == j else [] for j in range(d)] for i in range(d)], P
     )
     B = [[poly_trim(entry) for entry in row] for row in C]
 
@@ -444,7 +450,7 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
                     raise AssertionError("digit residual not divisible")
                 row.append([(v // pk) % p for v in res])
             R_f.append(row)
-        C, avail = series_solve(F, A_f, R_f, avail)
+        C, avail = factored.solve(R_f, avail)
         for i in range(d):
             for j in range(d):
                 B[i][j] = poly_add(B[i][j], tuple(c * pk for c in C[i][j]), q)

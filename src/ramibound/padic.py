@@ -10,17 +10,19 @@ This module holds the package's one arithmetic kernel:
 
 * every product of integer coefficient tuples, in every module, is
   :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
-  coefficients), and every division by a monic polynomial is
-  :func:`poly_divmod_monic` (mod q, or over exact integers when q is None);
-  both reduce modulo q once, at the end.  The product multiplies only pairs
-  of nonzero coefficients, and the division walks only the divisor's nonzero
-  low terms, one for a binomial model x^m + a (a local-field model and a
-  quotient ring list those of their modulus once, and reduce by that list
-  without building a quotient);
+  coefficients), and it multiplies only pairs of nonzero coefficients;
+* every quotient ring is a :class:`MonicQuotient`, (Z/q)[x]/(g) for a monic
+  g, or Z[x]/(g) when q is None: the quotient ring (Z/p^n)[u]/E(u)^r, the
+  rings O_E = Z_p[x]/g of the local-field models, the finite fields
+  F_p[y]/(m) of :mod:`ramibound.kisin` and the companion rings Z[x]/g of
+  :mod:`ramibound.witt`.  It checks once that g is monic and lists g's
+  nonzero low terms once, and every division by a monic polynomial, its
+  own and :func:`poly_divmod_monic`, walks only those (one for a binomial
+  x^m + a), reduces modulo q once, at the end, and builds no quotient list;
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
-  elements, polynomials or companion-ring elements, is :func:`power`, which
+  elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
   returned only for the exponent 0.
 
@@ -282,47 +284,57 @@ def poly_divmod_monic(
     num, den: tuple[int, ...], q: int | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Division with remainder by a monic polynomial: exact mod q, or over
-    the integers when q is None.  Only the coefficient being eliminated is
-    reduced inside the loop; the remainder is reduced once, at the end.  Each
-    elimination walks only the divisor's nonzero low terms (nonzero mod q
-    when q is given): one term for a binomial x^m + a."""
-    den = poly_trim(den)
-    d = len(den) - 1
-    if d < 0 or (den[d] if q is None else den[d] % q) != 1:
-        raise InputError("divisor must be monic")
-    rem = _divide_by_low_terms(num, d, _monic_low_terms(den, d, q), q)
+    the integers when q is None, by the loop of :class:`MonicQuotient`."""
+    ring = MonicQuotient(den, q)
+    rem = ring._divide(num)
     if q is not None:
         rem = [v % q for v in rem]
-    return poly_trim(rem[d:]), poly_trim(rem[:d])
+    return poly_trim(rem[ring.deg :]), poly_trim(rem[: ring.deg])
 
 
-def _monic_low_terms(den: tuple[int, ...], d: int, q: int | None) -> list:
-    """(k - d, a_k) for the nonzero a_k, k < d, of a monic divisor of degree
-    d (nonzero mod q when q is given): eliminating degree i subtracts
-    c * a_k from degree i + (k - d)."""
-    return [(k, v) for k, v in enumerate(den[:d], -d) if (v if q is None else v % q)]
+class MonicQuotient:
+    """(Z/q)[x]/(g) for a monic polynomial g, or Z[x]/(g) when q is None.
+    g is trimmed and checked to be monic (mod q) once, and its nonzero low
+    terms (mod q) are listed once, so a reduction walks only those: one for
+    a binomial x^m + a.  Results are remainders of degree < deg g, reduced
+    mod q and trimmed; x^1 is x itself, as :func:`power` gives it."""
 
+    def __init__(self, g, q: int | None = None):
+        g = poly_trim(g)
+        d = len(g) - 1
+        if d < 0 or (g[d] if q is None else g[d] % q) != 1:
+            raise InputError("divisor must be monic")
+        self.g, self.q, self.deg = g, q, d
+        # (k - d, a_k) for the nonzero a_k, k < d: eliminating degree i
+        # subtracts c * a_k from degree i + (k - d)
+        self.low_terms = [
+            (k, v) for k, v in enumerate(g[:d], -d) if (v if q is None else v % q)
+        ]
 
-def _divide_by_low_terms(num, d: int, low: list, q: int | None) -> list:
-    """The loop of :func:`poly_divmod_monic`, given the divisor's degree and
-    its low terms from :func:`_monic_low_terms`, on a copy of ``num``.  Each
-    eliminated digit c stays in the slot it clears, where it already stands
-    (mod q), so no quotient list is built: entries d and up are the quotient
-    and those below d the remainder, neither yet reduced mod q."""
-    rem = list(num)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] if q is None else rem[i] % q
-        if c:
-            for k, v in low:
-                rem[i + k] -= c * v
-    return rem
+    def _divide(self, num) -> list:
+        """Division by g on a copy of ``num``, reducing mod q only the
+        coefficient being eliminated.  Each eliminated digit c stays in the
+        slot it clears, so no quotient list is built: entries deg and up
+        are the quotient, those below the remainder, neither yet reduced."""
+        q, low = self.q, self.low_terms
+        rem = list(num)
+        for i in range(len(rem) - 1, self.deg - 1, -1):
+            c = rem[i] if q is None else rem[i] % q
+            if c:
+                for k, v in low:
+                    rem[i + k] -= c * v
+        return rem
 
+    def reduce(self, num) -> tuple[int, ...]:
+        """The remainder of ``num`` modulo g (and q)."""
+        rem = self._divide(num)[: self.deg]
+        return poly_trim(rem if self.q is None else [v % self.q for v in rem])
 
-def _remainder_by_low_terms(num, d: int, low: list, q: int | None) -> tuple[int, ...]:
-    """Only the remainder of :func:`_divide_by_low_terms`, reduced mod q when
-    q is given and trimmed."""
-    rem = _divide_by_low_terms(num, d, low, q)[:d]
-    return poly_trim(rem if q is None else [v % q for v in rem])
+    def mul(self, a, b) -> tuple[int, ...]:
+        return self.reduce(poly_convolve(a, b))
+
+    def pow(self, a, k: int) -> tuple[int, ...]:
+        return power(a, k, self.mul, (1,))
 
 
 def divide_by_monic(
@@ -411,21 +423,15 @@ class QuotRing:
         return self.p ** self.n
 
     @cached_property
-    def modulus_poly(self) -> tuple[int, ...]:
-        return self.E.power(self.r, self.q)
-
-    @cached_property
-    def modulus_low_terms(self) -> list:
-        """The nonzero low terms of E^r mod q, as the division walks them."""
-        return _monic_low_terms(self.modulus_poly, self.E.e * self.r, self.q)
+    def quotient(self) -> MonicQuotient:
+        return MonicQuotient(self.E.power(self.r, self.q), self.q)
 
     def reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """Remainder modulo E^r and q."""
-        d = self.E.e * self.r
-        return _remainder_by_low_terms(coeffs, d, self.modulus_low_terms, self.q)
+        return self.quotient.reduce(coeffs)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self.reduce(poly_convolve(a, b))
+        return self.quotient.mul(a, b)
 
     def u_power(self, k: int) -> tuple[int, ...]:
         return self.reduce((0,) * k + (1,))
@@ -478,13 +484,9 @@ class LocalFieldModel:
         return pow((self.g.coeffs[0] // self.p) % self.q, -1, self.q)
 
     @cached_property
-    def g_low_terms(self) -> list:
-        """The nonzero low terms of g mod q, as the division walks them."""
-        return _monic_low_terms(self.g.coeffs, self.m, self.q)
-
-    def reduce(self, coeffs) -> tuple[int, ...]:
-        """Remainder of an integer coefficient sequence modulo g and q."""
-        return _remainder_by_low_terms(coeffs, self.m, self.g_low_terms, self.q)
+    def quotient(self) -> MonicQuotient:
+        """(Z/q)[x]/g, where the coefficient vectors are reduced."""
+        return MonicQuotient(self.g.coeffs, self.q)
 
     @property
     def full_aprec(self) -> int:
@@ -505,7 +507,7 @@ class LocalFieldModel:
 
     def from_coeffs(self, coeffs: tuple[int, ...]) -> "LocalElement":
         if len(coeffs) > self.m:
-            coeffs = self.reduce(coeffs)
+            coeffs = self.quotient.reduce(coeffs)
         vec = tuple(coeffs[i] % self.q if i < len(coeffs) else 0 for i in range(self.m))
         return LocalElement(self, vec, self.full_aprec)
 
@@ -582,7 +584,7 @@ class LocalElement:
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        rem = self.model.reduce(poly_convolve(self.coeffs, other.coeffs))
+        rem = self.model.quotient.mul(self.coeffs, other.coeffs)
         vec = rem + (0,) * (self.model.m - len(rem))
         # aprec is min(self.aprec + v(other), other.aprec + v(self), full),
         # a factor's aprec standing in for its valuation when it is zero at
@@ -622,7 +624,7 @@ class LocalElement:
         # adding w * g, which is 0 in the ring, with w = -(z_0/p)(g_0/p)^-1
         # clears coefficient 0 mod q and leaves x times the coefficients from
         # 1 on, w on top; g's low terms from degree 1 on feed those below it
-        low = [(t + m - 1, v) for t, v in model.g_low_terms if t > -m]
+        low = [(t + m - 1, v) for t, v in model.quotient.low_terms if t > -m]
         vec = list(self.coeffs)
         for i in range(k):
             if self.aprec - i < 1:

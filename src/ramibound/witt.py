@@ -44,7 +44,8 @@ of a in Z[x]/g), ``lower(z0, zs, inputs)`` (component 0 as an element of A
 and the companion values of the components from 1 on, mapped into A with
 the precision of the input components) and the A-side operations
 ``from_int``, ``zero``, ``add``, ``neg``, ``mul`` and ``pow``.  The adapter
-builds its companion ring Z[x]/g from ``g`` once, on first use.
+builds its companion ring, the :class:`ramibound.padic.MonicQuotient` Z[x]/g
+of ``g``, and the ghost solver's operations in it once, on first use.
 :class:`ZZRing` (exact integers) and :class:`ZpMRing` (Z/p^M) have g = x,
 so their companion ring is Z; :class:`LocalRing` (elements of a local-field
 model) has the model's Eisenstein g, and its A side is LocalElement's
@@ -73,12 +74,10 @@ from .padic import (
     LocalElement,
     LocalFieldModel,
     LowerBound,
+    MonicQuotient,
     PAdicTrunc,
     Rat,
-    _monic_low_terms,
-    _remainder_by_low_terms,
     is_odd_prime,
-    poly_convolve,
     poly_trim,
     power,
 )
@@ -351,6 +350,8 @@ def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Elements of Z[x]/g, for a monic integer polynomial g, are integer coefficient
 # tuples of degree < deg g; trailing zeros may be dropped.  Z is Z[x]/(x).
+# The ring is padic's MonicQuotient with q = None; here are the ghost
+# solver's scaled sum and exact division on its elements.
 
 
 def companion_add(x: tuple, y: tuple, c: int = 1) -> tuple:
@@ -367,30 +368,6 @@ def companion_div_exact(x: tuple, q: int) -> tuple:
     return tuple(out)
 
 
-class CompanionRing:
-    """Z[x]/g for a monic integer polynomial g.  The nonzero low terms of g
-    are listed once, so a product is one :func:`poly_convolve` and one pass
-    of the division kernel (:func:`poly_divmod_monic`'s loop).  ``ops`` are
-    the (power, scaled sum, exact division) of the ghost solver."""
-
-    def __init__(self, g: tuple):
-        g = poly_trim(g)
-        self.deg = len(g) - 1
-        if self.deg < 0 or g[-1] != 1:
-            raise InputError("divisor must be monic")
-        self.g = g
-        self.low_terms = _monic_low_terms(g, self.deg, None)
-        self.ops = (self.pow, companion_add, companion_div_exact)
-
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        return _remainder_by_low_terms(
-            poly_convolve(x, y), self.deg, self.low_terms, None
-        )
-
-    def pow(self, x: tuple, k: int) -> tuple:
-        return power(x, k, self.mul, (1,))
-
-
 # ---------------------------------------------------------------------------
 # Coefficient-ring adapters: g, lift, lower and the A-side operations
 # ---------------------------------------------------------------------------
@@ -398,12 +375,19 @@ class CompanionRing:
 
 class CoefficientRing:
     """Base of the adapters.  An adapter supplies ``g``, ``lift``, ``lower``
-    and the A-side operations; the companion ring is derived from ``g`` here,
-    once per adapter."""
+    and the A-side operations; the companion ring Z[x]/g and the ghost
+    solver's operations in it are derived from ``g`` here, once per
+    adapter."""
 
     @cached_property
-    def companion(self) -> CompanionRing:
-        return CompanionRing(self.g)
+    def companion(self) -> MonicQuotient:
+        return MonicQuotient(self.g)
+
+    @cached_property
+    def ops(self) -> tuple:
+        """(power, scaled sum, exact division) of the ghost solver in the
+        companion ring."""
+        return self.companion.pow, companion_add, companion_div_exact
 
 
 class ZZRing(CoefficientRing):
@@ -536,7 +520,7 @@ def _witt_combine(R, p: int, x: tuple, y: tuple, op, combine) -> tuple:
     z0 = op(x[0], y[0])
     zs = []
     if len(x) > 1:
-        ops = R.companion.ops
+        ops = R.ops
         gx = _lifted_ghosts(R, p, x, ops, 1)
         gy = _lifted_ghosts(R, p, y, ops, 1)
         gz = [combine(a, b) for a, b in zip(gx, gy)]
@@ -603,14 +587,14 @@ def int_to_witt(R, p: int, c: int, n: int) -> tuple:
     """Image of the integer c under Z -> W_n(A): the components solve the
     ghost equations w_m = c, exactly, then map into A.  Component 0 is c
     itself, passed to ``lower`` as R.from_int(c)."""
-    zs = _solve_ghosts([(c,)] * (n - 1), p, R.companion.ops, [(c,)])
+    zs = _solve_ghosts([(c,)] * (n - 1), p, R.ops, [(c,)])
     return R.lower(R.from_int(c), zs, ())
 
 
 def ghost_components(R, p: int, x: tuple) -> tuple:
     """Ghost map, computed in the companion ring and mapped back into A
     (exact over ZZRing).  w_0 is x_0 itself, passed to ``lower`` as is."""
-    return R.lower(x[0], _lifted_ghosts(R, p, x, R.companion.ops, 1), x)
+    return R.lower(x[0], _lifted_ghosts(R, p, x, R.ops, 1), x)
 
 
 def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):

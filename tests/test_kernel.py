@@ -19,8 +19,7 @@ from ramibound.kisin import (
 from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
-    _monic_low_terms,
-    _remainder_by_low_terms,
+    MonicQuotient,
     eisenstein_validate,
     mat_mul,
     poly_convolve,
@@ -30,7 +29,6 @@ from ramibound.padic import (
     power,
 )
 from ramibound.witt import (
-    CompanionRing,
     LocalRing,
     _packed_ops,
     _padd,
@@ -107,22 +105,45 @@ def test_companion_lpow_matches_repeated_product():
             assert R.companion.pow(x, k) == want, (x, k)
 
 
+QS = [None, 3, 9, 3 ** 10]
+
+
 @pytest.mark.parametrize("g", [(0, 1), (3, 0, 1), (-3, 6, 9, 0, -3, 1), (6, 3, 0, 0, 1)])
 def test_companion_mul_matches_division_kernel(g):
-    """The companion product, with g's low terms listed once, is the
-    convolution reduced by poly_divmod_monic."""
-    rng = random.Random(len(g) * 11)
-    C = CompanionRing(g + (0,))  # trailing zeros of g are trimmed
-    assert C.g == g and C.deg == len(g) - 1
-    for _ in range(60):
-        x = tuple(rng.randrange(-50, 51) for _ in range(rng.randrange(len(g))))
-        y = tuple(
-            rng.randrange(-9, 10) * 3 ** rng.randrange(4)
-            for _ in range(rng.randrange(len(g)))
-        )
-        assert C.mul(x, y) == poly_divmod_monic(poly_convolve(x, y), g)[1], (x, y)
-    with pytest.raises(InputError, match="monic"):
-        CompanionRing((3, 2))
+    """The quotient ring's product, with g's low terms listed once, is the
+    convolution reduced by poly_divmod_monic and by the loop that built a
+    quotient, over Z (the companion ring) and mod q; g and every result are
+    trimmed."""
+    for q in QS:
+        rng = random.Random(len(g) * 11 + (q or 0))
+        R = MonicQuotient(g + (0, 0), q)
+        assert (R.g, R.deg, R.q) == (g, len(g) - 1, q)
+        for _ in range(60):
+            x = tuple(rng.randrange(-50, 51) for _ in range(rng.randrange(len(g) + 1)))
+            y = tuple(
+                rng.randrange(-9, 10) * 3 ** rng.randrange(4)
+                for _ in range(rng.randrange(len(g) + 1))
+            ) + (0,) * rng.randrange(2)
+            prod = poly_convolve(x, y)
+            want = quotient_building_divmod(prod, g, q)[1]
+            assert R.mul(x, y) == poly_divmod_monic(prod, g, q)[1] == want, (x, y, q)
+            assert R.reduce(prod) == want and (not want or want[-1])
+
+
+@pytest.mark.parametrize("q", QS)
+def test_quotient_refuses_non_monic(q):
+    """Monic means leading coefficient 1 mod q; the zero polynomial and a
+    leading coefficient 0 mod q are refused as well."""
+    refused = [(3, 2), (1, -1), (), (0, 0)]
+    refused += [(1, 10)] if q is None else [(1, 1, q)]
+    for g in refused:
+        with pytest.raises(InputError, match="monic"):
+            MonicQuotient(g, q)
+        with pytest.raises(InputError, match="monic"):
+            poly_divmod_monic((1, 2, 3), g, q)
+    if q is not None:
+        R = MonicQuotient((3, 1 + q, 0), q)  # x + 3, as 1 + q is 1 mod q
+        assert R.deg == 1 and R.mul((2,), (0, 1)) == poly_trim(((-6) % q,))
 
 
 def test_packed_ppow_matches_repeated_product():
@@ -376,9 +397,13 @@ def test_divmod_matches_dense_walk(q):
         assert poly_divmod_monic(prod, den, q) == dense_divmod_monic(prod, den, q)
 
 
-def quotient_building_divmod(num, d, low, q):
+def quotient_building_divmod(num, den, q):
     """The division loop as it was before it left each quotient digit in
-    the slot it clears: a quotient list built and trimmed on every call."""
+    the slot it clears: a quotient list built and trimmed on every call,
+    walking the divisor's low terms that are nonzero (mod q)."""
+    den = poly_trim(den)
+    d = len(den) - 1
+    low = [(k - d, v) for k, v in enumerate(den[:d]) if (v if q is None else v % q)]
     rem = list(num)
     quot = [0] * (len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
@@ -393,22 +418,21 @@ def quotient_building_divmod(num, d, low, q):
 
 @pytest.mark.parametrize("q", [None, 3, 9, 3 ** 12])
 def test_remainder_kernel_matches_quotient_building_kernel(q):
-    """The remainder-only division and poly_divmod_monic, on one loop that
+    """The quotient ring's remainder and poly_divmod_monic, on one loop that
     builds no quotient list, against the loop that built one."""
     rng = random.Random(92 if q is None else q + 1)
     divisors = MODELS + [(9, 0, 1), (0, 0, 1), (1,), (-6, 0, 0, 1)]
     for _ in range(400):
         monic = tuple(sparse_factor(rng, rng.randrange(5), 30)) + (1,)
         den = rng.choice(divisors + [monic])
-        d = len(den) - 1
-        low = _monic_low_terms(den, d, q)
         num = sparse_factor(rng, rng.randrange(30), 3 ** 20)
         if rng.randrange(3) == 0:
             num = schoolbook_convolve(num, sparse_factor(rng, rng.randrange(14), 3 ** 20))
-        want = quotient_building_divmod(num, d, low, q)
+        want = quotient_building_divmod(num, den, q)
         assert poly_divmod_monic(num, den, q) == want, (num, den)
-        assert _remainder_by_low_terms(num, d, low, q) == want[1], (num, den)
-        assert _remainder_by_low_terms(tuple(num), d, low, q) == want[1]
+        R = MonicQuotient(den, q)
+        assert R.reduce(num) == want[1], (num, den)
+        assert R.reduce(tuple(num)) == want[1]
 
 
 def test_power_matches_identity_start_on_integers():
@@ -441,14 +465,17 @@ def test_local_element_pow_matches_identity_start(coeffs):
 @pytest.mark.parametrize("coeffs", MODELS)
 def test_companion_pow_matches_identity_start(coeffs):
     g = coeffs
-    rng = random.Random(sum(coeffs))
-    C = CompanionRing(g)
-    for _ in range(6):
-        x = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(len(g))))
-        for k in range(12):
-            got = C.pow(x, k)
-            # x^1 is x itself, untrimmed; the identity start trims it
-            assert poly_trim(got) == identity_start_power(x, k, C.mul, (1,)), (x, k)
+    for q in QS:
+        rng = random.Random(sum(coeffs) + (q or 0))
+        R = MonicQuotient(g, q)
+        for _ in range(6):
+            x = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(len(g))))
+            for k in range(12):
+                got = R.pow(x, k)
+                # x^1 is x itself, unreduced; the identity start reduces it
+                want = identity_start_power(x, k, R.mul, (1,))
+                assert R.reduce(got) == want, (x, k, q)
+                assert got == want or k == 1
 
 
 def test_gf_pow_matches_identity_start():
@@ -587,7 +614,7 @@ def test_ghost_solve_divides_by_no_unit_power():
         return tuple(v // c for v in x)
 
     g = (3, 0, 1)
-    ops = (CompanionRing(g).pow, companion_add, div_exact)
+    ops = (MonicQuotient(g).pow, companion_add, div_exact)
     ghosts = [(2, 1), (2 + 3 * 7, 1 + 3 * 5), (2 + 9 * 4, 1 + 9 * 2)]
     zs = _solve_ghosts(ghosts, 3, ops)
     assert zs[0] is ghosts[0]

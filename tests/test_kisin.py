@@ -1,12 +1,15 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
+from ramibound import kisin
 from ramibound.errors import InputError, NotHeightError, PrecisionError
 from ramibound.kisin import (
     GF,
     Laurent,
+    SeriesFactorization,
     _fp_polgcd,
     _has_root,
     _is_irreducible,
@@ -20,7 +23,6 @@ from ramibound.kisin import (
     series_det,
     series_inv_unit,
     series_mul,
-    series_solve,
     series_val,
     tame_character_oracle,
     tame_lift_build,
@@ -217,6 +219,16 @@ def tuple_series_solve(F: GF, A, M, prec: int):
     return C, out_prec
 
 
+def divmod_polgcd(a: tuple, b: tuple, p: int) -> tuple:
+    """Euclid's algorithm over F_p through poly_divmod_monic, which builds
+    each quotient that the gcd throws away."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, poly_divmod_monic(a, tuple((inv * c) % p for c in b), p)[1]
+    return a
+
+
 def rabin_is_irreducible(mod: tuple, p: int) -> bool:
     """Rabin's test for a monic polynomial of degree f >= 2 over F_p."""
     f = len(mod) - 1
@@ -236,7 +248,8 @@ def rabin_is_irreducible(mod: tuple, p: int) -> bool:
     if ff > 1:
         primes.add(ff)
     for t in primes:
-        if len(_fp_polgcd(mod, R.sub(R.pow(y, p ** (f // t)), y), p)) > 1:
+        z = R.pow(y, p ** (f // t))
+        if len(divmod_polgcd(mod, tuple((a - b) % p for a, b in zip(z, y)), p)) > 1:
             return False
     return True
 
@@ -287,7 +300,7 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
         raise PrecisionError("u-precision too small for this height")
     tgt = [0] * (er * F.f) + list(F.one())
     M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
-    C, avail = series_solve(F, A, M, uprec)
+    C, avail = SeriesFactorization(F, A, uprec).solve(M, uprec)
     prod = mat_mul(A, C, *_series_ops(F, avail))
     if not is_scalar_mod_u(prod, tgt, avail * F.f, F.p):
         raise AssertionError("mod-p witness re-verification failed")
@@ -333,13 +346,32 @@ def test_gf_modulus_is_irreducible():
 
 
 def test_gf_prime_field_mul_matches_polynomial_path():
-    # the f = 1 shortcut against the product-then-monic-division path
+    # the quotient ring F_p[y]/(y) against (a*b) % p and against the
+    # product-then-monic-division path
     for p in (3, 5, 7):
         F = GF.create(p, 1)
         for a in F.elements():
             for b in F.elements():
                 r = poly_divmod_monic(poly_convolve(a, b), F.modulus, p)[1]
-                assert F.mul(a, b) == r + (0,) * (1 - len(r))
+                assert F.mul(a, b) == r + (0,) * (1 - len(r)) == ((a[0] * b[0]) % p,)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_polgcd_matches_quotient_building_gcd(p):
+    """The remainder-only gcd against Euclid through poly_divmod_monic:
+    the same last nonzero remainder, on random polynomials with common
+    factors, zeros and trailing zeros."""
+    rng = random.Random(1000 + p)
+
+    def rand(deg):
+        return tuple(rng.randrange(p) for _ in range(deg + 1)) + (0,) * rng.randrange(2)
+
+    for _ in range(300):
+        a, b = rand(rng.randrange(-1, 9)), rand(rng.randrange(-1, 7))
+        if rng.randrange(2):
+            c = rand(rng.randrange(4))
+            a, b = poly_mul(a, c, p), poly_mul(b, c, p)
+        assert _fp_polgcd(a, b, p) == divmod_polgcd(a, b, p), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +419,9 @@ def test_flat_series_product_and_inverse_match_tuple_oracle(pf):
             series_inv_unit(F, flat(bad), 3)
 
 
-def _solve_outcome(solve, F, A, M, prec, conv):
+def _solve_outcome(solve, F, prec, conv):
     try:
-        C, out_prec = solve(F, A, M, prec)
+        C, out_prec = solve(prec)
     except (NotHeightError, PrecisionError) as exc:
         return type(exc), str(exc)
     return out_prec, [[unflat(F, conv(e), out_prec) for e in row] for row in C]
@@ -398,7 +430,9 @@ def _solve_outcome(solve, F, A, M, prec, conv):
 @pytest.mark.parametrize("pf", FIELDS)
 def test_flat_series_linear_algebra_matches_tuple_oracle(pf):
     """Determinant, adjugate and solve over F_{p^f}[[u]]: the same series,
-    the same u-precision, or the same refusal with the same message."""
+    the same u-precision, or the same refusal with the same message.  A
+    matrix is factored once, at prec, and solved at every precision up to
+    prec, each against the one-shot solve at that precision."""
     F = GF.create(*pf)
     rng = random.Random(7 * F.order)
     seen = set()
@@ -423,10 +457,14 @@ def test_flat_series_linear_algebra_matches_tuple_oracle(pf):
         for i in range(d):
             for j in range(d):
                 assert unflat(F, adj[i][j], prec) == unflat(F, flat(want_adj[i][j]), prec)
-        got = _solve_outcome(series_solve, F, flat_matrix(A), flat_matrix(M), prec, list)
-        want = _solve_outcome(tuple_series_solve, F, A, M, prec, flat)
-        assert got == want, (A, M, prec)
-        seen.add(got[0] if isinstance(got[0], type) else "solved")
+        factored = SeriesFactorization(F, flat_matrix(A), prec)
+        for lower in range(1, prec + 1):
+            got = _solve_outcome(partial(factored.solve, flat_matrix(M)), F, lower, list)
+            want = _solve_outcome(partial(tuple_series_solve, F, A, M), F, lower, flat)
+            assert got == want, (A, M, prec, lower)
+            seen.add(got[0] if isinstance(got[0], type) else "solved")
+        with pytest.raises(InputError):
+            factored.solve(flat_matrix(M), prec + 1)
     assert seen == {"solved", NotHeightError, PrecisionError}
 
 
@@ -498,6 +536,33 @@ def test_height_rank2_swap():
     m = kisin_new(3, 2, E13, [[(), (3, 1)], [(1,), ()]], r_hint=1)
     w = height_witness(m, 1)
     assert_witness(m, w, E13.power(1, 9))
+
+
+def test_height_witness_factors_once(monkeypatch):
+    """For n >= 2 every p-digit solves with the one factorization of A mod
+    p: the determinant of the full matrix is taken once per witness (the
+    minors that it and the adjugate expand are smaller)."""
+    real = kisin.series_det
+    full = []
+
+    def counting(F, mat, prec):
+        full.append(len(mat) == rank)
+        return real(F, mat, prec)
+
+    monkeypatch.setattr(kisin, "series_det", counting)
+    cases = [
+        ([[(3, 1)]], 1),
+        ([[(), (3, 1)], [(1,), ()]], 1),
+        ([[(0, 1), (1,), ()], [(), (3, 1), (2,)], [(1,), (), (1,)]], 2),
+    ]
+    for n in (2, 3):
+        q = 3 ** n
+        for matrix, r in cases:
+            rank = len(matrix)
+            m = kisin_new(3, n, E13, matrix, r_hint=r)
+            full.clear()
+            assert_witness(m, height_witness(m, r), E13.power(r, q))
+            assert full.count(True) == 1, (n, matrix)
 
 
 def test_not_height():

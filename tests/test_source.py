@@ -57,3 +57,33 @@ def test_bench_library_contract(monkeypatch):
     spec.loader.exec_module(workloads)
     lib = workloads.import_library()
     assert callable(getattr(lib["universal_polys_cache"], "cache_clear", None))
+
+
+def test_no_private_names_imported_across_library_modules():
+    """A library module uses only the public names of another: an
+    underscore-prefixed helper, such as the format of a modulus's low
+    terms, stays behind the module that defines it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            local = node.level > 0 or (node.module or "").startswith("ramibound")
+            if not local:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif node.module in (None, "ramibound"):  # a module: from . import x
+                    aliases.add(alias.asname or alias.name)
+        found += [
+            f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ]
+    assert not found, f"private names used across library modules: {found}"
