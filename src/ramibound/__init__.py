@@ -56,7 +56,6 @@ from .padic import (
     LocalElement,
     LocalFieldModel,
     LowerBound,
-    PAdicTrunc,
     QuotRing,
     Rat,
     divide_by_monic,

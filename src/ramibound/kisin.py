@@ -30,7 +30,6 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, product, zip_longest
@@ -45,6 +44,7 @@ from .padic import (
     MonicQuotient,
     divide_by_monic,
     eisenstein_validate,
+    fp_series_inverse,
     mat_mul,
     poly_add,
     poly_convolve,
@@ -223,20 +223,14 @@ def series_val(F: GF, a: list, prec: int) -> int | None:
 
 
 def series_inv_unit(F: GF, a: list, prec: int) -> list:
-    """1/a mod u^prec.  Over F_p each u-degree is one dot product of the
-    recurrence b_k = -b_0 * (a_1 b_(k-1) + ... + a_k b_0); over F_{p^f},
+    """1/a mod u^prec.  Over F_p it is :func:`fp_series_inverse`; over F_{p^f},
     f > 1, Newton's iteration b <- b*(2 - a*b) doubles the u-precision of b
     at each step, from the inverse of a's constant term."""
     f, p = F.f, F.p
     if not any(a[:f]):
         raise InputError("series inverse needs a unit constant term")
     if f == 1:
-        a = a[:prec] + [0] * (prec - len(a))
-        inv0 = pow(a[0], -1, p)
-        out = [inv0]
-        for k in range(1, prec):
-            out.append(-inv0 * sum(map(operator.mul, a[k:0:-1], out)) % p)
-        return out
+        return fp_series_inverse(a, p, prec)
     out = list(F.inv(tuple(a[:f])))
     done = 1
     while done < prec:

@@ -19,6 +19,9 @@ This module holds the package's one arithmetic kernel:
   nonzero low terms once, and every division by a monic polynomial, its
   own and :func:`poly_divmod_monic`, walks only those (one for a binomial
   x^m + a), reduces modulo q once, at the end, and builds no quotient list;
+* every inverse of a power series over F_p, the seed of
+  :meth:`LocalElement.unit_inverse` and a series inverse in
+  :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
 * every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
   field, is :func:`mat_mul` with the entry product and sum passed in;
 * every power by square-and-multiply, of local-field elements, finite-field
@@ -200,39 +203,6 @@ def mat_mul(A, B, mul, add):
 
 
 # ---------------------------------------------------------------------------
-# Z/p^M
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PAdicTrunc:
-    """The ring Z/p^M for an odd prime p.  Elements are plain ints in
-    [0, p^M), and each operation reduces its result mod p^M."""
-
-    p: int
-    M: int
-
-    def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise InputError(f"p must be an odd prime, got {self.p}")
-        if self.M < 1:
-            raise InputError("precision exponent must be >= 1")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.M
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
-
-# ---------------------------------------------------------------------------
 # Dense polynomials over Z/q (q a prime power), coefficient lists by degree
 # ---------------------------------------------------------------------------
 
@@ -278,6 +248,24 @@ def poly_convolve(a, b, prec: int | None = None) -> list[int]:
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     return poly_mod(poly_convolve(a, b), q)
+
+
+def fp_series_inverse(a, p: int, prec: int) -> list[int]:
+    """1/a mod (p, t^prec) for a power series a (coefficients by degree,
+    read mod p, a_0 a unit), by the recurrence
+    b_k = -b_0 * (a_1 b_(k-1) + ... + a_k b_0) mod p over the nonzero a_i
+    alone."""
+    inv0 = pow(a[0], -1, p)
+    terms = [(i, v % p) for i, v in enumerate(a[1:prec], 1) if v % p]
+    out = [inv0]
+    for k in range(1, prec):
+        acc = 0
+        for i, v in terms:
+            if i > k:
+                break
+            acc += v * out[k - i]
+        out.append(-inv0 * acc % p)
+    return out
 
 
 def poly_divmod_monic(
@@ -645,20 +633,9 @@ class LocalElement:
         xv = self.xval()
         if xv is None or xv != 0:
             raise NonUnitError("not a unit at this precision")
-        p = self.model.p
         # g is Eisenstein, so g = x^m mod p and the seed is the power-series
-        # inverse mod (p, x^m): inv_k = -c^-1 sum_{1<=i<=k} a_i inv_{k-i}
-        a = [v % p for v in self.coeffs]
-        c_inv = pow(a[0], -1, p)
-        terms = [(i, v) for i, v in enumerate(a) if v and i]
-        inv = [c_inv]
-        for k in range(1, self.model.m):
-            acc = 0
-            for i, v in terms:
-                if i > k:
-                    break
-                acc += v * inv[k - i]
-            inv.append(-c_inv * acc % p)
+        # inverse mod (p, x^m)
+        inv = fp_series_inverse(self.coeffs, self.model.p, self.model.m)
         v = LocalElement(self.model, tuple(inv), self.aprec)
         two = self.model.from_int(2)
         digits = 1

@@ -286,7 +286,7 @@ def build_jset_problem(
             quot = _teich_div(prod[i][j], pi_n_parts)
             entry = witt_sub(ring, p, quot, ident[i][j])
             if not _witt_vec_is_zero(entry):
-                if not ideal_membership_gt(entry, Fraction(0), strict=True):
+                if not ideal_membership_gt(entry, Fraction(0)):
                     raise PrecisionError(
                         "normalization defect is not in the positive-valuation ideal"
                     )
@@ -501,7 +501,7 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
             per_coord = [_extensions(coord, steps) for coord in X]
             for cand in itertools.product(*per_coord):
                 res = _residual(prob, ring, member_to_witt(prob, cand), prob.n)
-                if all(ideal_membership_gt(r, q_stage, strict=True) for r in res):
+                if all(ideal_membership_gt(r, q_stage) for r in res):
                     survivors.append(cand)
         frontier = survivors
         below = stage
@@ -623,9 +623,12 @@ class _LiftConstants:
     def parts(self, level: int) -> list:
         """The divisor halves of the first ``level`` powers; each is made
         when a lift first reaches its level, so a power that is zero at
-        precision fails only there."""
-        for zp in self.divisor_pows[len(self.div_parts):level]:
-            self.div_parts.append(zp.divisor())
+        precision fails only there.  Part i is stored at index i, not
+        appended: two lifts that make the same part at once store equal
+        values in one slot, so the list is the same whichever writes
+        first."""
+        for i in range(len(self.div_parts), level):
+            self.div_parts[i:i + 1] = [self.divisor_pows[i].divisor()]
         return self.div_parts
 
 
@@ -855,7 +858,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
         phi = None
     diff = tuple(witt_sub(ring, p, X_exact[i], X[i]) for i in range(d))
     for entry in diff:
-        if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b), True):
+        if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b)):
             raise AssertionError("lift strayed outside the level-b class")
     return LiftResult(
         prob, X_exact, iterations, gamma, a_prime, target_digits, tuple(steps)
@@ -881,7 +884,7 @@ def injectivity_gap(prob: JSetProblem, X: tuple, Y: tuple) -> InjectivityVerdict
     if all(_witt_vec_is_zero(entry) for entry in diffs):
         return InjectivityVerdict(True)
     same_class = all(
-        ideal_membership_gt(entry, level_b_q, strict=True) for entry in diffs
+        ideal_membership_gt(entry, level_b_q) for entry in diffs
     )
     if same_class:
         raise AssertionError(

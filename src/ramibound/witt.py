@@ -24,8 +24,8 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
   congruences.
 
 For a sum or product, w_0 is the identity, so component 0 is computed in A
-by the ring's own ``add`` or ``mul`` (for Z/p^M and local-field elements
-that is mod q = p^M, reduced by g) and kept: it is never lifted and lowered
+by the ring's own ``add`` or ``mul`` (for local-field elements that is
+mod q = p^M, reduced by g) and kept: it is never lifted and lowered
 again, and ``lower`` only sets its precision.  The ghost solve starts at
 component 1 from the lift of that z_0, which is taken only when there is a
 component from 1 on to solve.  The lift is congruent mod q to the companion
@@ -46,10 +46,13 @@ the precision of the input components) and the A-side operations
 ``from_int``, ``zero``, ``add``, ``neg``, ``mul`` and ``pow``.  The adapter
 builds its companion ring, the :class:`ramibound.padic.MonicQuotient` Z[x]/g
 of ``g``, and the ghost solver's operations in it once, on first use.
-:class:`ZZRing` (exact integers) and :class:`ZpMRing` (Z/p^M) have g = x,
-so their companion ring is Z; :class:`LocalRing` (elements of a local-field
-model) has the model's Eisenstein g, and its A side is LocalElement's
-arithmetic, which tracks the absolute precision.
+There are two adapters.  :class:`ZZRing` (exact integers, which the exact
+ghost identities need) has g = x, so its companion ring is Z.
+:class:`LocalRing` serves every truncated p-adic ring: the elements of a
+local-field model, with the model's Eisenstein g, and an A side that is
+LocalElement's arithmetic, which tracks the absolute precision.  Z/p^M is
+the degree-1 model Z_p[x]/(x + p) at M digits: its elements are 1-tuples
+mod p^M, and its companion ring Z[x]/(x + p) multiplies them as Z does.
 
 Also here: the Teichmueller scaling formula, the componentwise p-power map
 (not a ring homomorphism away from characteristic p), graded-ideal
@@ -75,7 +78,6 @@ from .padic import (
     LocalFieldModel,
     LowerBound,
     MonicQuotient,
-    PAdicTrunc,
     Rat,
     is_odd_prime,
     poly_trim,
@@ -420,35 +422,6 @@ class ZZRing(CoefficientRing):
         return (z0,) + tuple(z[0] if z else 0 for z in zs)
 
 
-class ZpMRing(ZZRing):
-    """Z/p^M with companion ring Z (lifts are the stored representatives);
-    only the operations on the Z/p^M side reduce."""
-
-    def __init__(self, ring: PAdicTrunc):
-        self.ring = ring
-
-    def from_int(self, c: int):
-        return c % self.ring.modulus
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def pow(self, a, k):
-        return pow(a, k, self.ring.modulus)
-
-    def lift(self, a):
-        return (a % self.ring.modulus,)
-
-    def lower(self, z0, zs, inputs) -> tuple:
-        return tuple(v % self.ring.modulus for v in super().lower(z0, zs, inputs))
-
-
 class LocalRing(CoefficientRing):
     """Elements of a local-field model; the companion ring is Z[x]/g(x) for
     the model's Eisenstein g.  The A side is LocalElement's arithmetic, which
@@ -627,7 +600,7 @@ def witt_arith_symbolic(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def ideal_membership_gt(x: tuple, level: Rat, strict: bool = True) -> bool:
+def ideal_membership_gt(x: tuple, level: Rat) -> bool:
     """Is (x_0,...,x_{n-1}) in [a^{>level}] (componentwise v > p^i * level)?
 
     Components with only a lower bound on the valuation decide membership
@@ -639,16 +612,12 @@ def ideal_membership_gt(x: tuple, level: Rat, strict: bool = True) -> bool:
         threshold = level * p ** i
         v = comp.valuation()
         if isinstance(v, LowerBound):
-            if strict and v.value > threshold:
-                continue
-            if not strict and v.value >= threshold:
+            if v.value > threshold:
                 continue
             raise UndecidableError(
                 f"component {i}: valuation >= {v.value} cannot decide threshold {threshold}"
             )
-        if strict and not v > threshold:
-            return False
-        if not strict and not v >= threshold:
+        if not v > threshold:
             return False
     return True
 

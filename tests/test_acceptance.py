@@ -43,7 +43,6 @@ from ramibound.kisin import (
 from ramibound.errors import NotHeightError
 from ramibound.padic import (
     LocalFieldModel,
-    PAdicTrunc,
     eisenstein_validate,
     poly_add,
     poly_mul,
@@ -60,7 +59,6 @@ from ramibound.solver import (
 )
 from ramibound.witt import (
     LocalRing,
-    ZpMRing,
     ZZRing,
     ghost_components,
     ghost_solve_valuations,
@@ -155,10 +153,11 @@ def test_criterion_03_witt_core():
             p = rng.choice([3, 5])
             M = rng.randrange(1, 4)
             n = rng.randrange(1, 5)
-            R = ZpMRing(PAdicTrunc(p, M))
+            # Z/p^M is the degree-1 model Z_p[x]/(x + p) at M digits
+            R = LocalRing(LocalFieldModel(eisenstein_validate((p, 1), p), M))
             q = p ** M
-            z = rng.randrange(q)
-            x = tuple(rng.randrange(q) for _ in range(n))
+            z = R.from_int(rng.randrange(q))
+            x = tuple(R.from_int(rng.randrange(q)) for _ in range(n))
             assert teichmuller_scale(R, p, z, x) == witt_mul(
                 R, p, teichmuller(R, z, n), x
             )

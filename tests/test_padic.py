@@ -17,7 +17,6 @@ from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
     LowerBound,
-    PAdicTrunc,
     QuotRing,
     divide_by_monic,
     eisenstein_validate,
@@ -38,16 +37,6 @@ from ramibound.padic import (
 def eq_at_prec(a, b):
     """Equality of two local-field elements at the precision of both."""
     return (a - b).is_zero_at_prec()
-
-
-def test_mod9_arithmetic():
-    R = PAdicTrunc(3, 2)
-    assert R.add(4, 7) == 2
-    assert R.mul(2, 5) == 1
-    with pytest.raises(InputError):
-        PAdicTrunc(2, 2)
-    with pytest.raises(InputError):
-        PAdicTrunc(9, 2)
 
 
 def test_base_mismatch():
@@ -71,6 +60,9 @@ def test_eisenstein_validate():
         eisenstein_validate((3, 0, 2), 3)  # not monic
     with pytest.raises(InputError):
         eisenstein_validate((9, 0, 1), 3)  # constant valuation 2
+    for p in (2, 9):  # p must be an odd prime
+        with pytest.raises(InputError, match="odd prime"):
+            eisenstein_validate((p, 1), p)
     assert eisenstein_validate((-3, 0, 1), 3).is_uniformizer_binomial()
     assert not eisenstein_validate((3, 3, 1), 3).is_uniformizer_binomial()
 

@@ -1,6 +1,8 @@
 """Every `$ ramibound ...` example in README.md runs through ``cli.main``,
-exits 0, and shows only output the command really prints."""
+exits 0, and shows only output the command really prints; the library
+example runs and shows the values its expressions really have."""
 
+import ast
 import io
 import json
 import re
@@ -65,3 +67,24 @@ def test_readme_example(argv, shown):
     else:
         header = [t for t in shown[0].split() if t != "..."]
         assert text.splitlines()[0].split("\t")[: len(header)] == header
+
+
+def test_library_example():
+    """Each statement of the ``## Library`` block runs in order, and each
+    expression statement's trailing ``# value`` comment is the repr of its
+    value."""
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1)
+    lines = block.splitlines()
+    namespace = {}
+    shown = []
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip()
+        assert comment.startswith("#"), code
+        shown.append((code, repr(eval(code, namespace)), comment[1:].strip()))
+    assert len(shown) == 3
+    for code, got, want in shown:
+        assert got == want, code

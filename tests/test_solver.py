@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -118,7 +119,7 @@ def recheck_member(prob, member, c):
     for x, xa in zip(X, XA):
         phi_x, neg_xa = power_frobenius(ring, p, x), witt_neg(ring, p, xa)
         res = witt_arith_symbolic(ring, p, phi_x, neg_xa, "add")
-        if not ideal_membership_gt(res, level, strict=True):
+        if not ideal_membership_gt(res, level):
             return False
     return True
 
@@ -392,34 +393,39 @@ def test_ramified_base_field_instance():
         assert val >= 12  # v_K units with e_norm = 2
 
 
-def test_length_two_witt_lift():
-    # phi(e) = u^2 e over length-2 Witt vectors; height 3, N = 3, s = 3
+# an exact solution of the length-2 u^2 module over x^27 + 3: (x, x^3)
+EXACT_LEN2 = ((tuple([0, 1] + [0] * 25), tuple([0, 0, 0, 1] + [0] * 23)),)
+
+
+def length_two_problem():
+    """phi(e) = u^2 e over length-2 Witt vectors; height 3, N = 3, s = 3."""
     mod = kisin_new(3, 2, E13, [[(0, 0, 1)]], r_hint=3)
-    model = model_of_degree(27, prec=16)
-    prob = build_jset_problem(mod, model, s=3, r=3)
-    assert prob.N == 3 and prob.level_a == F(9, 2)
+    return build_jset_problem(mod, model_of_degree(27, prec=16), s=3, r=3)
 
-    ring = LocalRing(model)
-    exact_member = (
-        (
-            tuple([0, 1] + [0] * 25),  # x
-            tuple([0, 0, 0, 1] + [0] * 23),  # x^3
-        ),
-    )
-    Xe = member_to_witt(prob, exact_member)
-    # exact solutions stay exact
-    lr0 = lift_solution(prob, exact_member, target_digits=6)
-    assert lr0.iterations == 0
 
-    # a Witt-additive perturbation inside the level-a ideal gives another
-    # representative of the same class; the lift must recover the solution
+def perturbed_length_two_member(prob):
+    """The exact solution plus a Witt-additive perturbation inside the
+    level-a ideal: another representative of the same class."""
     w = member_to_witt(
         prob,
         ((tuple([0] * 6 + [1] + [0] * 20), tuple([0] * 15 + [1] + [0] * 11)),),
     )
-    assert ideal_membership_gt(w[0], prob.quotient_level(prob.level_a), True)
-    X0v = tuple(witt_add(ring, 3, Xe[i], w[i]) for i in range(1))
-    member0 = tuple(tuple(c.coeffs for c in vec) for vec in X0v)
+    assert ideal_membership_gt(w[0], prob.quotient_level(prob.level_a))
+    Xe = member_to_witt(prob, EXACT_LEN2)
+    X0v = witt_add(LocalRing(prob.model), 3, Xe[0], w[0])
+    return (tuple(c.coeffs for c in X0v),)
+
+
+def test_length_two_witt_lift():
+    prob = length_two_problem()
+    assert prob.N == 3 and prob.level_a == F(9, 2)
+    exact_member = EXACT_LEN2
+    # exact solutions stay exact
+    lr0 = lift_solution(prob, exact_member, target_digits=6)
+    assert lr0.iterations == 0
+
+    # the lift must recover the solution from the perturbed representative
+    member0 = perturbed_length_two_member(prob)
     lr = lift_solution(prob, member0, target_digits=6)
     assert lr.iterations >= 1
     ring2 = LocalRing(lr.problem.model)
@@ -432,6 +438,65 @@ def test_length_two_witt_lift():
     assert truncate_solution(lr.problem, lr.X, prob.level_b) == truncate_solution(
         lr.problem, member_to_witt(lr.problem, member0), prob.level_b
     )
+
+
+def test_concurrent_lifts_share_lift_constants():
+    """Two lifts on one problem, one held inside the divisor of part 0 of
+    the lift constants until the other has stored part 0 and is making
+    part 1: the constants keep one divisor half per Witt level, and both
+    lifts certify at the problem's own precision, as a lift alone does."""
+    alone_prob = length_two_problem()
+    member = perturbed_length_two_member(alone_prob)
+    alone = lift_solution(alone_prob, member, target_digits=6)
+    (alone_consts,) = alone_prob.lift_memo.values()
+    want_ks = [k for k, _ in alone_consts.div_parts]
+    assert len(want_ks) == 2
+
+    prob = length_two_problem()
+    real_divisor = LocalElement.divisor
+    first_held = threading.Event()
+    second_in_part_1 = threading.Event()
+    held = []
+
+    def divisor(self):
+        consts = list(prob.lift_memo.values())
+        if any(self is c.divisor_pows[0] for c in consts) and not held:
+            held.append(threading.current_thread())
+            first_held.set()
+            # the wait is not inside an assert, which python -O would drop
+            if not second_in_part_1.wait(timeout=60):
+                raise TimeoutError("the second lift never reached part 1")
+        elif any(self is c.divisor_pows[1] for c in consts):
+            if threading.current_thread() is not held[0]:
+                second_in_part_1.set()
+        return real_divisor(self)
+
+    results = {}
+
+    def lift(name):
+        try:
+            results[name] = lift_solution(prob, member, target_digits=6)
+        except BaseException as exc:  # reported by the main thread
+            results[name] = exc
+
+    first = threading.Thread(target=lift, args=("first",))
+    second = threading.Thread(target=lift, args=("second",))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LocalElement, "divisor", divisor)
+        first.start()
+        first_held.wait(timeout=60)
+        second.start()
+        first.join(timeout=120)
+        second.join(timeout=120)
+    assert not first.is_alive() and not second.is_alive()
+    assert second_in_part_1.is_set()
+    (consts,) = prob.lift_memo.values()
+    assert [k for k, _ in consts.div_parts] == want_ks
+    for name in ("first", "second"):
+        got = results[name]
+        assert isinstance(got, solver.LiftResult), got
+        assert got.problem is prob
+        assert (got.X, got.iterations) == (alone.X, alone.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +514,7 @@ def bruteforce_members(prob, level):
     members = []
     for combo in itertools.product(coord_space, repeat=prob.d):
         res = solver._residual(prob, ring, member_to_witt(prob, combo), prob.n)
-        if all(ideal_membership_gt(e, prob.quotient_level(c), True) for e in res):
+        if all(ideal_membership_gt(e, prob.quotient_level(c)) for e in res):
             members.append(combo)
     return tuple(members)
 

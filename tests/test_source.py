@@ -7,8 +7,47 @@ from pathlib import Path
 import ramibound
 
 SRC = Path(ramibound.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 TRACER = BENCH / "tracer.py"
+
+
+def imported_modules(path: Path):
+    """(line, top-level module name) for every import in the file; a
+    relative import gives the name None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            top = None if node.level else node.module.partition(".")[0]
+            yield node.lineno, top
+
+
+def foreign_imports(paths, allowed):
+    return [
+        f"{path.name}:{line} imports {name or 'a relative module'}"
+        for path in paths
+        for line, name in imported_modules(path)
+        if name not in allowed and name not in sys.stdlib_module_names
+    ]
+
+
+def test_library_imports_only_the_standard_library():
+    """The package installs with no dependencies: a library module imports
+    the standard library and the package itself, nothing else."""
+    found = foreign_imports(sorted(SRC.glob("*.py")), {None, "ramibound"})
+    assert not found, f"imports outside the standard library: {found}"
+
+
+def test_tests_import_only_what_ci_installs():
+    """CI installs pytest and nothing else, so a test that imports a
+    package that merely happens to be installed locally fails here too."""
+    paths = sorted(TESTS.glob("*.py"))
+    allowed = {"pytest", "ramibound"} | {path.stem for path in paths}
+    found = foreign_imports(paths, allowed)
+    assert not found, f"imports CI does not install: {found}"
 
 
 def test_no_assert_statements_in_library():
