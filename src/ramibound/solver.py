@@ -9,10 +9,12 @@ ideal [a^{>c/p^s}].
 
 Three layers of machinery:
 
-* staged enumeration of the congruence solutions over canonical residue
-  representatives: J_c is built one p-digit breakpoint at a time, extending
-  only the survivors of the previous level, under an explicit candidate cap,
-  and each problem memoizes the sets it has enumerated;
+* enumeration of the congruence solutions over canonical residue
+  representatives, under an explicit candidate cap: for Witt length 1, J_c
+  is the kernel of an F_p-linear map, read off from one residual per basis
+  digit; for longer Witt vectors it is built one p-digit breakpoint at a
+  time, extending only the survivors of the previous level.  Each problem
+  memoizes the sets it has enumerated;
 * reduction maps between truncation levels, and the splitting detector that
   compares the reduced image count against the size the full solution module
   would have;
@@ -451,27 +453,40 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     """Complete list of congruence solutions at the given truncation level,
-    over canonical residue representatives, in deterministic order.
-
-    The set is built through the stage levels c_0 < c_1 < ... < c_K = c of
-    ``_stage_levels``, starting from the zero vector (every cutoff 0).  At
-    stage c' every survivor of the previous stage gains the new p-digits of
-    each coefficient, and a candidate is kept only if its residual
-    phi(X) - X * A~ lies in I_{c'} = [a^{>c'/p^s}].  Nothing in J_c is lost,
-    because every stage level c' <= c keeps trunc_{c'}(X) of each X in J_c:
-
-    1. X - trunc_{c'}(X) lies in I_{c'}, since the truncation only drops
-       terms of the graded ideal;
-    2. phi maps I_{c'} into I_{c'} and I_{c'} is an ideal, so
-       residual(X) - residual(trunc_{c'}(X)) lies in I_{c'};
-    3. residual(X) lies in I_c, which is contained in I_{c'}, so
-       trunc_{c'}(X) lies in J_{c'};
-    4. every stage level lies in [0, c], hence in the admissible range
-       [0, e * p^(s-n+1)), where classes modulo I_{c'} are well defined.
+    over canonical residue representatives, in sorted order.
 
     The candidate cap bounds the full product of canonical representatives,
-    checked before any stage runs.  The result is memoized on the problem,
-    so enumerating one level again costs nothing.
+    checked before any residual is evaluated, so which inputs exit over the
+    cap does not depend on the path below.  A rank-0 module has the one
+    member ``()``.  Otherwise the path follows the Witt length n:
+
+    * n = 1: J_c is the kernel of an F_p-linear map, read off from one
+      residual per basis digit by ``_kernel_members``;
+    * n >= 2: the staged search of ``_staged_members``.
+
+    Why n = 1 is linear.  An admissible level has c < e * p^s, so
+    c/p^s < e = v_K(p) and p lies in I_c = [a^{>c/p^s}].  Then:
+
+    1. every cutoff k_j of ``coeff_cutoffs`` is at most 1: k_j counts the
+       digits p^t x^j of valuation e*t + e*j/m <= c/p^s < e, and only t = 0
+       can qualify;
+    2. I_c is the box of the p^{k_j} x^j, since the terms a_j x^j have
+       distinct valuations, so a sum lies in I_c exactly when each term does;
+       with every k_j <= 1, O_E/I_c is the F_p-space of the digits at the
+       coefficients with k_j = 1, and adding canonical representatives digit
+       by digit (mod p) is its group law;
+    3. X -> X^p - X * A~ is additive mod I_c, as (x + y)^p - x^p - y^p lies
+       in p O_E, which is in I_c, and X * A~ is linear; so it is F_p-linear,
+       as t^p = t mod p for an integer t.
+
+    For n >= 2 the quotient W_n(O_E)/I_c is in general not an F_p-space,
+    and its group law is Witt addition, which carries between components,
+    not digit addition.  Nor is the componentwise p-th power additive there
+    in general, so whether J_c is a subgroup depends on the level.  So
+    n >= 2 keeps the stages, which need no group structure.
+
+    The result is memoized on the problem, so enumerating one level again
+    costs nothing.
     """
     c = resolve_level(prob, level)
     known = prob.jset_memo.get(c)
@@ -489,6 +504,98 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
+    if prob.d == 0:
+        members = ((),)
+    elif prob.n == 1:
+        members = _kernel_members(prob, c)
+    else:
+        members = _staged_members(prob, c)
+    sol = JSolutionSet(c, members)
+    prob.jset_memo[c] = sol
+    return sol
+
+
+def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
+    """J_c for Witt length 1, sorted, as the kernel of the residual mod I_c
+    (see ``jset_enumerate`` for why it is F_p-linear).
+
+    A basis digit vector has digit 1 at one position (coordinate i,
+    coefficient j with cutoff k_j = 1) and 0 elsewhere.  Its residual is
+    evaluated once and read mod I_c by ``truncate_solution``; the rows so
+    read form a square matrix over F_p, whose left null space is J_c.  A~ is
+    known to full precision, so every residual is, and reading its digits
+    never runs out of precision."""
+    p, m, d = prob.p, prob.model.m, prob.d
+    cuts = prob.model.zero().coeff_cutoffs(prob.quotient_level(c))
+    positions = [(i, j) for i in range(d) for j, k in enumerate(cuts) if k]
+    ring = _ring(prob)
+    zero = (0,) * m
+    rows = []
+    for i, j in positions:
+        basis = tuple(1 if t == j else 0 for t in range(m))
+        X = tuple((basis if t == i else zero,) for t in range(d))
+        res = _residual(prob, ring, member_to_witt(prob, X), 1)
+        read = truncate_solution(prob, res, c)
+        rows.append([read[i2][0][j2] for i2, j2 in positions])
+    vectors = [(0,) * len(positions)]
+    for gen in _fp_left_null_space(rows, p):
+        vectors = [
+            tuple((a + t * g) % p for a, g in zip(vec, gen))
+            for vec in vectors
+            for t in range(p)
+        ]
+    members = []
+    for vec in vectors:
+        coords = [list(zero) for _ in range(d)]
+        for (i, j), digit in zip(positions, vec):
+            coords[i][j] = digit
+        members.append(tuple((tuple(coord),) for coord in coords))
+    return tuple(sorted(members))
+
+
+def _fp_left_null_space(rows: list, p: int) -> list:
+    """A basis of {x : sum_k x_k * rows[k] = 0 mod p}, for rows of residues
+    in [0, p), by row reduction of [rows | I]: the identity half records
+    each reduced row as a combination of the given ones, so the rows whose
+    left half reduces to zero carry a basis of the left null space."""
+    size = len(rows)
+    width = len(rows[0]) if rows else 0
+    aug = [list(row) + [int(k == r) for k in range(size)] for r, row in enumerate(rows)]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, size) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = pow(aug[rank][col], -1, p)
+        aug[rank] = [v * inv % p for v in aug[rank]]
+        for r in range(size):
+            f = aug[r][col]
+            if r != rank and f:
+                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rank])]
+        rank += 1
+    return [row[width:] for row in aug[rank:]]
+
+
+def _staged_members(prob: JSetProblem, c: Rat) -> tuple:
+    """J_c, sorted, built through the stage levels c_0 < c_1 < ... < c_K = c
+    of ``_stage_levels``, starting from the zero vector (every cutoff 0).  At
+    stage c' every survivor of the previous stage gains the new p-digits of
+    each coefficient, and a candidate is kept only if its residual
+    phi(X) - X * A~ lies in I_{c'} = [a^{>c'/p^s}].  Nothing in J_c is lost,
+    because every stage level c' <= c keeps trunc_{c'}(X) of each X in J_c:
+
+    1. X - trunc_{c'}(X) lies in I_{c'}, since the truncation only drops
+       terms of the graded ideal;
+    2. phi maps I_{c'} into I_{c'} and I_{c'} is an ideal, so
+       residual(X) - residual(trunc_{c'}(X)) lies in I_{c'};
+    3. residual(X) lies in I_c, which is contained in I_{c'}, so
+       trunc_{c'}(X) lies in J_{c'};
+    4. every stage level lies in [0, c], hence in the admissible range
+       [0, e * p^(s-n+1)), where classes modulo I_{c'} are well defined.
+
+    This is the path for Witt length n >= 2, and for n = 1 the tests'
+    oracle for ``_kernel_members``."""
     ring = _ring(prob)
     zero_coord = tuple((0,) * prob.model.m for _ in range(prob.n))
     frontier = [(zero_coord,) * prob.d]
@@ -505,9 +612,7 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
                     survivors.append(cand)
         frontier = survivors
         below = stage
-    sol = JSolutionSet(c, tuple(sorted(frontier)))
-    prob.jset_memo[c] = sol
-    return sol
+    return tuple(sorted(frontier))
 
 
 def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import random
 import sys
@@ -11,6 +13,7 @@ from ramibound.errors import (
     CapExceededError,
     InputError,
     NonConvergenceError,
+    NotHeightError,
     PrecisionError,
 )
 from ramibound.kisin import kisin_new
@@ -541,9 +544,15 @@ SWAP = [[(), (0, 1)], [(1,), ()]]
     ],
 )
 def test_staged_enumeration_matches_bruteforce(matrix, n, m, s, level):
+    """jset_enumerate against the full product; at n = 1, where it lists a
+    kernel, the staged search must agree with both."""
     mod = kisin_new(3, n, E13, matrix, r_hint=1)
     prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
-    assert jset_enumerate(prob, level).members == bruteforce_members(prob, level)
+    oracle = bruteforce_members(prob, level)
+    assert jset_enumerate(prob, level).members == oracle
+    if n == 1:
+        c = solver.resolve_level(prob, level)
+        assert solver._staged_members(prob, c) == oracle
 
 
 def count_residuals(monkeypatch):
@@ -569,11 +578,143 @@ def count_residuals(monkeypatch):
 def test_staged_candidate_counts(
     monkeypatch, matrix, n, m, s, level, candidates, members
 ):
+    """Residuals the staged search evaluates; it is jset_enumerate's path at
+    n = 2 and the n = 1 oracle, so it is called directly."""
+    mod = kisin_new(3, n, E13, matrix, r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
+    calls = count_residuals(monkeypatch)
+    c = solver.resolve_level(prob, level)
+    assert len(solver._staged_members(prob, c)) == members
+    assert len(calls) == candidates
+
+
+@pytest.mark.parametrize(
+    "matrix, n, m, s, level, residuals, members",
+    [  # one residual per basis digit: rank times the cutoffs equal to 1
+        ([[(0, 1)]], 1, 6, 1, "a", 4, 27),
+        ([[(0, 1)]], 1, 6, 1, "b", 2, 3),
+        ([[(0, 1)]], 1, 12, 1, "a", 7, 243),
+        (SWAP, 1, 6, 1, "a", 8, 9),
+        (SWAP, 1, 6, 1, "b", 4, 3),
+        ([[(1,)]], 1, 6, 1, "b", 2, 3),
+        ([], 1, 6, 1, "a", 0, 1),
+        # rank 0 answers before any stage at every Witt length
+        ([], 2, 9, 2, "b", 0, 1),
+    ],
+)
+def test_kernel_residual_counts(
+    monkeypatch, matrix, n, m, s, level, residuals, members
+):
     mod = kisin_new(3, n, E13, matrix, r_hint=1)
     prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
     calls = count_residuals(monkeypatch)
     assert len(jset_enumerate(prob, level)) == members
-    assert len(calls) == candidates
+    assert len(calls) == residuals
+
+
+SWEEP_MODELS = (  # (E, model): pi_1 = x^(m/3) is a cube root of E's root
+    ((3, 1), (3, 0, 0, 1)),
+    ((3, 1), (3,) + (0,) * 5 + (1,)),
+    ((-3, 1), (-3,) + (0,) * 5 + (1,)),
+    ((3, 1), (3,) + (0,) * 11 + (1,)),
+)
+
+
+def sweep_cases():
+    """Seeded rank-1 and rank-2 Frobenius matrices over (Z/3)[u] of degree
+    at most 2, two of each rank per model, skipping those without a
+    problem (no height-1 witness, or a determinant that vanishes at the
+    u-precision)."""
+    rng = random.Random(20261019)
+    cases = []
+    for E, g in SWEEP_MODELS:
+        for d in (1, 1, 2, 2):
+            while True:
+                matrix = [
+                    [tuple(rng.randrange(3) for _ in range(rng.randrange(4)))
+                     for _ in range(d)]
+                    for _ in range(d)
+                ]
+                mod = kisin_new(3, 1, eisenstein_validate(E, 3), matrix, r_hint=1)
+                model = LocalFieldModel(eisenstein_validate(g, 3), 8)
+                try:
+                    build_jset_problem(mod, model, s=1, r=1)
+                except (NotHeightError, PrecisionError):
+                    continue
+                cases.append((E, g, matrix))
+                break
+    return cases
+
+
+def test_kernel_matches_staged_on_seeded_sweep():
+    """At every stage breakpoint in [0, e * p^s), and at one level strictly
+    between two of them, the n = 1 kernel equals the staged search."""
+    for E, g, matrix in sweep_cases():
+        mod = kisin_new(3, 1, eisenstein_validate(E, 3), matrix, r_hint=1)
+        model = LocalFieldModel(eisenstein_validate(g, 3), 8)
+        # the cap bounds the full product, 3^(rank * m) at the top level
+        prob = build_jset_problem(mod, model, s=1, r=1, cap=3 ** 24)
+        m = len(g) - 1
+        breaks = [F(3 * j, m) for j in range(m)]
+        assert solver._stage_levels(prob, breaks[-1]) == breaks
+        for c in breaks + [(breaks[-2] + breaks[-1]) / 2]:
+            assert jset_enumerate(prob, c).members == solver._staged_members(
+                prob, c
+            ), (E, g, matrix, c)
+
+
+def test_kernel_and_staged_refuse_alike(monkeypatch):
+    """Refusals do not depend on the path: the CLI gives the same exit code,
+    stdout and stderr through the staged search as through the kernel, and the
+    library raises the same error type, over the admissible range's end, a
+    cap one below the full product, and low model precision."""
+    E, g, matrix = next(  # rank 2 over x^6 - 3
+        case for case in sweep_cases() if case[0] == (-3, 1) and len(case[2]) == 2
+    )
+
+    def text(poly):
+        return ",".join(map(str, poly))
+
+    base = [
+        "jset", "--eisenstein", text(E), "--n", "1", "--r", "1", "--s", "1",
+        "--model", text(g),
+        "--matrix", ";".join(
+            ",".join(":".join(map(str, entry)) for entry in row) for row in matrix
+        ),
+    ]
+    calls = [
+        base + ["--c", "3"],
+        base + ["--c", "b", "--cap", str(3 ** 4 - 1)],
+        base + ["--prec", "1"],
+        base + ["--prec", "2", "--c", "2"],
+        base,
+    ]
+
+    def cli(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv)
+        return code, out, err.getvalue()
+
+    def outcomes():
+        runs = [cli(argv) for argv in calls]
+        mod = kisin_new(3, 1, eisenstein_validate(E, 3), matrix, r_hint=1)
+        model = LocalFieldModel(eisenstein_validate(g, 3), 8)
+        results = []
+        for level, cap in (("3", 10 ** 6), ("b", 3 ** 4 - 1), ("a", 10 ** 6)):
+            prob = build_jset_problem(mod, model, s=1, r=1, cap=cap)
+            try:
+                results.append(jset_enumerate(prob, level).members)
+            except (InputError, CapExceededError) as exc:
+                results.append(type(exc))
+        return runs, results
+
+    kernel = outcomes()
+    monkeypatch.setattr(solver, "_kernel_members", solver._staged_members)
+    staged = outcomes()
+    assert kernel == staged
+    assert [code for code, _, _ in kernel[0]] == [2, 3, 0, 0, 0]
+    assert kernel[1][:2] == [InputError, CapExceededError]
 
 
 def test_enumeration_memo(monkeypatch):
@@ -685,17 +826,20 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
 
 
 def test_readme_lift_product_count(monkeypatch):
-    """The README `--digits 6` lift makes 1117 polynomial products: 1111
-    local-field element products (the lifter and the problem build), one
-    product in the quotient ring for N, three in the height witnesses over
-    Z/p^n (the two re-verifications and B*h), and two in the mod-p series
-    solve (adj*M, and that product times the inverse unit), which joined the
-    kernel when the series became integer lists.  Before that it made 1115
-    (3990 while powers multiplied by one and the ghost solve divided by p^0,
-    1718 while every lift attempt inverted its own divisors, 1190 while the
-    first step recomputed the start's phi(X)); a kernel that brings back
-    trivial products, or a lifter that inverts or takes phi(X) again, fails
-    here."""
+    """The README `--digits 6` lift makes 1003 polynomial products: 997
+    local-field element products (the lifter, the problem build, and 12 in
+    the level-a enumeration: one residual per basis digit, 4 residuals of 3
+    products each), one product in the quotient ring for N, three in the
+    height witnesses over Z/p^n (the two re-verifications and B*h), and two
+    in the mod-p series solve (adj*M, and that product times the inverse
+    unit).  It made 1117 while the staged search enumerated level a (126
+    products on 42 residuals), and 1115 before the mod-p series solve joined
+    the kernel as integer lists (3990 while powers multiplied by one and the
+    ghost solve divided by p^0, 1718 while every lift attempt inverted its
+    own divisors, 1190 while the first step recomputed the start's phi(X)); a
+    kernel that brings back trivial products, a lifter that inverts or takes
+    phi(X) again, or an enumeration that evaluates more than one residual
+    per basis digit, fails here."""
     real = padic.poly_convolve
     calls = []
 
@@ -715,7 +859,7 @@ def test_readme_lift_product_count(monkeypatch):
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(calls) == 1117
+    assert len(calls) == 1003
 
 
 def lift_work(monkeypatch):
