@@ -425,6 +425,14 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
     target = mod.E.power(r, q)
     target_f = [c % p for c in target]
     factored = SeriesFactorization(F, A_f, P)
+    if factored.v is None and d:
+        # det A mod p is a polynomial of degree at most d times the largest
+        # entry degree; below P its truncation is all of it, so it is zero
+        deg = max(len(poly_trim(tuple(entry))) - 1 for row in A_f for entry in row)
+        if d * deg < P:
+            raise NotHeightError(
+                "Frobenius matrix is singular mod p: no witness at any height"
+            )
     C, avail = factored.solve(
         [[target_f if i == j else [] for j in range(d)] for i in range(d)], P
     )

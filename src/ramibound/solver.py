@@ -10,11 +10,11 @@ ideal [a^{>c/p^s}].
 Three layers of machinery:
 
 * enumeration of the congruence solutions over canonical residue
-  representatives, under an explicit candidate cap: for Witt length 1, J_c
-  is the kernel of an F_p-linear map, read off from one residual per basis
-  digit; for longer Witt vectors it is built one p-digit breakpoint at a
-  time, extending only the survivors of the previous level.  Each problem
-  memoizes the sets it has enumerated;
+  representatives, under an explicit candidate cap: at every Witt length,
+  J_c is the kernel of the residual map, which is additive modulo the
+  graded ideal, read off from one residual per basis digit by row
+  reduction over F_p, one Witt component at a time.  Each problem memoizes
+  the sets it has enumerated;
 * reduction maps between truncation levels, and the splitting detector that
   compares the reduced image count against the size the full solution module
   would have;
@@ -35,7 +35,6 @@ of one call share it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -377,60 +376,6 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
     return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
 
 
-def _level_component_reps(prob: JSetProblem, c: Rat, below: Rat | None = None):
-    """For each Witt component, the coefficient tuples that extend a
-    canonical representative at level ``below`` to one at level c:
-    coefficient j gains p^{k_old} * t for 0 <= t < p^{k_new - k_old}, where
-    k_old and k_new are its cutoffs at the two levels.  With ``below`` None
-    the old cutoffs are 0, and these are the canonical representatives at c."""
-    zero = prob.model.zero()
-    p = prob.p
-    per_comp = []
-    for i in range(prob.n):
-        new = zero.coeff_cutoffs(prob.comp_threshold(c, i))
-        old = (
-            (0,) * len(new)
-            if below is None
-            else zero.coeff_cutoffs(prob.comp_threshold(below, i))
-        )
-        ranges = [range(0, p ** k, p ** k0) for k0, k in zip(old, new)]
-        per_comp.append([tuple(t) for t in itertools.product(*ranges)])
-    return per_comp
-
-
-def _stage_levels(prob: JSetProblem, c: Rat) -> list:
-    """Ascending levels for staged enumeration, ending at c.
-
-    Coefficient j of Witt component i gains a digit at each level
-    e_norm * p^(s-i) * (j/m + t), t >= 0.  The last breakpoint <= c has the
-    same cutoffs as c itself, so it is replaced by c, whose ideal is smaller
-    (0 is always a breakpoint, so the list is never empty)."""
-    model = prob.model
-    levels = set()
-    for i in range(prob.n):
-        step = model.e_norm * Fraction(prob.p) ** (prob.s - i)
-        for j in range(model.m):
-            lv = step * Fraction(j, model.m)
-            while lv <= c:
-                levels.add(lv)
-                lv += step
-    stages = sorted(levels)
-    stages[-1] = c
-    return stages
-
-
-def _extensions(coord: tuple, steps: list) -> list:
-    """Every extension of one coordinate (a tuple over Witt components of
-    coefficient tuples) by one stage's digit steps."""
-    return [
-        tuple(
-            tuple(a + b for a, b in zip(comp, inc))
-            for comp, inc in zip(coord, incs)
-        )
-        for incs in itertools.product(*steps)
-    ]
-
-
 @dataclass(frozen=True)
 class JSolutionSet:
     level: Rat
@@ -456,34 +401,67 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     over canonical residue representatives, in sorted order.
 
     The candidate cap bounds the full product of canonical representatives,
-    checked before any residual is evaluated, so which inputs exit over the
-    cap does not depend on the path below.  A rank-0 module has the one
-    member ``()``.  Otherwise the path follows the Witt length n:
+    checked before any residual is evaluated.  A rank-0 module has the one
+    member ``()``.  Otherwise J_c is the kernel of the residual map
+    R(X) = phi(X) - X * A~ modulo I_c = [a^{>c/p^s}], read off by
+    ``_kernel_members`` from one residual per basis digit, at every Witt
+    length n.
 
-    * n = 1: J_c is the kernel of an F_p-linear map, read off from one
-      residual per basis digit by ``_kernel_members``;
-    * n >= 2: the staged search of ``_staged_members``.
+    Why J_c is a kernel.  An admissible level has c < e * p^(s-n+1), so each
+    component threshold t_i = p^i * c/p^s (i < n) is below e = v_K(p).  Then:
 
-    Why n = 1 is linear.  An admissible level has c < e * p^s, so
-    c/p^s < e = v_K(p) and p lies in I_c = [a^{>c/p^s}].  Then:
+    1. every cutoff k_j of ``coeff_cutoffs`` at t_i is at most 1: k_j counts
+       the digits p^t x^j of valuation e*t + e*j/m <= t_i < e, and only
+       t = 0 can qualify.  The ideal at t_i is the box of the p^{k_j} x^j,
+       since the terms a_j x^j have distinct valuations, so it contains
+       p O_E, and O_E modulo it is the F_p-space of the digits at the
+       coefficients with k_j = 1, added digit by digit mod p;
+    2. W_n(p O_E) lies in I_c, as each of its components has valuation at
+       least e.  Reduction W_n(O_E) -> W_n(O_E/p) is componentwise, a ring
+       map with kernel W_n(p O_E), and over O_E/p the componentwise p-th
+       power is W_n of the Frobenius, a ring endomorphism.  So
+       phi(X + Y) - phi(X) - phi(Y) lies in W_n(p O_E), inside I_c, and R
+       is additive modulo I_c (X * A~ is, and I_c is an ideal).  As phi maps
+       I_c into itself, R is a homomorphism of (W_n(O_E)/I_c)^d, and J_c is
+       its kernel;
+    3. the first component that is not in the ideal adds without carry: if
+       the components below i of Z and Z' lie in the ideal, then
+       (Z + Z')_i = Z_i + Z'_i modulo the ideal at t_i, because every
+       monomial of the Witt carry into component i has weight p^i in the
+       components below i, a component of weight p^k having valuation above
+       p^k * c/p^s.  Such a Z is congruent to V^i(Z_i, ..., Z_{n-1}), as
+       Z = (Z_0, ..., Z_{i-1}, 0, ...) + V^i(Z_i, ...) exactly and the first
+       summand lies in I_c.  So reading the component-i digits is
+       F_p-linear on the classes whose components below i lie in the ideal,
+       and the basis vectors V^i[x^j] (cutoff 1 at t_i) of all i generate
+       W_n(O_E)/I_c;
+    4. let D_i be the X whose residual has its components below i in the
+       ideal, so D_0 is everything and D_n is J_c.  Reading the
+       component-i digits of R(X) is a homomorphism from D_i to an F_p-space
+       (2 and 3), with kernel D_{i+1}.  Given generators of D_i, row
+       reduction over F_p (a row minus an integer multiple of another)
+       leaves pivot rows g with independent digits and vanished rows h; as
+       sum a_g g + sum b_h h has digits sum a_g digits(g), it lies in D_{i+1}
+       exactly when every a_g is divisible by p, so the h and the p g
+       generate D_{i+1};
+    5. the truncated tuples, with every component's coefficients reduced by
+       its cutoffs, are a complete set of representatives of
+       W_n(O_E)/I_c: two of them differ first at some component, where they
+       subtract without carry (3), and there are as many as the quotient
+       has elements.  By (2), sums of classes may be taken in W_n(O_E/p),
+       where O_E/p = F_p[x]/(x^m).  There the Witt sum's component k is
+       isobaric of weight p^k, so if component i of X and of Y has x-degree
+       at most D_i = floor(t_i * m/e), which are the coefficients with
+       cutoff 1, each monomial of component k of X + Y has x-degree at most
+       sum a_i D_i <= t_k * m/e for weights sum a_i p^i = p^k; negation is
+       componentwise for odd p.  The basis vectors are such tuples, so
+       every Witt combination of them, taken mod p, is a truncated tuple,
+       the representative of its class.  The members are these tuples for
+       the Witt combinations of the generators of J_c, sorted: exactly the
+       truncated tuples whose own residual lies in I_c.
 
-    1. every cutoff k_j of ``coeff_cutoffs`` is at most 1: k_j counts the
-       digits p^t x^j of valuation e*t + e*j/m <= c/p^s < e, and only t = 0
-       can qualify;
-    2. I_c is the box of the p^{k_j} x^j, since the terms a_j x^j have
-       distinct valuations, so a sum lies in I_c exactly when each term does;
-       with every k_j <= 1, O_E/I_c is the F_p-space of the digits at the
-       coefficients with k_j = 1, and adding canonical representatives digit
-       by digit (mod p) is its group law;
-    3. X -> X^p - X * A~ is additive mod I_c, as (x + y)^p - x^p - y^p lies
-       in p O_E, which is in I_c, and X * A~ is linear; so it is F_p-linear,
-       as t^p = t mod p for an integer t.
-
-    For n >= 2 the quotient W_n(O_E)/I_c is in general not an F_p-space,
-    and its group law is Witt addition, which carries between components,
-    not digit addition.  Nor is the componentwise p-th power additive there
-    in general, so whether J_c is a subgroup depends on the level.  So
-    n >= 2 keeps the stages, which need no group structure.
+    At n = 1 there is one component, (3) is empty, and the kernel is the
+    F_p null space of the basis digits' residuals.
 
     The result is memoized on the problem, so enumerating one level again
     costs nothing.
@@ -504,115 +482,136 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
-    if prob.d == 0:
-        members = ((),)
-    elif prob.n == 1:
-        members = _kernel_members(prob, c)
-    else:
-        members = _staged_members(prob, c)
+    members = ((),) if prob.d == 0 else _kernel_members(prob, c)
     sol = JSolutionSet(c, members)
     prob.jset_memo[c] = sol
     return sol
 
 
 def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
-    """J_c for Witt length 1, sorted, as the kernel of the residual mod I_c
-    (see ``jset_enumerate`` for why it is F_p-linear).
+    """J_c, sorted, as the kernel of the residual mod I_c (see
+    ``jset_enumerate`` for the proof).
 
-    A basis digit vector has digit 1 at one position (coordinate i,
-    coefficient j with cutoff k_j = 1) and 0 elsewhere.  Its residual is
-    evaluated once and read mod I_c by ``truncate_solution``; the rows so
-    read form a square matrix over F_p, whose left null space is J_c.  A~ is
-    known to full precision, so every residual is, and reading its digits
-    never runs out of precision."""
-    p, m, d = prob.p, prob.model.m, prob.d
-    cuts = prob.model.zero().coeff_cutoffs(prob.quotient_level(c))
-    positions = [(i, j) for i in range(d) for j, k in enumerate(cuts) if k]
-    ring = _ring(prob)
+    A basis digit vector has one nonzero Witt component, x^j at component i
+    of coordinate t, with cutoff 1 at t_i; its residual is evaluated once.
+    A row is a pair (X, S): X a d-vector of length-n Witt vectors, and S
+    components i, ..., n-1 of a vector congruent to R(X) modulo I_c, whose
+    components below i lie in the ideal.  Rows are combined by Witt sums on
+    both halves.  At component i the rows' component-i digits are row
+    reduced over F_p; p times each pivot row and every vanished row pass on,
+    with S's component i dropped (it lies in the ideal, so S is congruent to
+    V applied to the rest).  The rows left after component n - 1 generate
+    J_c, whose members are their Witt combinations: each is its own
+    truncated tuple (step 5), read off its coefficients.
+
+    Rows and members live in W_n(O_E/p), on the model at one p-digit: the
+    class of a vector modulo I_c depends only on its components mod p, as
+    W_n(p O_E) lies in I_c, and the Witt sum is an integer polynomial in the
+    components, so sums of components mod p are the sums' components mod p.
+    A~ is known to full precision, so every residual is, and each residual
+    is read mod p without running out of precision."""
+    p, n, d, m = prob.p, prob.n, prob.d, prob.model.m
+    low = prob.model.with_prec(1)
+    ring = LocalRing(low)
+    zero_elem = low.zero()
+    cuts = [zero_elem.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
     zero = (0,) * m
+
+    def mod_p(X: tuple) -> tuple:
+        return tuple(
+            tuple(
+                LocalElement(low, tuple([a % p for a in comp.coeffs]), low.full_aprec)
+                for comp in vec
+            )
+            for vec in X
+        )
+
+    full_ring = _ring(prob)
     rows = []
-    for i, j in positions:
-        basis = tuple(1 if t == j else 0 for t in range(m))
-        X = tuple((basis if t == i else zero,) for t in range(d))
-        res = _residual(prob, ring, member_to_witt(prob, X), 1)
-        read = truncate_solution(prob, res, c)
-        rows.append([read[i2][0][j2] for i2, j2 in positions])
-    vectors = [(0,) * len(positions)]
-    for gen in _fp_left_null_space(rows, p):
-        vectors = [
-            tuple((a + t * g) % p for a, g in zip(vec, gen))
-            for vec in vectors
-            for t in range(p)
+    for t in range(d):
+        for i in range(n):
+            for j in (j for j, k in enumerate(cuts[i]) if k):
+                digit = tuple(1 if u == j else 0 for u in range(m))
+                vec = tuple(digit if u == i else zero for u in range(n))
+                X = member_to_witt(
+                    prob, tuple(vec if u == t else (zero,) * n for u in range(d))
+                )
+                rows.append((mod_p(X), mod_p(_residual(prob, full_ring, X, n))))
+
+    def lead(vec: tuple) -> int:
+        return next((i for i, comp in enumerate(vec) if any(comp.coeffs)), len(vec))
+
+    def plus(X: tuple, Y: tuple) -> tuple:
+        """X + Y, coordinatewise.  Where y = V^k(y_k, ...), x is
+        (x_0, ..., x_{k-1}, 0, ...) + V^k(x_k, ...) exactly, so x + y keeps
+        x's first k components and the rest is a shorter Witt sum."""
+        return tuple(
+            x[:k] + (witt_add(ring, p, x[k:], y[k:]) if k < len(y) else ())
+            for x, y, k in ((x, y, lead(y)) for x, y in zip(X, Y))
+        )
+
+    def combine(a: tuple, b: tuple) -> tuple:
+        return plus(a[0], b[0]), plus(a[1], b[1])
+
+    def negate(a: tuple) -> tuple:
+        return tuple(tuple(witt_neg(ring, p, vec) for vec in half) for half in a)
+
+    def times_p(X: tuple) -> tuple:
+        """p X = V(F(X)), as O_E/p has characteristic p."""
+        return tuple(
+            (zero_elem,) + tuple(comp.pow(p) for comp in vec[:-1]) for vec in X
+        )
+
+    for i in range(n):
+        places = [j for j, k in enumerate(cuts[i]) if k]
+        # after the last component's digits are read, S is no longer needed
+        pending = [
+            ([vec[0].coeffs[j] % p for vec in S for j in places],
+             (X, S if i < n - 1 else ()))
+            for X, S in rows
         ]
-    members = []
-    for vec in vectors:
-        coords = [list(zero) for _ in range(d)]
-        for (i, j), digit in zip(positions, vec):
-            coords[i][j] = digit
-        members.append(tuple((tuple(coord),) for coord in coords))
+        passed = []
+        for col in range(d * len(places)):
+            at = next((k for k, (digits, _) in enumerate(pending) if digits[col]), None)
+            if at is None:
+                continue
+            digits, row = pending.pop(at)
+            multiples = [None, (digits, row)]  # k times the pivot row
+            inv = pow(digits[col], -1, p)
+            for k, (other, orow) in enumerate(pending):
+                if other[col]:
+                    f = other[col] * inv % p
+                    while len(multiples) <= f:
+                        multiples.append((
+                            [(a + b) % p for a, b in zip(multiples[-1][0], digits)],
+                            combine(multiples[-1][1], row),
+                        ))
+                    fdigits, frow = multiples[f]
+                    pending[k] = (
+                        [(a - b) % p for a, b in zip(other, fdigits)],
+                        combine(orow, negate(frow)),
+                    )
+            passed.append((times_p(row[0]), times_p(row[1])))
+        passed.extend(row for _, row in pending)
+        rows = [(X, tuple(vec[1:] for vec in S)) for X, S in passed]
+
+    def key(X: tuple) -> Member:
+        return tuple(tuple(comp.coeffs for comp in vec) for vec in X)
+
+    # a generator's multiples are added to every member listed before it,
+    # so those with the most leading zero components, whose sums are the
+    # shortest, come last
+    zero_X = ((zero_elem,) * n,) * d
+    members = {key(zero_X): zero_X}
+    for gen in sorted((X for X, _ in rows), key=lambda X: min(map(lead, X))):
+        layer, mult = [], gen
+        while key(mult) not in members:
+            layer.append(mult)
+            mult = plus(mult, gen)
+        members.update(
+            (key(y), y) for y in [plus(v, w) for w in layer for v in members.values()]
+        )
     return tuple(sorted(members))
-
-
-def _fp_left_null_space(rows: list, p: int) -> list:
-    """A basis of {x : sum_k x_k * rows[k] = 0 mod p}, for rows of residues
-    in [0, p), by row reduction of [rows | I]: the identity half records
-    each reduced row as a combination of the given ones, so the rows whose
-    left half reduces to zero carry a basis of the left null space."""
-    size = len(rows)
-    width = len(rows[0]) if rows else 0
-    aug = [list(row) + [int(k == r) for k in range(size)] for r, row in enumerate(rows)]
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, size) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for r in range(size):
-            f = aug[r][col]
-            if r != rank and f:
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rank])]
-        rank += 1
-    return [row[width:] for row in aug[rank:]]
-
-
-def _staged_members(prob: JSetProblem, c: Rat) -> tuple:
-    """J_c, sorted, built through the stage levels c_0 < c_1 < ... < c_K = c
-    of ``_stage_levels``, starting from the zero vector (every cutoff 0).  At
-    stage c' every survivor of the previous stage gains the new p-digits of
-    each coefficient, and a candidate is kept only if its residual
-    phi(X) - X * A~ lies in I_{c'} = [a^{>c'/p^s}].  Nothing in J_c is lost,
-    because every stage level c' <= c keeps trunc_{c'}(X) of each X in J_c:
-
-    1. X - trunc_{c'}(X) lies in I_{c'}, since the truncation only drops
-       terms of the graded ideal;
-    2. phi maps I_{c'} into I_{c'} and I_{c'} is an ideal, so
-       residual(X) - residual(trunc_{c'}(X)) lies in I_{c'};
-    3. residual(X) lies in I_c, which is contained in I_{c'}, so
-       trunc_{c'}(X) lies in J_{c'};
-    4. every stage level lies in [0, c], hence in the admissible range
-       [0, e * p^(s-n+1)), where classes modulo I_{c'} are well defined.
-
-    This is the path for Witt length n >= 2, and for n = 1 the tests'
-    oracle for ``_kernel_members``."""
-    ring = _ring(prob)
-    zero_coord = tuple((0,) * prob.model.m for _ in range(prob.n))
-    frontier = [(zero_coord,) * prob.d]
-    below = None
-    for stage in _stage_levels(prob, c):
-        steps = _level_component_reps(prob, stage, below)
-        q_stage = prob.quotient_level(stage)
-        survivors = []
-        for X in frontier:
-            per_coord = [_extensions(coord, steps) for coord in X]
-            for cand in itertools.product(*per_coord):
-                res = _residual(prob, ring, member_to_witt(prob, cand), prob.n)
-                if all(ideal_membership_gt(r, q_stage) for r in res):
-                    survivors.append(cand)
-        frontier = survivors
-        below = stage
-    return tuple(sorted(frontier))
 
 
 def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:

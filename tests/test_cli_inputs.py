@@ -140,6 +140,52 @@ def test_kisin_height_retry_stops_after_the_ladder(monkeypatch):
     assert seen == [10]
 
 
+SINGULAR = "Frobenius matrix is singular mod p: no witness at any height"
+
+
+@pytest.mark.parametrize(
+    "n, matrix",
+    [("1", "0"), ("2", "3:0:3"), ("2", "9"), ("1", "1,0:1;0:1,0:0:1")],
+)
+def test_singular_matrix_has_no_witness(monkeypatch, n, matrix):
+    """det A mod p vanishes identically (the zero matrix, entries divisible
+    by p, or a second row u times the first): no u-precision helps, so
+    kisin-height answers at once without a witness, and jset and
+    solve-lift refuse the input with exit 2."""
+    seen = []
+    real = cli.kisin_mod.height_witness
+
+    def recording(module, r):
+        seen.append(module.uprec)
+        return real(module, r)
+
+    monkeypatch.setattr(cli.kisin_mod, "height_witness", recording)
+    module = ["--eisenstein", "3,1", "--n", n, "--r", "1", "--matrix", matrix]
+    code, out, err = run(["kisin-height"] + module)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["has_height_witness"] is False
+    assert report["reason"] == SINGULAR
+    assert len(seen) == 1
+    problem = module + ["--model", "3,0,0,0,0,0,0,0,0,1", "--s", "2"]
+    for command in ("jset", "solve-lift"):
+        assert run([command] + problem) == (2, "", f"error: {SINGULAR}\n")
+
+
+def test_determinant_vanishing_below_the_truncation_is_a_precision_refusal():
+    """det A = u^8 is not zero, but it vanishes modulo u^8, and so does
+    u^10 modulo the default u-precision 10 of jset: only more u-precision
+    can tell, so these still exit 4."""
+    vanished = (4, "", "error: matrix determinant vanishes at this u-precision\n")
+    argv = [
+        "kisin-height", "--eisenstein", "3,1", "--n", "1", "--r", "1",
+        "--matrix", "0:0:0:0:1,;,0:0:0:0:1", "--uprec", "8",
+    ]
+    assert run(argv) == vanished
+    jset = JSET[:-6] + ["--matrix", "0:0:0:0:0:1,;,0:0:0:0:0:1"] + JSET[-4:]
+    assert run(jset) == vanished
+
+
 def test_solve_lift_has_no_level_option():
     argv = ["solve-lift"] + JSET[1:] + ["--c", "b"]
     assert run(argv)[0] == 2

@@ -45,13 +45,22 @@ def readme_examples():
 EXAMPLES = readme_examples()
 
 
+def example_ids():
+    """The command's name; a later example of the same command adds its
+    ordinal, so ``jset`` stays the id of the first jset example."""
+    seen = {}
+    ids = []
+    for argv, _ in EXAMPLES:
+        k = seen[argv[0]] = seen.get(argv[0], 0) + 1
+        ids.append(argv[0] if k == 1 else f"{argv[0]}-{k}")
+    return ids
+
+
 def test_every_example_is_found():
     assert len(EXAMPLES) == README.count("$ ramibound ") > 0
 
 
-@pytest.mark.parametrize(
-    "argv, shown", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES]
-)
+@pytest.mark.parametrize("argv, shown", EXAMPLES, ids=example_ids())
 def test_readme_example(argv, shown):
     buf = io.StringIO()
     with redirect_stdout(buf):

@@ -186,12 +186,14 @@ def test_cap_enforced():
 
 
 def test_cap_checked_before_residue_lists(monkeypatch):
+    """The cap bounds the full product and is checked before any residual
+    is evaluated."""
     prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1, cap=80)
 
-    def no_lists(*args):
-        raise AssertionError("residue lists built before the cap check")
+    def no_residuals(*args, **kwargs):
+        raise AssertionError("residual evaluated before the cap check")
 
-    monkeypatch.setattr("ramibound.solver._level_component_reps", no_lists)
+    monkeypatch.setattr(solver, "_residual", no_residuals)
     with pytest.raises(CapExceededError, match="81 candidates"):
         jset_enumerate(prob, "a")
 
@@ -507,19 +509,105 @@ def test_concurrent_lifts_share_lift_constants():
 # ---------------------------------------------------------------------------
 
 
+def level_component_reps(prob, c, below=None):
+    """For each Witt component, the coefficient tuples that extend a
+    canonical representative at level ``below`` to one at level c:
+    coefficient j gains p^{k_old} * t for 0 <= t < p^{k_new - k_old}, where
+    k_old and k_new are its cutoffs at the two levels.  With ``below`` None
+    the old cutoffs are 0, and these are the canonical representatives at c."""
+    zero = prob.model.zero()
+    p = prob.p
+    per_comp = []
+    for i in range(prob.n):
+        new = zero.coeff_cutoffs(prob.comp_threshold(c, i))
+        old = (
+            (0,) * len(new)
+            if below is None
+            else zero.coeff_cutoffs(prob.comp_threshold(below, i))
+        )
+        ranges = [range(0, p ** k, p ** k0) for k0, k in zip(old, new)]
+        per_comp.append([tuple(t) for t in itertools.product(*ranges)])
+    return per_comp
+
+
 def bruteforce_members(prob, level):
     """Every vector of canonical residues at the level, in product order,
     kept when its residual lies in the ideal: the enumerator that staged
     enumeration replaced."""
     c = solver.resolve_level(prob, level)
     ring = LocalRing(prob.model)
-    coord_space = list(itertools.product(*solver._level_component_reps(prob, c)))
+    coord_space = list(itertools.product(*level_component_reps(prob, c)))
     members = []
     for combo in itertools.product(coord_space, repeat=prob.d):
         res = solver._residual(prob, ring, member_to_witt(prob, combo), prob.n)
         if all(ideal_membership_gt(e, prob.quotient_level(c)) for e in res):
             members.append(combo)
     return tuple(members)
+
+
+def stage_levels(prob, c):
+    """Ascending levels for staged enumeration, ending at c.
+
+    Coefficient j of Witt component i gains a digit at each level
+    e_norm * p^(s-i) * (j/m + t), t >= 0.  The last breakpoint <= c has the
+    same cutoffs as c itself, so it is replaced by c, whose ideal is smaller
+    (0 is always a breakpoint, so the list is never empty)."""
+    model = prob.model
+    levels = set()
+    for i in range(prob.n):
+        step = model.e_norm * F(prob.p) ** (prob.s - i)
+        for j in range(model.m):
+            lv = step * F(j, model.m)
+            while lv <= c:
+                levels.add(lv)
+                lv += step
+    stages = sorted(levels)
+    stages[-1] = c
+    return stages
+
+
+def extensions(coord, steps):
+    """Every extension of one coordinate (a tuple over Witt components of
+    coefficient tuples) by one stage's digit steps."""
+    return [
+        tuple(
+            tuple(a + b for a, b in zip(comp, inc))
+            for comp, inc in zip(coord, incs)
+        )
+        for incs in itertools.product(*steps)
+    ]
+
+
+def staged_members(prob, c):
+    """J_c, sorted, built through the stage levels c_0 < c_1 < ... < c_K = c
+    of ``stage_levels``, starting from the zero vector (every cutoff 0): the
+    search that enumerated J_c before it was read off as a kernel.  At stage
+    c' every survivor of the previous stage gains the new p-digits of each
+    coefficient, and a candidate is kept only if its residual
+    phi(X) - X * A~ lies in I_{c'} = [a^{>c'/p^s}].
+
+    It is complete at n = 1, but at n >= 2 it can miss members: it extends
+    only the componentwise truncations of survivors, and the truncation of
+    a solution to a lower stage need not solve there, because the digits it
+    drops carry into the next Witt component
+    (``test_kernel_finds_members_the_staged_search_missed``)."""
+    ring = LocalRing(prob.model)
+    zero_coord = tuple((0,) * prob.model.m for _ in range(prob.n))
+    frontier = [(zero_coord,) * prob.d]
+    below = None
+    for stage in stage_levels(prob, c):
+        steps = level_component_reps(prob, stage, below)
+        q_stage = prob.quotient_level(stage)
+        survivors = []
+        for X in frontier:
+            per_coord = [extensions(coord, steps) for coord in X]
+            for cand in itertools.product(*per_coord):
+                res = solver._residual(prob, ring, member_to_witt(prob, cand), prob.n)
+                if all(ideal_membership_gt(r, q_stage) for r in res):
+                    survivors.append(cand)
+        frontier = survivors
+        below = stage
+    return tuple(sorted(frontier))
 
 
 SWAP = [[(), (0, 1)], [(1,), ()]]
@@ -544,15 +632,14 @@ SWAP = [[(), (0, 1)], [(1,), ()]]
     ],
 )
 def test_staged_enumeration_matches_bruteforce(matrix, n, m, s, level):
-    """jset_enumerate against the full product; at n = 1, where it lists a
-    kernel, the staged search must agree with both."""
+    """jset_enumerate, which lists a kernel at every Witt length, against
+    the full product; the staged search must agree with both."""
     mod = kisin_new(3, n, E13, matrix, r_hint=1)
     prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
     oracle = bruteforce_members(prob, level)
     assert jset_enumerate(prob, level).members == oracle
-    if n == 1:
-        c = solver.resolve_level(prob, level)
-        assert solver._staged_members(prob, c) == oracle
+    c = solver.resolve_level(prob, level)
+    assert staged_members(prob, c) == oracle
 
 
 def count_residuals(monkeypatch):
@@ -578,13 +665,14 @@ def count_residuals(monkeypatch):
 def test_staged_candidate_counts(
     monkeypatch, matrix, n, m, s, level, candidates, members
 ):
-    """Residuals the staged search evaluates; it is jset_enumerate's path at
-    n = 2 and the n = 1 oracle, so it is called directly."""
+    """Residuals the staged search evaluates; it is the tests' oracle for
+    the kernel, so it is called directly.  The kernel evaluates one residual
+    per basis digit instead (``test_kernel_residual_counts``)."""
     mod = kisin_new(3, n, E13, matrix, r_hint=1)
     prob = build_jset_problem(mod, model_of_degree(m), s=s, r=1)
     calls = count_residuals(monkeypatch)
     c = solver.resolve_level(prob, level)
-    assert len(solver._staged_members(prob, c)) == members
+    assert len(staged_members(prob, c)) == members
     assert len(calls) == candidates
 
 
@@ -600,6 +688,11 @@ def test_staged_candidate_counts(
         ([], 1, 6, 1, "a", 0, 1),
         # rank 0 answers before any stage at every Witt length
         ([], 2, 9, 2, "b", 0, 1),
+        # length 2: 2 + 4 basis digits per coordinate at level b over x^9
+        # (the staged search evaluates 144 residuals on the first)
+        ([[(1,)]], 2, 9, 2, "b", 6, 9),
+        ([[(1,), ()], [(), (3, 1)]], 2, 9, 2, "b", 12, 243),
+        ([[(1,)]], 2, 9, 2, 0, 2, 9),
     ],
 )
 def test_kernel_residual_counts(
@@ -656,9 +749,9 @@ def test_kernel_matches_staged_on_seeded_sweep():
         prob = build_jset_problem(mod, model, s=1, r=1, cap=3 ** 24)
         m = len(g) - 1
         breaks = [F(3 * j, m) for j in range(m)]
-        assert solver._stage_levels(prob, breaks[-1]) == breaks
+        assert stage_levels(prob, breaks[-1]) == breaks
         for c in breaks + [(breaks[-2] + breaks[-1]) / 2]:
-            assert jset_enumerate(prob, c).members == solver._staged_members(
+            assert jset_enumerate(prob, c).members == staged_members(
                 prob, c
             ), (E, g, matrix, c)
 
@@ -710,11 +803,227 @@ def test_kernel_and_staged_refuse_alike(monkeypatch):
         return runs, results
 
     kernel = outcomes()
-    monkeypatch.setattr(solver, "_kernel_members", solver._staged_members)
+    monkeypatch.setattr(solver, "_kernel_members", staged_members)
     staged = outcomes()
     assert kernel == staged
     assert [code for code, _, _ in kernel[0]] == [2, 3, 0, 0, 0]
     assert kernel[1][:2] == [InputError, CapExceededError]
+
+
+# Witt length 2: the kernel against the staged search and the full product
+
+E_POLY = (3, 1)  # E(u) = u + 3 as a matrix entry
+LENGTH_TWO_MODULES = (  # (matrix, r): 1, E, u^2, diag(1, E), swap(E), mixed
+    ([[(1,)]], 1),
+    ([[E_POLY]], 1),
+    ([[(0, 0, 1)]], 3),
+    ([[(1,), ()], [(), E_POLY]], 1),
+    ([[(), (1,)], [E_POLY, ()]], 1),
+    ([[(1,), (0, 1)], [(), E_POLY]], 1),
+)
+LENGTH_TWO_MODELS = ((9, 2), (18, 2), (27, 3))  # x^m + 3 at level s
+
+
+def breakpoints(prob):
+    """Every stage breakpoint in the admissible range [0, e * p^(s-n+1)),
+    whose end is itself a breakpoint."""
+    top = prob.module.E.e * F(prob.p) ** (prob.s - prob.n + 1)
+    return stage_levels(prob, top)[:-1]
+
+
+def full_product(prob, c):
+    count = 1
+    for i in range(prob.n):
+        count *= padic.level_reps_count(prob.model, prob.comp_threshold(c, i))
+    return count ** prob.d
+
+
+def length_two_cases():
+    """Every module and model of the sweep that admits a problem: u^2 has
+    height 3, whose minimal level is 3, so it runs over x^27 + 3 only."""
+    for matrix, r in LENGTH_TWO_MODULES:
+        for m, s in LENGTH_TWO_MODELS:
+            mod = kisin_new(3, 2, E13, matrix, r_hint=r)
+            try:
+                prob = build_jset_problem(
+                    mod, model_of_degree(m, prec=16), s=s, r=r, cap=3 ** 12
+                )
+            except InputError:
+                assert (r, s) == (3, 2)
+                continue
+            yield matrix, m, prob
+
+
+def test_length_two_kernel_matches_oracles():
+    """At every stage breakpoint in [0, e * p^(s-1)) and at one level
+    strictly between the last two: the kernel equals the staged search where
+    the full product is at most 3^8 candidates, and the full product too
+    where it is at most 3^5; above the problem's cap of 3^12 the cap refuses
+    before any residual, as on every path.  The oracles' cost grows with
+    the full product, so these bounds keep the sweep to about 8 s."""
+    compared = {"staged": 0, "bruteforce": 0, "capped": 0}
+    cases = list(length_two_cases())
+    assert len(cases) == 16
+    for matrix, m, prob in cases:
+        breaks = breakpoints(prob)
+        assert breaks[0] == 0 and len(breaks) == m
+        for c in breaks + [(breaks[-2] + breaks[-1]) / 2]:
+            total = full_product(prob, c)
+            if total > prob.cap:
+                with pytest.raises(CapExceededError):
+                    jset_enumerate(prob, c)
+                compared["capped"] += 1
+                continue
+            got = jset_enumerate(prob, c).members
+            if total <= 3 ** 8:
+                assert staged_members(prob, c) == got, (matrix, m, c)
+                compared["staged"] += 1
+            if total <= 3 ** 5:
+                assert bruteforce_members(prob, c) == got, (matrix, m, c)
+                compared["bruteforce"] += 1
+    assert compared == {"staged": 69, "bruteforce": 30, "capped": 212}
+
+
+def test_kernel_finds_members_the_staged_search_missed():
+    """phi(e) = (1 + u) e at length 2 over x^9 + 3, level b = 1: the full
+    product of 729 candidates has 9 solutions, and the kernel lists them.
+    The staged search, the library path at n >= 2 before the kernel, keeps
+    3: (1 + 2x, x + 2x^2) solves at level 1, but its truncation (1, x) at
+    stage 1/3 does not solve there.  The truncation drops 2x from component
+    0, and X - (1, x) has component 1 equal to 2x^2 plus the carry
+    ((1 + 2x)^3 - 1 - (2x)^3)/3 = 2x + 4x^2, of valuation 1/9, which is not
+    above the stage's component-1 threshold 1/9."""
+    mod = kisin_new(3, 2, E13, [[(1, 1)]], r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(9, prec=16), s=2, r=1)
+    c = prob.level_b
+    members = jset_enumerate(prob, c).members
+    assert members == bruteforce_members(prob, c)
+    assert len(members) == 9
+    staged = staged_members(prob, c)
+    assert len(staged) == 3 and set(staged) < set(members)
+    code, out = run_cli([
+        "jset", "--eisenstein", "3,1", "--n", "2", "--r", "1", "--matrix", "1:1",
+        "--model", "3,0,0,0,0,0,0,0,0,1", "--s", "2", "--c", "b",
+    ])
+    assert code == 0
+    assert '"count": 9' in out and '"splitting": true' in out
+
+
+def test_kernel_matches_bruteforce_at_p5():
+    """At p = 5 a pivot row is subtracted up to 4 times, and p times a pivot
+    is V(F(X)) with fifth powers: the kernel against the full product at
+    Witt lengths 1 and 2, E = u + 5, over x^5 + 5, x^10 + 5 and x^25 + 5."""
+    E5 = eisenstein_validate((5, 1), 5)
+    for n, m, s, matrix in (
+        (1, 10, 1, [[(1, 2)]]),
+        (2, 25, 2, [[(1, 1)]]),
+        (2, 25, 2, [[(5, 1)]]),
+        (1, 5, 1, [[(), (1,)], [(0, 1), ()]]),
+    ):
+        g = eisenstein_validate((5,) + (0,) * (m - 1) + (1,), 5)
+        prob = build_jset_problem(
+            kisin_new(5, n, E5, matrix, r_hint=1), LocalFieldModel(g, 8), s=s, r=1
+        )
+        levels = [c for c in breakpoints(prob) if full_product(prob, c) <= 5 ** 4]
+        assert len(levels) >= 2, (matrix, m)
+        for c in levels:
+            assert jset_enumerate(prob, c).members == bruteforce_members(prob, c), (
+                matrix, m, c,
+            )
+
+
+def test_length_two_kernel_and_staged_refuse_alike(monkeypatch):
+    """At Witt length 2 as at length 1, the CLI gives the same exit code,
+    stdout and stderr through the staged search as through the kernel: past
+    the admissible range's end (3 at s = 2), a cap one below the full
+    product, and model precision 1 and 2."""
+    base = [
+        "jset", "--eisenstein", "3,1", "--n", "2", "--r", "1", "--matrix", "1",
+        "--model", "3,0,0,0,0,0,0,0,0,1", "--s", "2",
+    ]
+    calls = [
+        base + ["--c", "3"],
+        base + ["--c", "b", "--cap", str(3 ** 6 - 1)],
+        base + ["--c", "b", "--prec", "1"],
+        base + ["--c", "b", "--prec", "2"],
+        base + ["--c", "1/2", "--prec", "2"],
+        base + ["--c", "b"],
+    ]
+
+    def cli(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv)
+        return code, out, err.getvalue()
+
+    kernel = [cli(argv) for argv in calls]
+    monkeypatch.setattr(solver, "_kernel_members", staged_members)
+    assert [cli(argv) for argv in calls] == kernel
+    assert [code for code, _, _ in kernel] == [2, 3, 0, 0, 0, 0]
+    assert kernel[0][2] == "error: level 3 outside the admissible range [0, 3)\n"
+    assert kernel[1][2] == "error: enumeration needs 729 candidates, cap is 728\n"
+
+
+def additivity_instances():
+    """(label, problem, levels) for every length-2 test and bench problem and
+    a length-3 one: the sweep's modules, the lifted u^2 module, and the
+    trivial module of length 3 over x^81 + 3 (s = 4, whose admissible range
+    is [0, 9))."""
+    for matrix, m, prob in length_two_cases():
+        levels = (F(0), prob.level_b, F(2, 3) * prob.p ** (prob.s - 1))
+        yield f"{matrix} x^{m}", prob, levels
+    yield "length-2 lift", length_two_problem(), (F(0), F(3, 2), F(9, 2), F(26, 3))
+    mod = kisin_new(3, 3, E13, [[(1,)]], r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(81, prec=4), s=4, r=1)
+    yield "length 3", prob, (F(1, 3), prob.level_b, F(8))
+
+
+def test_residual_is_additive_modulo_the_ideal():
+    """R(X + Y) = R(X) + R(Y) modulo I_c for R(X) = phi(X) - X * A~, with
+    Witt sums, on seeded vectors whose every component is an arbitrary
+    element of the model (every coefficient drawn mod p^prec), at levels in
+    the admissible range: the premise of the kernel, checked on its own."""
+    rng = random.Random(20261020)
+    checked = 0
+    outside = []
+    for label, prob, levels in additivity_instances():
+        ring, p, q = LocalRing(prob.model), prob.p, prob.model.q
+
+        def draw():
+            return tuple(
+                tuple(
+                    prob.model.from_coeffs(
+                        tuple(rng.randrange(q) for _ in range(prob.model.m))
+                    )
+                    for _ in range(prob.n)
+                )
+                for _ in range(prob.d)
+            )
+
+        def residual(X):
+            return solver._residual(prob, ring, X, prob.n)
+
+        def additive(c, X, Y):
+            XY = tuple(witt_add(ring, p, x, y) for x, y in zip(X, Y))
+            return all(
+                ideal_membership_gt(
+                    witt_sub(ring, p, whole, witt_add(ring, p, rx, ry)),
+                    prob.quotient_level(c),
+                )
+                for whole, rx, ry in zip(residual(XY), residual(X), residual(Y))
+            )
+
+        top = prob.module.E.e * p ** (prob.s - prob.n + 1)
+        for c in levels:
+            assert c < top, label
+            for _ in range(2):
+                assert additive(c, draw(), draw()), (label, c)
+                checked += 1
+        # past the admissible range the cross terms of phi, of valuation e,
+        # leave the ideal: the check can fail
+        outside.append(additive(F(4, 3) * top, draw(), draw()))
+    assert checked == 2 * (16 * 3 + 4 + 3)
+    assert outside.count(False) >= len(outside) // 2
 
 
 def test_enumeration_memo(monkeypatch):
