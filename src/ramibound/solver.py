@@ -15,9 +15,11 @@ Three layers of machinery:
   graded ideal, read off from one residual per basis digit by row
   reduction over F_p, one Witt component at a time.  Each problem memoizes
   the sets it has enumerated;
-* reduction maps between truncation levels, and the splitting detector that
-  compares the reduced image count against the size the full solution module
-  would have;
+* reduction maps between truncation levels: one class map takes a vector
+  to the canonical representative of its class modulo the graded ideal, and
+  rho maps a solution set's generators through it and lists their span.
+  The splitting detector compares the reduced image count against the size
+  the full solution module would have;
 * the successive-approximation lifter that refines a level-a class into an
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
@@ -61,6 +63,7 @@ from .witt import (
     ideal_membership_gt,
     int_to_witt,
     power_frobenius,
+    teichmuller,
     teichmuller_powers,
     teichmuller_scale,
     witt_add,
@@ -121,6 +124,12 @@ class JSetProblem:
     @property
     def level_b(self) -> Rat:
         return self.constants.b
+
+    @cached_property
+    def residue_model(self) -> LocalFieldModel:
+        """The model at one p-digit, where the solution sets' Witt sums
+        are taken in W_n(O_E/p)."""
+        return self.model.with_prec(1)
 
     def pi_s(self) -> LocalElement:
         return self.model.uniformizer_pow(self.pi_s_power)
@@ -348,14 +357,32 @@ def member_to_witt(prob: JSetProblem, member: Member) -> tuple:
     )
 
 
-def truncate_witt_vec(prob: JSetProblem, vec: tuple, c: Rat) -> tuple:
-    return tuple(
-        comp.truncate_to_level(prob.comp_threshold(c, i)) for i, comp in enumerate(vec)
-    )
-
-
 def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
-    return tuple(truncate_witt_vec(prob, vec, c) for vec in X)
+    """The canonical representative of the class of X modulo
+    I_c = [a^{>c/p^s}], at any level and model precision.
+
+    A Witt vector x is read one component at a time: x_0 is truncated by
+    ``truncate_to_level`` at its threshold, which refuses a level the
+    precision cannot resolve, and the Teichmueller representative of the
+    dropped digits, which lies in I_c, is Witt-subtracted from x.  What is
+    left is [kept] + V(rest) exactly, and V(y) lies in I_c exactly when y
+    lies in the ideal whose thresholds start at the next component's, so
+    the rest is read the same way from there.  Vectors congruent modulo I_c
+    give the same representative, and at n = 1 it is the componentwise
+    truncation."""
+    ring, p = _ring(prob), prob.p
+    out = []
+    for vec in X:
+        digits = []
+        while vec:
+            kept = vec[0].truncate_to_level(prob.comp_threshold(c, len(digits)))
+            digits.append(kept)
+            if len(vec) > 1:
+                dropped = vec[0] - prob.model.from_coeffs(kept)
+                vec = witt_sub(ring, p, vec, teichmuller(ring, dropped, len(vec)))
+            vec = vec[1:]
+        out.append(tuple(digits))
+    return tuple(out)
 
 
 def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
@@ -378,8 +405,12 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
 
 @dataclass(frozen=True)
 class JSolutionSet:
+    """A finite solution set at one level: its members, sorted, and
+    generators, canonical tuples whose Witt combinations are the members."""
+
     level: Rat
     members: tuple
+    generators: tuple
 
     def __len__(self) -> int:
         return len(self.members)
@@ -403,9 +434,9 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     The candidate cap bounds the full product of canonical representatives,
     checked before any residual is evaluated.  A rank-0 module has the one
     member ``()``.  Otherwise J_c is the kernel of the residual map
-    R(X) = phi(X) - X * A~ modulo I_c = [a^{>c/p^s}], read off by
-    ``_kernel_members`` from one residual per basis digit, at every Witt
-    length n.
+    R(X) = phi(X) - X * A~ modulo I_c = [a^{>c/p^s}], whose generators
+    ``_kernel_generators`` reads off from one residual per basis digit, at
+    every Witt length n, and whose members ``_span`` lists.
 
     Why J_c is a kernel.  An admissible level has c < e * p^(s-n+1), so each
     component threshold t_i = p^i * c/p^s (i < n) is below e = v_K(p).  Then:
@@ -482,15 +513,15 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
-    members = ((),) if prob.d == 0 else _kernel_members(prob, c)
-    sol = JSolutionSet(c, members)
+    gens = () if prob.d == 0 else _kernel_generators(prob, c)
+    sol = JSolutionSet(c, _span(prob, gens), gens)
     prob.jset_memo[c] = sol
     return sol
 
 
-def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
-    """J_c, sorted, as the kernel of the residual mod I_c (see
-    ``jset_enumerate`` for the proof).
+def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
+    """Generators of J_c, the kernel of the residual mod I_c (see
+    ``jset_enumerate`` for the proof), as canonical tuples.
 
     A basis digit vector has one nonzero Witt component, x^j at component i
     of coordinate t, with cutoff 1 at t_i; its residual is evaluated once.
@@ -500,18 +531,18 @@ def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
     both halves.  At component i the rows' component-i digits are row
     reduced over F_p; p times each pivot row and every vanished row pass on,
     with S's component i dropped (it lies in the ideal, so S is congruent to
-    V applied to the rest).  The rows left after component n - 1 generate
-    J_c, whose members are their Witt combinations: each is its own
-    truncated tuple (step 5), read off its coefficients.
+    V applied to the rest).  The nonzero rows left after component n - 1
+    generate J_c; each is its own truncated tuple (step 5), read off its
+    coefficients.
 
-    Rows and members live in W_n(O_E/p), on the model at one p-digit: the
-    class of a vector modulo I_c depends only on its components mod p, as
-    W_n(p O_E) lies in I_c, and the Witt sum is an integer polynomial in the
+    Rows live in W_n(O_E/p), on the model at one p-digit: the class of a
+    vector modulo I_c depends only on its components mod p, as W_n(p O_E)
+    lies in I_c, and the Witt sum is an integer polynomial in the
     components, so sums of components mod p are the sums' components mod p.
     A~ is known to full precision, so every residual is, and each residual
     is read mod p without running out of precision."""
     p, n, d, m = prob.p, prob.n, prob.d, prob.model.m
-    low = prob.model.with_prec(1)
+    low = prob.residue_model
     ring = LocalRing(low)
     zero_elem = low.zero()
     cuts = [zero_elem.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
@@ -538,20 +569,8 @@ def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
                 )
                 rows.append((mod_p(X), mod_p(_residual(prob, full_ring, X, n))))
 
-    def lead(vec: tuple) -> int:
-        return next((i for i, comp in enumerate(vec) if any(comp.coeffs)), len(vec))
-
-    def plus(X: tuple, Y: tuple) -> tuple:
-        """X + Y, coordinatewise.  Where y = V^k(y_k, ...), x is
-        (x_0, ..., x_{k-1}, 0, ...) + V^k(x_k, ...) exactly, so x + y keeps
-        x's first k components and the rest is a shorter Witt sum."""
-        return tuple(
-            x[:k] + (witt_add(ring, p, x[k:], y[k:]) if k < len(y) else ())
-            for x, y, k in ((x, y, lead(y)) for x, y in zip(X, Y))
-        )
-
     def combine(a: tuple, b: tuple) -> tuple:
-        return plus(a[0], b[0]), plus(a[1], b[1])
+        return _plus(ring, p, a[0], b[0]), _plus(ring, p, a[1], b[1])
 
     def negate(a: tuple) -> tuple:
         return tuple(tuple(witt_neg(ring, p, vec) for vec in half) for half in a)
@@ -594,37 +613,67 @@ def _kernel_members(prob: JSetProblem, c: Rat) -> tuple:
             passed.append((times_p(row[0]), times_p(row[1])))
         passed.extend(row for _, row in pending)
         rows = [(X, tuple(vec[1:] for vec in S)) for X, S in passed]
+    return tuple(_key(X) for X, _ in rows if any(_lead(vec) < n for vec in X))
 
-    def key(X: tuple) -> Member:
-        return tuple(tuple(comp.coeffs for comp in vec) for vec in X)
 
+def _key(X: tuple) -> Member:
+    return tuple(tuple(comp.coeffs for comp in vec) for vec in X)
+
+
+def _lead(vec: tuple) -> int:
+    """The index of the first nonzero component, or the length."""
+    return next((i for i, comp in enumerate(vec) if any(comp.coeffs)), len(vec))
+
+
+def _plus(ring: LocalRing, p: int, X: tuple, Y: tuple) -> tuple:
+    """X + Y, coordinatewise.  Where y = V^k(y_k, ...), x is
+    (x_0, ..., x_{k-1}, 0, ...) + V^k(x_k, ...) exactly, so x + y keeps x's
+    first k components and the rest is a shorter Witt sum."""
+    return tuple(
+        x[:k] + (witt_add(ring, p, x[k:], y[k:]) if k < len(y) else ())
+        for x, y, k in ((x, y, _lead(y)) for x, y in zip(X, Y))
+    )
+
+
+def _span(prob: JSetProblem, gens: tuple) -> tuple:
+    """The members, sorted, of the group that canonical tuples at one
+    admissible level generate: their Witt combinations in W_n(O_E/p), each
+    its own canonical tuple (``jset_enumerate``, step 5), read off its
+    coefficients."""
+    low = prob.residue_model
+    ring, p = LocalRing(low), prob.p
+    zero_X = ((low.zero(),) * prob.n,) * prob.d
+    members = {_key(zero_X): zero_X}
+    vecs = [tuple(tuple(map(low.from_coeffs, vec)) for vec in g) for g in gens]
     # a generator's multiples are added to every member listed before it,
     # so those with the most leading zero components, whose sums are the
     # shortest, come last
-    zero_X = ((zero_elem,) * n,) * d
-    members = {key(zero_X): zero_X}
-    for gen in sorted((X for X, _ in rows), key=lambda X: min(map(lead, X))):
+    for gen in sorted(vecs, key=lambda X: min(map(_lead, X))):
         layer, mult = [], gen
-        while key(mult) not in members:
+        while _key(mult) not in members:
             layer.append(mult)
-            mult = plus(mult, gen)
+            mult = _plus(ring, p, mult, gen)
         members.update(
-            (key(y), y) for y in [plus(v, w) for w in layer for v in members.values()]
+            (_key(y), y)
+            for y in [_plus(ring, p, v, w) for w in layer for v in members.values()]
         )
     return tuple(sorted(members))
 
 
 def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:
-    """Reduction to a lower truncation level; merges members that become
-    congruent."""
+    """The image of ``sol`` at a lower truncation level c.  Reduction is a
+    homomorphism, so the image is spanned by the classes modulo I_c of
+    ``sol``'s generators, which ``truncate_solution`` maps one by one; the
+    members are listed by ``_span``.  At ``sol``'s own level it is ``sol``."""
     c = resolve_level(prob, target)
     if c > sol.level:
         raise InputError("reduction target must not exceed the source level")
-    keys = (
-        truncate_solution(prob, member_to_witt(prob, member), c)
-        for member in sol.members
+    if c == sol.level:
+        return sol
+    gens = tuple(
+        truncate_solution(prob, member_to_witt(prob, g), c) for g in sol.generators
     )
-    return JSolutionSet(c, tuple(dict.fromkeys(keys)))
+    return JSolutionSet(c, _span(prob, gens), gens)
 
 
 def splitting_test(prob: JSetProblem, expected_t_size: int) -> tuple[bool, int]:
@@ -1008,13 +1057,12 @@ def injectivity_gap(prob: JSetProblem, X: tuple, Y: tuple) -> InjectivityVerdict
 def exact_solution_set(
     prob: JSetProblem, target_digits: int = 6
 ) -> tuple[JSolutionSet, list[LiftResult]]:
-    """Lift every level-a class and deduplicate by level-b truncation.  The
-    deduplicated count must equal the reduced-image count."""
+    """Lift every level-a class; the lifts' level-b classes must be exactly
+    the members of rho(J_a -> b), which is returned with the lifts."""
     level_a = jset_enumerate(prob, "a")
     lifts = [lift_solution(prob, member, target_digits) for member in level_a.members]
-    keys = (truncate_solution(lr.problem, lr.X, prob.level_b) for lr in lifts)
-    seen = tuple(dict.fromkeys(keys))
     image = rho_reduce(prob, level_a, "b")
-    if len(seen) != len(image):
-        raise AssertionError("exact-solution count disagrees with the reduced image")
-    return JSolutionSet(prob.level_b, seen), lifts
+    classes = {truncate_solution(lr.problem, lr.X, prob.level_b) for lr in lifts}
+    if classes != set(image.members):
+        raise AssertionError("the lifts' level-b classes are not the reduced image")
+    return image, lifts

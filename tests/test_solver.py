@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -15,6 +16,7 @@ from ramibound.errors import (
     NonConvergenceError,
     NotHeightError,
     PrecisionError,
+    UndecidableError,
 )
 from ramibound.kisin import kisin_new
 from ramibound import padic, solver
@@ -142,16 +144,130 @@ def test_non_solution_rejected(prob6):
     assert good in sol.members
 
 
+def one_plus_u_problem():
+    """phi(e) = (1 + u) e at Witt length 2 over x^9 + 3, s = 2: level b is
+    1, and J_2 and J_b have 9 members each."""
+    mod = kisin_new(3, 2, E13, [[(1, 1)]], r_hint=1)
+    return build_jset_problem(mod, model_of_degree(9, prec=16), s=2, r=1)
+
+
 def test_rho_composition_law(prob6):
-    sol_a = jset_enumerate(prob6, "a")
-    mid = F(1)
-    direct = rho_reduce(prob6, sol_a, "b")
-    via_mid = rho_reduce(prob6, rho_reduce(prob6, sol_a, mid), "b")
-    assert set(direct.members) == set(via_mid.members)
-    assert len(direct) == len(via_mid)
-    # reduction to its own level is the identity
-    same = rho_reduce(prob6, sol_a, sol_a.level)
-    assert set(same.members) == set(sol_a.members)
+    for prob, source, mid in (
+        (prob6, "a", F(1)),
+        (one_plus_u_problem(), F(2), F(5, 3)),
+    ):
+        sol_a = jset_enumerate(prob, source)
+        direct = rho_reduce(prob, sol_a, "b")
+        via_mid = rho_reduce(prob, rho_reduce(prob, sol_a, mid), "b")
+        assert set(direct.members) == set(via_mid.members)
+        assert len(direct) == len(via_mid)
+        # reduction to its own level is the identity
+        same = rho_reduce(prob, sol_a, sol_a.level)
+        assert set(same.members) == set(sol_a.members)
+
+
+def test_rho_maps_generators_not_members(monkeypatch):
+    """rho calls the class map once per generator: 5 times for the 243
+    members of the u module at level a over x^12 + 3."""
+    prob = build_jset_problem(u_module(), model_of_degree(12), s=1, r=1)
+    sol = jset_enumerate(prob, "a")
+    calls = []
+    class_map = solver.truncate_solution
+
+    def counted(*args):
+        calls.append(args)
+        return class_map(*args)
+
+    monkeypatch.setattr(solver, "truncate_solution", counted)
+    image = rho_reduce(prob, sol, "b")
+    assert (len(sol), len(sol.generators), len(calls), len(image)) == (243, 5, 5, 3)
+
+
+def seeded_vector(rng, prob):
+    """A d-vector of Witt vectors whose every coefficient is drawn mod
+    p^prec."""
+    model = prob.model
+    return tuple(
+        tuple(
+            model.from_coeffs(tuple(rng.randrange(model.q) for _ in range(model.m)))
+            for _ in range(prob.n)
+        )
+        for _ in range(prob.d)
+    )
+
+
+def seeded_ideal_vector(rng, prob, c):
+    """A seeded d-vector in I_c: component i is a drawn element times x^k,
+    for the least k with k * e/m above the threshold p^i * c/p^s."""
+    model = prob.model
+    return tuple(
+        tuple(
+            comp * model.uniformizer_pow(
+                int(prob.comp_threshold(c, i) * model.m / model.e_norm) + 1
+            )
+            for i, comp in enumerate(vec)
+        )
+        for vec in seeded_vector(rng, prob)
+    )
+
+
+def class_map_cases():
+    """(problem, levels): the length-2 u^2 module over x^27 + 3 and the
+    trivial length-3 module over x^81 + 3, at levels in and beyond their
+    admissible ranges [0, 9)."""
+    yield length_two_problem(), (F(0), F(3, 2), F(9, 2), F(26, 3), F(12))
+    mod = kisin_new(3, 3, E13, [[(1,)]], r_hint=1)
+    prob = build_jset_problem(mod, model_of_degree(81, prec=4), s=4, r=1)
+    yield prob, (F(1, 3), prob.level_b, F(8), F(10))
+
+
+def test_class_map_is_constant_on_classes():
+    """truncate_solution(X) = truncate_solution(X + Y) for seeded Y in I_c,
+    and X minus its representative lies in I_c."""
+    rng = random.Random(20261019)
+    for prob, levels in class_map_cases():
+        ring, p = LocalRing(prob.model), prob.p
+        for c in levels:
+            level = prob.quotient_level(c)
+            for _ in range(3):
+                X, Y = seeded_vector(rng, prob), seeded_ideal_vector(rng, prob, c)
+                assert all(ideal_membership_gt(y, level) for y in Y)
+                rep = truncate_solution(prob, X, c)
+                moved = tuple(witt_add(ring, p, x, y) for x, y in zip(X, Y))
+                assert truncate_solution(prob, moved, c) == rep, c
+                for x, r in zip(X, member_to_witt(prob, rep)):
+                    assert ideal_membership_gt(witt_sub(ring, p, x, r), level), c
+
+
+def test_class_map_at_length_one_is_the_componentwise_truncation(prob6):
+    """At n = 1 the class map truncates the one component, at admissible
+    levels and at the inadmissible level 5 of ``test_lift_fixed_point``."""
+    rng = random.Random(20261019)
+    for c in (F(0), prob6.level_b, prob6.level_a, F(5)):
+        for _ in range(5):
+            X = seeded_vector(rng, prob6)
+            assert truncate_solution(prob6, X, c) == tuple(
+                (vec[0].truncate_to_level(prob6.comp_threshold(c, 0)),) for vec in X
+            )
+
+
+def test_class_map_refuses_components_known_too_coarsely(prob6):
+    """A component that is not known to the digits its threshold reads
+    raises UndecidableError, at component 0 and at component 1: level b of
+    the u^2 module reads x^0, x^1 of component 0 and x^0, ..., x^4 of
+    component 1; level 5 over x^6 + 3 reads digit 2 of coefficient 0, that
+    is x^6."""
+    prob = length_two_problem()
+    (vec,) = member_to_witt(prob, EXACT_LEN2)
+    for coarse in (
+        (LocalElement(prob.model, vec[0].coeffs, 1), vec[1]),
+        (vec[0], LocalElement(prob.model, vec[1].coeffs, 4)),
+    ):
+        with pytest.raises(UndecidableError):
+            truncate_solution(prob, (coarse,), prob.level_b)
+    x = prob6.model.uniformizer_pow(1)
+    with pytest.raises(UndecidableError):
+        truncate_solution(prob6, ((LocalElement(prob6.model, x.coeffs, 6),),), F(5))
 
 
 def test_remark_module_non_surjective(prob9):
@@ -803,7 +919,7 @@ def test_kernel_and_staged_refuse_alike(monkeypatch):
         return runs, results
 
     kernel = outcomes()
-    monkeypatch.setattr(solver, "_kernel_members", staged_members)
+    monkeypatch.setattr(solver, "_kernel_generators", staged_members)
     staged = outcomes()
     assert kernel == staged
     assert [code for code, _, _ in kernel[0]] == [2, 3, 0, 0, 0]
@@ -884,6 +1000,36 @@ def test_length_two_kernel_matches_oracles():
     assert compared == {"staged": 69, "bruteforce": 30, "capped": 212}
 
 
+def rho_cases():
+    """(label, problem, source level): the 1 + u module at level 2, and
+    every problem of the length-2 sweep at the first breakpoint above b, or
+    at b itself where that level's full product is above 3^16 (the rank-2
+    modules over x^18 + 3).  The cap is raised so that J_b is enumerated on
+    every problem."""
+    yield "1 + u", one_plus_u_problem(), F(2)
+    for matrix, m, prob in length_two_cases():
+        prob = dataclasses.replace(prob, cap=3 ** 20)
+        up = next(c for c in breakpoints(prob) if c > prob.level_b)
+        c = up if full_product(prob, up) <= 3 ** 16 else prob.level_b
+        yield f"{matrix} x^{m}", prob, c
+
+
+def test_rho_lands_in_the_target_set_as_the_class_map_of_every_member():
+    """rho(J_c -> b) lies in J_b, and it is the set of the class-map images
+    of all members of J_c, though rho maps only J_c's generators.  The
+    componentwise truncation, which is not reduction modulo I_b at n >= 2,
+    puts 6 of the 9 reduced tuples of the 1 + u module outside J_b."""
+    for label, prob, c in rho_cases():
+        sol = jset_enumerate(prob, c)
+        image = rho_reduce(prob, sol, "b")
+        assert set(image.members) <= set(jset_enumerate(prob, "b").members), label
+        classes = {
+            truncate_solution(prob, member_to_witt(prob, x), prob.level_b)
+            for x in sol.members
+        }
+        assert set(image.members) == classes, label
+
+
 def test_kernel_finds_members_the_staged_search_missed():
     """phi(e) = (1 + u) e at length 2 over x^9 + 3, level b = 1: the full
     product of 729 candidates has 9 solutions, and the kernel lists them.
@@ -957,7 +1103,7 @@ def test_length_two_kernel_and_staged_refuse_alike(monkeypatch):
         return code, out, err.getvalue()
 
     kernel = [cli(argv) for argv in calls]
-    monkeypatch.setattr(solver, "_kernel_members", staged_members)
+    monkeypatch.setattr(solver, "_kernel_generators", staged_members)
     assert [cli(argv) for argv in calls] == kernel
     assert [code for code, _, _ in kernel] == [2, 3, 0, 0, 0, 0]
     assert kernel[0][2] == "error: level 3 outside the admissible range [0, 3)\n"
