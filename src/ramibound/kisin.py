@@ -15,8 +15,9 @@ is one flat list of residues mod p, f per u-degree, so coefficient t of the
 field element at u^k stands at index k*f + t (for f = 1, one residue per
 u-degree).  A product is one :func:`ramibound.padic.poly_convolve` of the
 two lists with their u-degrees spaced 2f - 1 apart, so that the products of
-two field elements never overlap, followed by one reduction of each u-degree
-in the field's quotient ring F_p[y]/(m), a
+two field elements never overlap (dense lists are packed into one integer
+product there, sparse ones multiply their nonzero pairs), followed by one
+reduction of each u-degree in the field's quotient ring F_p[y]/(m), a
 :class:`ramibound.padic.MonicQuotient` (for f = 1, just mod p).  The etale
 path takes Laurent series of field-element tuples and flattens them at its
 boundary only.

@@ -10,7 +10,12 @@ This module holds the package's one arithmetic kernel:
 
 * every product of integer coefficient tuples, in every module, is
   :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
-  coefficients), and it multiplies only pairs of nonzero coefficients;
+  coefficients).  It has two strategies, chosen from the operands' lengths
+  and nonzero counts alone: operands with at least PACK_PAIRS_PER_COEFF
+  pairs of nonzero coefficients per coefficient are packed into one integer
+  each, in slots wide enough for every coefficient of the product, and
+  multiplied once (Kronecker substitution); sparser or shorter ones
+  multiply only pairs of nonzero coefficients;
 * every quotient ring is a :class:`MonicQuotient`, (Z/q)[x]/(g) for a monic
   g, or Z[x]/(g) when q is None: the quotient ring (Z/p^n)[u]/E(u)^r, the
   rings O_E = Z_p[x]/g of the local-field models, the finite fields
@@ -18,7 +23,8 @@ This module holds the package's one arithmetic kernel:
   :mod:`ramibound.witt`.  It checks once that g is monic and lists g's
   nonzero low terms once, and every division by a monic polynomial, its
   own and :func:`poly_divmod_monic`, walks only those (one for a binomial
-  x^m + a), reduces modulo q once, at the end, and builds no quotient list;
+  x^m + a), reduces modulo q once, at the end, and builds no quotient list.
+  Modulo a binomial, a packed product is reduced in its packed form;
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
@@ -229,14 +235,78 @@ def poly_mod(c, q: int) -> tuple[int, ...]:
     return poly_trim([v % q for v in c])
 
 
+# A product is packed when its operands have at least this many pairs of
+# nonzero coefficients per coefficient, na*nb >= PACK_PAIRS_PER_COEFF *
+# (len(a) + len(b)): the pair loop costs about one step per pair, the packed
+# product about one per coefficient packed and read back.  Below the ratio
+# the pair loop is faster (the crossover is measured in CHANGES.md).
+PACK_PAIRS_PER_COEFF = 6
+
+
+def _packed_terms(a, b) -> int:
+    """The smaller nonzero count of a and b when a*b is packed, else 0.  The
+    lengths bound the nonzero counts, so a short product counts no zeros.
+    As na*nb >= k*(na + nb) needs na or nb >= 2k, for k the ratio, callers
+    skip the call when neither operand has 2k coefficients."""
+    need = PACK_PAIRS_PER_COEFF * (len(a) + len(b))
+    if len(a) * len(b) < need:
+        return 0
+    na = len(a) - a.count(0)
+    nb = na if a is b else len(b) - b.count(0)
+    return min(na, nb) if na * nb >= need else 0
+
+
+def _pack(c, bits: int) -> int:
+    """The integer sum of c_i * 2^(bits*i), signed digits and all."""
+    x = 0
+    for v in reversed(c):
+        x = (x << bits) + v
+    return x
+
+
+def _packed_product(a, b, terms: int, scale: int = 1) -> tuple[int, int]:
+    """(x, bits): x = A*B for the packed operands, in slots of ``bits`` bits,
+    whole bytes wide, that hold ``scale`` times any coefficient of a*b as a
+    balanced digit: each coefficient is a sum of at most ``terms`` products,
+    and one more bit holds the sign.  A square (a is b) packs once."""
+    top = max(map(abs, a))
+    bound = top * (top if a is b else max(map(abs, b))) * terms * scale
+    bits = (bound.bit_length() + 8) & ~7
+    x = _pack(a, bits)
+    return x * (x if a is b else _pack(b, bits)), bits
+
+
+def _unpack(x: int, bits: int, n: int) -> list[int]:
+    """The n lowest balanced digits of x in base 2^bits (bits a multiple of
+    8), each in [-2^(bits-1), 2^(bits-1)).  Adding 2^(bits-1) to every slot
+    makes them plain digits, which one conversion to bytes reads off."""
+    size, half = bits >> 3, 1 << (bits - 1)
+    biased = x + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    buf = (biased & ((1 << bits * n) - 1)).to_bytes(size * n, "little")
+    return [
+        int.from_bytes(buf[i : i + size], "little") - half
+        for i in range(0, size * n, size)
+    ]
+
+
 def poly_convolve(a, b, prec: int | None = None) -> list[int]:
     """Exact product of integer coefficient sequences, untrimmed; only the
-    first ``prec`` coefficients when prec is given.  Only pairs of nonzero
-    coefficients are multiplied."""
+    first ``prec`` coefficients when prec is given.  Dense operands (see
+    PACK_PAIRS_PER_COEFF) are packed into one integer each and multiplied
+    once (Kronecker substitution); sparse or short ones multiply only pairs
+    of nonzero coefficients."""
+    square = a is b
     if prec is not None:
-        a, b = a[:prec], b[:prec]
+        a = a[:prec]
+        b = a if square else b[:prec]
     if not a or not b:
         return []
+    long = 2 * PACK_PAIRS_PER_COEFF
+    terms = (len(a) >= long or len(b) >= long) and _packed_terms(a, b)
+    if terms:
+        n = len(a) + len(b) - 1
+        x, bits = _packed_product(a, b, terms)
+        return _unpack(x, bits, n if prec is None else min(n, prec))
     out = [0] * (len(a) + len(b) - 1)
     terms = list(compress(enumerate(b), b))  # (k, b_k) for the nonzero b_k
     for i, va in enumerate(a):
@@ -298,6 +368,12 @@ class MonicQuotient:
         self.low_terms = [
             (k, v) for k, v in enumerate(g[:d], -d) if (v if q is None else v % q)
         ]
+        # a_0 when g is the binomial x^d + a_0, else None
+        self.binomial_a0 = (
+            self.low_terms[0][1]
+            if len(self.low_terms) == 1 and self.low_terms[0][0] == -d
+            else None
+        )
 
     def _divide(self, num) -> list:
         """Division by g on a copy of ``num``, reducing mod q only the
@@ -319,7 +395,30 @@ class MonicQuotient:
         return poly_trim(rem if self.q is None else [v % self.q for v in rem])
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return self.reduce(poly_convolve(a, b))
+        """a*b reduced.  A packed product (see :func:`poly_convolve`) of
+        operands of degree < d modulo a binomial g = x^d + a_0 is reduced
+        packed: its top d - 1 slots H hold the coefficients of x^d and up, and
+        x^d = -a_0 makes the remainder L - a_0*H, L the low d slots read
+        signed, in slots widened to hold (|a_0| + 1) times a coefficient."""
+        d, a0 = self.deg, self.binomial_a0
+        # operands of degree < d pack only if d >= 2 * PACK_PAIRS_PER_COEFF
+        # (see _packed_terms), so a small ring's products skip the count
+        terms = (
+            a0 is not None
+            and d >= 2 * PACK_PAIRS_PER_COEFF
+            and len(a) <= d
+            and len(b) <= d
+            and _packed_terms(a, b)
+        )
+        if not terms:
+            return self.reduce(poly_convolve(a, b))
+        x, bits = _packed_product(a, b, terms, abs(a0) + 1)
+        top = bits * d
+        low = x & ((1 << top) - 1)
+        if low >> (top - 1):
+            low -= 1 << top
+        rem = _unpack(low - a0 * ((x - low) >> top), bits, d)
+        return poly_trim(rem if self.q is None else [v % self.q for v in rem])
 
     def pow(self, a, k: int) -> tuple[int, ...]:
         return power(a, k, self.mul, (1,))
@@ -507,6 +606,30 @@ class LocalFieldModel:
     def with_prec(self, prec: int) -> "LocalFieldModel":
         return LocalFieldModel(self.g, prec, self.e_norm)
 
+    # -- graded-ideal levels -------------------------------------------------
+
+    def coeff_cutoffs(self, level: Rat) -> tuple[int, ...]:
+        """Per-coefficient digit counts k_j describing a^{>level}: an element
+        lies in the ideal iff p^{k_j} divides coefficient j for all j.  They
+        depend only on the model and the level, so each level's are computed
+        once per model."""
+        cuts = self._cutoffs.get(level)
+        if cuts is None:
+            cuts = self._cutoffs[level] = self._level_cutoffs(level)
+        return cuts
+
+    @cached_property
+    def _cutoffs(self) -> dict:
+        return {}
+
+    def _level_cutoffs(self, level: Rat) -> tuple[int, ...]:
+        m = self.m
+        # k_j = max(0, floor(level/e_norm - j/m) + 1), over one denominator
+        lv = Fraction(level)
+        step = lv.denominator * self.e_norm
+        top, den = lv.numerator * m, step * m
+        return tuple(max(0, (top - j * step) // den + 1) for j in range(m))
+
 
 @dataclass(frozen=True)
 class LocalElement:
@@ -677,20 +800,14 @@ class LocalElement:
     # -- truncation to graded-ideal levels ----------------------------------
 
     def coeff_cutoffs(self, level: Rat) -> tuple[int, ...]:
-        """Per-coefficient digit counts k_j describing a^{>level}: an element
-        lies in the ideal iff p^{k_j} divides coefficient j for all j."""
-        m = self.model.m
-        # k_j = max(0, floor(level/e_norm - j/m) + 1), over one denominator
-        lv = Fraction(level)
-        step = lv.denominator * self.model.e_norm
-        top, den = lv.numerator * m, step * m
-        return tuple(max(0, (top - j * step) // den + 1) for j in range(m))
+        """The model's :meth:`LocalFieldModel.coeff_cutoffs` at the level."""
+        return self.model.coeff_cutoffs(level)
 
     def truncate_to_level(self, level: Rat) -> tuple[int, ...]:
         """Canonical representative of the class mod a^{>level}: coefficient j
         reduced mod p^{k_j}.  Raises when the level is not resolvable at the
         current precision."""
-        cuts = self.coeff_cutoffs(level)
+        cuts = self.model.coeff_cutoffs(level)
         m = self.model.m
         for j, k in enumerate(cuts):
             if k > 0 and m * (k - 1) + j >= self.aprec:
@@ -702,5 +819,4 @@ class LocalElement:
 
 
 def level_reps_count(model: LocalFieldModel, level: Rat) -> int:
-    cuts = model.zero().coeff_cutoffs(level)
-    return model.p ** sum(cuts)
+    return model.p ** sum(model.coeff_cutoffs(level))

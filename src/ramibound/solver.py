@@ -545,7 +545,7 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
     low = prob.residue_model
     ring = LocalRing(low)
     zero_elem = low.zero()
-    cuts = [zero_elem.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
+    cuts = [low.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
     zero = (0,) * m
 
     def mod_p(X: tuple) -> tuple:

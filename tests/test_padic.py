@@ -5,6 +5,8 @@ from itertools import zip_longest
 
 import pytest
 
+from ramibound.kisin import GF, series_mul
+from ramibound import padic
 from ramibound.errors import (
     BaseMismatchError,
     InputError,
@@ -17,6 +19,7 @@ from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
     LowerBound,
+    MonicQuotient,
     QuotRing,
     divide_by_monic,
     eisenstein_validate,
@@ -173,6 +176,97 @@ def test_divide_by_monic_roundtrip_random():
         poly_divmod_monic((1, 2, 3), (3, 2))
     with pytest.raises(InputError):
         poly_divmod_monic((1, 2, 3), (3, 9), 9)
+
+
+def seeded_operand(rng, length):
+    """Signed coefficients of up to 200 bits, of one of three shapes: dense,
+    zero-heavy (three in four zero) or a single term."""
+    bits = rng.choice([1, 8, 30, 64, 200])
+
+    def coeff():
+        return rng.randrange(-(1 << bits), 1 << bits)
+
+    shape = rng.randrange(3)
+    if shape == 0:
+        return [coeff() for _ in range(length)]
+    if shape == 1:
+        return [coeff() if rng.randrange(4) == 0 else 0 for _ in range(length)]
+    out = [0] * length
+    out[rng.randrange(length)] = coeff()
+    return out
+
+
+def test_packed_and_pair_products_agree(monkeypatch):
+    """The packed product (one integer product of the packed operands) and
+    the nonzero-pair loop give the same coefficients, and both the
+    schoolbook product: poly_convolve on seeded operands of length 1 to 60,
+    truncated and squared; MonicQuotient.mul modulo binomial and
+    non-binomial g, over Z and mod q; kisin.series_mul over F_27.  Each
+    product runs with packing forced, with packing off and at the module's
+    ratio, which takes each strategy at least once."""
+    taken = []
+    real_terms = padic._packed_terms
+
+    def spy(a, b):
+        terms = real_terms(a, b)
+        taken.append(terms > 0)
+        return terms
+
+    monkeypatch.setattr(padic, "_packed_terms", spy)
+    default = padic.PACK_PAIRS_PER_COEFF
+
+    def each_strategy(product):
+        """product() packed whenever it has a nonzero pair, never packed,
+        and at the module's ratio; the three must agree."""
+        out = []
+        for ratio in (0, 10 ** 9, default):
+            monkeypatch.setattr(padic, "PACK_PAIRS_PER_COEFF", ratio)
+            out.append(product())
+        assert out[0] == out[1] == out[2]
+        return out[0]
+
+    rng = random.Random(20261019)
+    for _ in range(300):
+        a = seeded_operand(rng, rng.randint(1, 60))
+        b = seeded_operand(rng, rng.randint(1, 60))
+        want = naive_mul(a, b)
+        assert each_strategy(lambda: poly_convolve(a, b)) == want, (a, b)
+        prec = rng.randrange(len(want) + 3)
+        got = each_strategy(lambda: poly_convolve(tuple(a), tuple(b), prec))
+        assert got == want[:prec], (a, b, prec)
+        square = naive_mul(a, a)
+        assert each_strategy(lambda: poly_convolve(a, a)) == square, a
+        assert each_strategy(lambda: poly_convolve(a, a, prec)) == square[:prec], a
+    assert any(taken) and not all(taken)
+
+    # x^m + a_0 for several a_0, and g with a second low term
+    divisors = [(3, 1), (-3,) + (0,) * 11 + (1,), (3,) + (0,) * 26 + (1,),
+                (3 ** 20,) + (0,) * 39 + (1,), (-1,) + (0,) * 29 + (1,),
+                (3, 3) + (0,) * 25 + (1,), (6, 0, 9) + (0,) * 9 + (1,)]
+    taken.clear()
+    for _ in range(200):
+        g = rng.choice(divisors)
+        q = rng.choice([None, 3 ** 16, 3 ** 40, 5 ** 3])
+        ring = MonicQuotient(g, q)
+        m = ring.deg
+        # operands of degree < m, and a few longer ones the binomial
+        # reduction leaves to the division
+        a = seeded_operand(rng, rng.randint(1, m + (2 if rng.randrange(5) == 0 else 0)))
+        if q is not None and rng.randrange(2):  # reduced, as LocalElement keeps them
+            a = [v % q for v in a]
+        b = a if rng.randrange(4) == 0 else seeded_operand(rng, rng.randint(1, m))
+        want = naive_divmod(naive_mul(a, b), g, q)[1]
+        assert each_strategy(lambda: ring.mul(a, b)) == want, (g, q, a, b)
+    assert any(taken) and not all(taken)
+
+    F27 = GF.create(3, 3)
+    taken.clear()
+    for _ in range(60):
+        prec = rng.randint(1, 20)
+        a = [rng.randrange(3) for _ in range(3 * rng.randint(0, prec))]
+        b = [rng.randrange(3) if rng.randrange(3) else 0 for _ in range(3 * rng.randint(0, prec))]
+        each_strategy(lambda: series_mul(F27, a, b, prec))
+    assert any(taken) and not all(taken)
 
 
 def test_valuations_basic():

@@ -239,6 +239,33 @@ def test_class_map_is_constant_on_classes():
                     assert ideal_membership_gt(witt_sub(ring, p, x, r), level), c
 
 
+def test_class_map_computes_each_levels_cutoffs_once(monkeypatch):
+    """A loop of class maps computes the coefficient cutoffs of each
+    (model, level) once, however many vectors and components it reads: 60
+    maps of the u^2 module over x^27 + 3 at three levels read two
+    component thresholds each, and build, enumeration and maps together
+    compute no level's cutoffs twice on one model."""
+    computed = []
+    real = LocalFieldModel._level_cutoffs
+
+    def counting(model, level):
+        computed.append((id(model), level))
+        return real(model, level)
+
+    monkeypatch.setattr(LocalFieldModel, "_level_cutoffs", counting)
+    prob = length_two_problem()
+    jset_enumerate(prob, "b")
+    rng = random.Random(20261020)
+    levels = (F(1), F(2), F(5))
+    for c in levels:
+        for _ in range(20):
+            truncate_solution(prob, seeded_vector(rng, prob), c)
+    read = {(id(prob.model), prob.comp_threshold(c, i)) for c in levels for i in range(2)}
+    assert len(read) == 6
+    assert read <= set(computed)
+    assert len(computed) == len(set(computed))
+
+
 def test_class_map_at_length_one_is_the_componentwise_truncation(prob6):
     """At n = 1 the class map truncates the one component, at admissible
     levels and at the inadmissible level 5 of ``test_lift_fixed_point``."""
