@@ -372,15 +372,14 @@ def cmd_jset(args) -> dict:
         "a": prob.level_a,
         "b": prob.level_b,
         "level": level,
-        "count": len(sol),
+        "count": sol.order,
     }
     if level >= prob.level_b:
         image = solver_mod.rho_reduce(prob, sol, "b")
-        out["count_b"] = len(solver_mod.jset_enumerate(prob, "b"))
-        out["image_ab"] = len(image)
-        expected = prob.p ** (prob.n * prob.d)
-        out["T_size"] = expected
-        out["splitting"] = len(image) == expected
+        out["count_b"] = solver_mod.jset_enumerate(prob, "b").order
+        out["image_ab"] = image.order
+        out["T_size"] = prob.p ** (prob.n * prob.d)
+        out["splitting"] = image.order == out["T_size"]
     return out
 
 

@@ -220,11 +220,9 @@ def fontaine_mu_bound(m: Rat, e_nk: int, e_fn: int, wild: bool = False) -> Rat:
     return e_nk * m + Fraction(1, e_fn)
 
 
-def different_from_pm(m: Rat, unramified: bool = False) -> Rat:
+def different_from_pm(m: Rat) -> Rat:
     """Strict upper bound on v_K of the different granted by the lifting
-    property at radius m; an unramified extension has different 0 outright."""
-    if unramified:
-        return Fraction(0)
+    property at radius m."""
     return Fraction(m)
 
 

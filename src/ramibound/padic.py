@@ -799,10 +799,6 @@ class LocalElement:
 
     # -- truncation to graded-ideal levels ----------------------------------
 
-    def coeff_cutoffs(self, level: Rat) -> tuple[int, ...]:
-        """The model's :meth:`LocalFieldModel.coeff_cutoffs` at the level."""
-        return self.model.coeff_cutoffs(level)
-
     def truncate_to_level(self, level: Rat) -> tuple[int, ...]:
         """Canonical representative of the class mod a^{>level}: coefficient j
         reduced mod p^{k_j}.  Raises when the level is not resolvable at the

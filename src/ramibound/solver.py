@@ -13,13 +13,14 @@ Three layers of machinery:
   representatives, under an explicit candidate cap: at every Witt length,
   J_c is the kernel of the residual map, which is additive modulo the
   graded ideal, read off from one residual per basis digit by row
-  reduction over F_p, one Witt component at a time.  Each problem memoizes
-  the sets it has enumerated;
+  reduction over F_p, one Witt component at a time; the same reduction
+  gives each set a p-basis, which counts it.  Each problem memoizes the
+  sets it has enumerated;
 * reduction maps between truncation levels: one class map takes a vector
   to the canonical representative of its class modulo the graded ideal, and
-  rho maps a solution set's generators through it and lists their span.
-  The splitting detector compares the reduced image count against the size
-  the full solution module would have;
+  rho maps a solution set's basis through it and row-reduces the classes.
+  The splitting detector compares the image's order against the size the
+  full solution module would have;
 * the successive-approximation lifter that refines a level-a class into an
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
@@ -352,9 +353,7 @@ def with_precision(prob: JSetProblem, prec_digits: int) -> JSetProblem:
 
 
 def member_to_witt(prob: JSetProblem, member: Member) -> tuple:
-    return tuple(
-        tuple(prob.model.from_coeffs(comp) for comp in coord) for coord in member
-    )
+    return _vectors(prob.model, member)
 
 
 def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
@@ -405,15 +404,36 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
 
 @dataclass(frozen=True)
 class JSolutionSet:
-    """A finite solution set at one level: its members, sorted, and
-    generators, canonical tuples whose Witt combinations are the members."""
+    """A solution set at one level, given by a p-basis: canonical tuples
+    whose Witt sums with coefficients in [0, p) are its members, each once
+    (``jset_enumerate``, step 6), listed over the residue ``model`` when read."""
 
     level: Rat
-    members: tuple
     generators: tuple
+    model: LocalFieldModel
+    n: int
+    d: int
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.model.p ** len(self.generators)
+
+    order = property(__len__)  # len() refuses sizes past sys.maxsize
+
+    @cached_property
+    def members(self) -> tuple:
+        """The p^rank digit combinations of the basis, each its own
+        canonical tuple (step 5), sorted."""
+        ring, p = LocalRing(self.model), self.model.p
+        members = [((self.model.zero(),) * self.n,) * self.d]
+        # vectors with the most leading zero components, whose sums are the
+        # shortest, come last, where they are added to the most members
+        basis = [_vectors(self.model, g) for g in self.generators]
+        for g in sorted(basis, key=lambda X: min(map(_lead, X))):
+            layer = members
+            for _ in range(p - 1):
+                layer = [_plus(ring, p, v, g) for v in layer]
+                members += layer
+        return tuple(sorted(map(_key, members)))
 
 
 def resolve_level(prob: JSetProblem, level) -> Rat:
@@ -428,15 +448,15 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
 
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
-    """Complete list of congruence solutions at the given truncation level,
-    over canonical residue representatives, in sorted order.
+    """The congruence solutions at the given truncation level, over canonical
+    residue representatives, as a solution set with a p-basis.
 
     The candidate cap bounds the full product of canonical representatives,
     checked before any residual is evaluated.  A rank-0 module has the one
     member ``()``.  Otherwise J_c is the kernel of the residual map
     R(X) = phi(X) - X * A~ modulo I_c = [a^{>c/p^s}], whose generators
     ``_kernel_generators`` reads off from one residual per basis digit, at
-    every Witt length n, and whose members ``_span`` lists.
+    every Witt length n, and whose p-basis ``_echelon`` picks from them.
 
     Why J_c is a kernel.  An admissible level has c < e * p^(s-n+1), so each
     component threshold t_i = p^i * c/p^s (i < n) is below e = v_K(p).  Then:
@@ -470,7 +490,7 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
        ideal, so D_0 is everything and D_n is J_c.  Reading the
        component-i digits of R(X) is a homomorphism from D_i to an F_p-space
        (2 and 3), with kernel D_{i+1}.  Given generators of D_i, row
-       reduction over F_p (a row minus an integer multiple of another)
+       reduction over F_p (a row plus an integer multiple of another)
        leaves pivot rows g with independent digits and vanished rows h; as
        sum a_g g + sum b_h h has digits sum a_g digits(g), it lies in D_{i+1}
        exactly when every a_g is divisible by p, so the h and the p g
@@ -488,8 +508,18 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
        componentwise for odd p.  The basis vectors are such tuples, so
        every Witt combination of them, taken mod p, is a truncated tuple,
        the representative of its class.  The members are these tuples for
-       the Witt combinations of the generators of J_c, sorted: exactly the
-       truncated tuples whose own residual lies in I_c.
+       the Witt combinations of the generators of J_c: exactly the
+       truncated tuples whose own residual lies in I_c;
+    6. a group G that truncated tuples generate has a p-basis.  Let G_i be
+       its members whose components below i are zero (lie in the ideal).
+       Row reduction as in (4), on the component-i digits of the members
+       themselves, keeps pivots at component i, which lie in G_i and have
+       independent digits, and passes on generators of G_{i+1}.  By (3)
+       reading those digits is F_p-linear on G_i, so a member of G_i fixes
+       the coefficients mod p of the pivots at i, and taking them in
+       [0, p) leaves a member of G_{i+1}.  So every member of G is exactly
+       one sum a_g g over all pivots g with 0 <= a_g < p, and |G| is p to
+       the number of pivots.
 
     At n = 1 there is one component, (3) is empty, and the kernel is the
     F_p null space of the basis digits' residuals.
@@ -513,10 +543,18 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
         )
-    gens = () if prob.d == 0 else _kernel_generators(prob, c)
-    sol = JSolutionSet(c, _span(prob, gens), gens)
+    sol = _solution_set(prob, c, _kernel_generators(prob, c))
     prob.jset_memo[c] = sol
     return sol
+
+
+def _solution_set(prob: JSetProblem, c: Rat, gens: tuple) -> JSolutionSet:
+    """The solution set at level c that canonical tuples generate, with the
+    pivots of ``_echelon`` on the rows (g, g) as its p-basis (step 6)."""
+    low = prob.residue_model
+    cuts = [low.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(prob.n)]
+    pivots, _ = _echelon(prob, cuts, [(X, X) for X in (_vectors(low, g) for g in gens)])
+    return JSolutionSet(c, tuple(map(_key, pivots)), low, prob.n, prob.d)
 
 
 def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
@@ -525,15 +563,9 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
 
     A basis digit vector has one nonzero Witt component, x^j at component i
     of coordinate t, with cutoff 1 at t_i; its residual is evaluated once.
-    A row is a pair (X, S): X a d-vector of length-n Witt vectors, and S
-    components i, ..., n-1 of a vector congruent to R(X) modulo I_c, whose
-    components below i lie in the ideal.  Rows are combined by Witt sums on
-    both halves.  At component i the rows' component-i digits are row
-    reduced over F_p; p times each pivot row and every vanished row pass on,
-    with S's component i dropped (it lies in the ideal, so S is congruent to
-    V applied to the rest).  The nonzero rows left after component n - 1
-    generate J_c; each is its own truncated tuple (step 5), read off its
-    coefficients.
+    ``_echelon`` reduces the rows (X, R(X)), and the nonzero rows it leaves
+    after component n - 1 generate J_c (step 4); each is its own truncated
+    tuple (step 5), read off its coefficients.
 
     Rows live in W_n(O_E/p), on the model at one p-digit: the class of a
     vector modulo I_c depends only on its components mod p, as W_n(p O_E)
@@ -541,53 +573,48 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
     components, so sums of components mod p are the sums' components mod p.
     A~ is known to full precision, so every residual is, and each residual
     is read mod p without running out of precision."""
-    p, n, d, m = prob.p, prob.n, prob.d, prob.model.m
-    low = prob.residue_model
-    ring = LocalRing(low)
-    zero_elem = low.zero()
+    n, d, m = prob.n, prob.d, prob.model.m
+    low, ring = prob.residue_model, _ring(prob)
     cuts = [low.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
     zero = (0,) * m
-
-    def mod_p(X: tuple) -> tuple:
-        return tuple(
-            tuple(
-                LocalElement(low, tuple([a % p for a in comp.coeffs]), low.full_aprec)
-                for comp in vec
-            )
-            for vec in X
-        )
-
-    full_ring = _ring(prob)
     rows = []
     for t in range(d):
         for i in range(n):
             for j in (j for j, k in enumerate(cuts[i]) if k):
                 digit = tuple(1 if u == j else 0 for u in range(m))
                 vec = tuple(digit if u == i else zero for u in range(n))
-                X = member_to_witt(
-                    prob, tuple(vec if u == t else (zero,) * n for u in range(d))
-                )
-                rows.append((mod_p(X), mod_p(_residual(prob, full_ring, X, n))))
+                member = tuple(vec if u == t else (zero,) * n for u in range(d))
+                R = _residual(prob, ring, member_to_witt(prob, member), n)
+                rows.append((_vectors(low, member), _vectors(low, _key(R))))
+    _, rest = _echelon(prob, cuts, rows)
+    return tuple(_key(X) for X in rest if any(_lead(vec) < n for vec in X))
 
-    def combine(a: tuple, b: tuple) -> tuple:
-        return _plus(ring, p, a[0], b[0]), _plus(ring, p, a[1], b[1])
 
-    def negate(a: tuple) -> tuple:
-        return tuple(tuple(witt_neg(ring, p, vec) for vec in half) for half in a)
+def _echelon(prob: JSetProblem, cuts: list, rows: list) -> tuple:
+    """Row reduction over F_p along the Witt filtration (``jset_enumerate``,
+    steps 4 and 6), in W_n(O_E/p).  A row is a pair (X, S) of d-vectors,
+    kept as the one tuple X + S, so that a Witt sum combines both halves:
+    at component i, S holds components i, ..., n-1 of a vector whose
+    components below i lie in the ideal.  Its component-i digits, at the
+    cutoffs ``cuts[i]``, are row reduced; p times each pivot row and every
+    vanished row pass on, with S's component i dropped (S is then congruent
+    to V of the rest).  Returns the X halves of the pivot rows, in order,
+    and of the rows left after component n - 1."""
+    p, n, d = prob.p, prob.n, prob.d
+    ring, zero = LocalRing(prob.residue_model), prob.residue_model.zero()
 
     def times_p(X: tuple) -> tuple:
         """p X = V(F(X)), as O_E/p has characteristic p."""
-        return tuple(
-            (zero_elem,) + tuple(comp.pow(p) for comp in vec[:-1]) for vec in X
-        )
+        return tuple((zero,) + tuple(comp.pow(p) for comp in vec[:-1]) for vec in X)
 
+    pivots, rows = [], [X + S for X, S in rows]
     for i in range(n):
         places = [j for j, k in enumerate(cuts[i]) if k]
         # after the last component's digits are read, S is no longer needed
         pending = [
-            ([vec[0].coeffs[j] % p for vec in S for j in places],
-             (X, S if i < n - 1 else ()))
-            for X, S in rows
+            ([vec[0].coeffs[j] % p for vec in row[d:] for j in places],
+             row if i < n - 1 else row[:d])
+            for row in rows
         ]
         passed = []
         for col in range(d * len(places)):
@@ -595,25 +622,26 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
             if at is None:
                 continue
             digits, row = pending.pop(at)
-            multiples = [None, (digits, row)]  # k times the pivot row
+            multiples = [None, row]  # k times the pivot row
             inv = pow(digits[col], -1, p)
             for k, (other, orow) in enumerate(pending):
-                if other[col]:
-                    f = other[col] * inv % p
+                if other[col]:  # adding f times the pivot row clears it
+                    f = -other[col] * inv % p
                     while len(multiples) <= f:
-                        multiples.append((
-                            [(a + b) % p for a, b in zip(multiples[-1][0], digits)],
-                            combine(multiples[-1][1], row),
-                        ))
-                    fdigits, frow = multiples[f]
+                        multiples.append(_plus(ring, p, multiples[-1], row))
                     pending[k] = (
-                        [(a - b) % p for a, b in zip(other, fdigits)],
-                        combine(orow, negate(frow)),
+                        [(a + f * b) % p for a, b in zip(other, digits)],
+                        _plus(ring, p, orow, multiples[f]),
                     )
-            passed.append((times_p(row[0]), times_p(row[1])))
+            pivots.append(row[:d])
+            passed.append(times_p(row))
         passed.extend(row for _, row in pending)
-        rows = [(X, tuple(vec[1:] for vec in S)) for X, S in passed]
-    return tuple(_key(X) for X, _ in rows if any(_lead(vec) < n for vec in X))
+        rows = [row[:d] + tuple(vec[1:] for vec in row[d:]) for row in passed]
+    return pivots, rows
+
+
+def _vectors(model: LocalFieldModel, member: Member) -> tuple:
+    return tuple(tuple(map(model.from_coeffs, vec)) for vec in member)
 
 
 def _key(X: tuple) -> Member:
@@ -635,52 +663,26 @@ def _plus(ring: LocalRing, p: int, X: tuple, Y: tuple) -> tuple:
     )
 
 
-def _span(prob: JSetProblem, gens: tuple) -> tuple:
-    """The members, sorted, of the group that canonical tuples at one
-    admissible level generate: their Witt combinations in W_n(O_E/p), each
-    its own canonical tuple (``jset_enumerate``, step 5), read off its
-    coefficients."""
-    low = prob.residue_model
-    ring, p = LocalRing(low), prob.p
-    zero_X = ((low.zero(),) * prob.n,) * prob.d
-    members = {_key(zero_X): zero_X}
-    vecs = [tuple(tuple(map(low.from_coeffs, vec)) for vec in g) for g in gens]
-    # a generator's multiples are added to every member listed before it,
-    # so those with the most leading zero components, whose sums are the
-    # shortest, come last
-    for gen in sorted(vecs, key=lambda X: min(map(_lead, X))):
-        layer, mult = [], gen
-        while _key(mult) not in members:
-            layer.append(mult)
-            mult = _plus(ring, p, mult, gen)
-        members.update(
-            (_key(y), y)
-            for y in [_plus(ring, p, v, w) for w in layer for v in members.values()]
-        )
-    return tuple(sorted(members))
-
-
 def rho_reduce(prob: JSetProblem, sol: JSolutionSet, target) -> JSolutionSet:
     """The image of ``sol`` at a lower truncation level c.  Reduction is a
     homomorphism, so the image is spanned by the classes modulo I_c of
-    ``sol``'s generators, which ``truncate_solution`` maps one by one; the
-    members are listed by ``_span``.  At ``sol``'s own level it is ``sol``."""
+    ``sol``'s basis, which ``truncate_solution`` maps one by one; its own
+    basis is picked from them by ``_echelon`` at level c, and nothing is
+    listed.  At ``sol``'s own level it is ``sol``."""
     c = resolve_level(prob, target)
     if c > sol.level:
         raise InputError("reduction target must not exceed the source level")
     if c == sol.level:
         return sol
-    gens = tuple(
-        truncate_solution(prob, member_to_witt(prob, g), c) for g in sol.generators
-    )
-    return JSolutionSet(c, _span(prob, gens), gens)
+    gens = [truncate_solution(prob, member_to_witt(prob, g), c) for g in sol.generators]
+    return _solution_set(prob, c, gens)
 
 
 def splitting_test(prob: JSetProblem, expected_t_size: int) -> tuple[bool, int]:
     """|rho_{a,b}(J_a)| against the full solution-module size: equality means
     the splitting field embeds in the model field."""
     image = rho_reduce(prob, jset_enumerate(prob, "a"), "b")
-    return len(image) == expected_t_size, len(image)
+    return image.order == expected_t_size, image.order
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ def test_fontaine_bound():
 def test_different_from_pm():
     assert different_from_pm(F(3, 2)) == F(3, 2)
     assert different_from_pm(1) == 1
-    assert different_from_pm(F(3, 2), unramified=True) == 0
 
 
 def test_kummer_different_closed_form_and_model():

@@ -387,7 +387,7 @@ def test_coeff_cutoffs_match_fraction_formula():
     for m in (1, 2, 6, 12, 27):
         g = eisenstein_validate((3,) + (0,) * (m - 1) + (1,), 3)
         for e_norm in (1, 2, 3):
-            zero = LocalFieldModel(g, 4, e_norm=e_norm).zero()
+            model = LocalFieldModel(g, 4, e_norm=e_norm)
             levels = [0, 1, 7, F(1, 2), F(-1, 3), F(m * e_norm, 3), F(5, 1)]
             levels += [
                 F(rng.randrange(-20, 200), rng.randrange(1, 40)) for _ in range(60)
@@ -397,7 +397,7 @@ def test_coeff_cutoffs_match_fraction_formula():
                     max(0, (F(level, e_norm) - F(j, m)).__floor__() + 1)
                     for j in range(m)
                 )
-                assert zero.coeff_cutoffs(level) == want, (m, e_norm, level)
+                assert model.coeff_cutoffs(level) == want, (m, e_norm, level)
 
 
 def test_min_integer_strictly_above():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import random
 import sys
 import threading
@@ -181,6 +182,39 @@ def test_rho_maps_generators_not_members(monkeypatch):
     monkeypatch.setattr(solver, "truncate_solution", counted)
     image = rho_reduce(prob, sol, "b")
     assert (len(sol), len(sol.generators), len(calls), len(image)) == (243, 5, 5, 3)
+
+
+def test_jset_lists_no_member(monkeypatch):
+    """``jset`` counts from ranks: with the member listing made to raise,
+    the 59049-member call (the u^2 module at Witt length 2 over x^27 + 3)
+    still prints its recorded output, whose digest CI also checks."""
+
+    def refuse(sol):
+        raise AssertionError("jset listed the members of a solution set")
+
+    monkeypatch.setattr(solver.JSolutionSet, "members", property(refuse))
+    code, out = run_cli([
+        "jset", "--eisenstein", "3,1", "--n", "2", "--r", "3", "--matrix", "0:0:1",
+        "--model", "3," + "0," * 26 + "1", "--s", "3", "--cap", "2000000000",
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ccbaf57216c0c307de55c584bce0c9eb4a2b0637f49a30afc194f0128db670c3"
+    )
+
+
+def test_jset_counts_sets_past_sys_maxsize():
+    """A set's order is p to its rank, which may exceed what ``len()``
+    returns: diag(u, u) over x^120 + 3 has 3^82 members at level a."""
+    code, out = run_cli([
+        "jset", "--eisenstein", "3,1", "--n", "1", "--r", "1", "--matrix", "0:1,;,0:1",
+        "--model", "3," + "0," * 119 + "1", "--s", "1", "--cap", str(10 ** 100),
+    ])
+    assert code == 0
+    report = json.loads(out)
+    counts = (report["count"], report["count_b"], report["image_ab"])
+    assert counts == (3 ** 82, 3 ** 28, 9)
+    assert report["count"] > sys.maxsize
 
 
 def seeded_vector(rng, prob):
@@ -658,15 +692,15 @@ def level_component_reps(prob, c, below=None):
     coefficient j gains p^{k_old} * t for 0 <= t < p^{k_new - k_old}, where
     k_old and k_new are its cutoffs at the two levels.  With ``below`` None
     the old cutoffs are 0, and these are the canonical representatives at c."""
-    zero = prob.model.zero()
+    model = prob.model
     p = prob.p
     per_comp = []
     for i in range(prob.n):
-        new = zero.coeff_cutoffs(prob.comp_threshold(c, i))
+        new = model.coeff_cutoffs(prob.comp_threshold(c, i))
         old = (
             (0,) * len(new)
             if below is None
-            else zero.coeff_cutoffs(prob.comp_threshold(below, i))
+            else model.coeff_cutoffs(prob.comp_threshold(below, i))
         )
         ranges = [range(0, p ** k, p ** k0) for k0, k in zip(old, new)]
         per_comp.append([tuple(t) for t in itertools.product(*ranges)])
@@ -751,6 +785,38 @@ def staged_members(prob, c):
         frontier = survivors
         below = stage
     return tuple(sorted(frontier))
+
+
+def span_members(prob, gens):
+    """The members, sorted, of the group that canonical tuples at one
+    admissible level generate, listed by closure: each generator's multiples
+    are added until one repeats, and a dict drops the sums already listed.
+    Sums are taken in W_n(O_E/p), each its own canonical tuple
+    (``jset_enumerate``, step 5).  The library listed members this way
+    before a solution set kept a p-basis."""
+    low = prob.residue_model
+    ring, p = LocalRing(low), prob.p
+    zero_X = ((low.zero(),) * prob.n,) * prob.d
+    members = {solver._key(zero_X): zero_X}
+    vecs = [tuple(tuple(map(low.from_coeffs, vec)) for vec in g) for g in gens]
+    # generators with the most leading zero components, whose sums are the
+    # shortest, come last, where the most members are listed
+    for gen in sorted(vecs, key=lambda X: min(map(solver._lead, X))):
+        layer, mult = [], gen
+        while solver._key(mult) not in members:
+            layer.append(mult)
+            mult = solver._plus(ring, p, mult, gen)
+        sums = [solver._plus(ring, p, v, w) for w in layer for v in members.values()]
+        members.update((solver._key(y), y) for y in sums)
+    return tuple(sorted(members))
+
+
+def check_listing(prob, sol):
+    """The set's order is the length of its listing, and the listing is the
+    closure of the kernel's own generators, which need not be a p-basis."""
+    assert len(sol) == len(sol.members)
+    gens = solver._kernel_generators(prob, sol.level) if prob.d else ()
+    assert sol.members == span_members(prob, gens)
 
 
 SWAP = [[(), (0, 1)], [(1,), ()]]
@@ -894,9 +960,9 @@ def test_kernel_matches_staged_on_seeded_sweep():
         breaks = [F(3 * j, m) for j in range(m)]
         assert stage_levels(prob, breaks[-1]) == breaks
         for c in breaks + [(breaks[-2] + breaks[-1]) / 2]:
-            assert jset_enumerate(prob, c).members == staged_members(
-                prob, c
-            ), (E, g, matrix, c)
+            sol = jset_enumerate(prob, c)
+            assert sol.members == staged_members(prob, c), (E, g, matrix, c)
+            check_listing(prob, sol)
 
 
 def test_kernel_and_staged_refuse_alike(monkeypatch):
@@ -1017,7 +1083,9 @@ def test_length_two_kernel_matches_oracles():
                     jset_enumerate(prob, c)
                 compared["capped"] += 1
                 continue
-            got = jset_enumerate(prob, c).members
+            sol = jset_enumerate(prob, c)
+            check_listing(prob, sol)
+            got = sol.members
             if total <= 3 ** 8:
                 assert staged_members(prob, c) == got, (matrix, m, c)
                 compared["staged"] += 1
@@ -1055,6 +1123,12 @@ def test_rho_lands_in_the_target_set_as_the_class_map_of_every_member():
             for x in sol.members
         }
         assert set(image.members) == classes, label
+        assert len(image) == len(classes), label
+        assert image.members == span_members(prob, [
+            truncate_solution(prob, member_to_witt(prob, g), prob.level_b)
+            for g in sol.generators
+        ]), label
+        check_listing(prob, sol)
 
 
 def test_kernel_finds_members_the_staged_search_missed():
@@ -1518,11 +1592,6 @@ def ramified_problem():
         eisenstein_validate((-3, 0, 0, 0, 0, 0, 1), 3), 24, e_norm=2
     )
     return build_jset_problem(kisin_new(3, 1, E2, [[(0, 1)]], r_hint=1), model, s=1, r=1)
-
-
-def length_two_problem():
-    mod = kisin_new(3, 2, E13, [[(0, 0, 1)]], r_hint=3)
-    return build_jset_problem(mod, model_of_degree(27, prec=16), s=3, r=3)
 
 
 def length_two_members(prob):
