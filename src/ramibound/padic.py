@@ -10,12 +10,16 @@ This module holds the package's one arithmetic kernel:
 
 * every product of integer coefficient tuples, in every module, is
   :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
-  coefficients).  It has two strategies, chosen from the operands' lengths
-  and nonzero counts alone: operands with at least PACK_PAIRS_PER_COEFF
-  pairs of nonzero coefficients per coefficient are packed into one integer
-  each, in slots wide enough for every coefficient of the product, and
-  multiplied once (Kronecker substitution); sparser or shorter ones
-  multiply only pairs of nonzero coefficients;
+  coefficients) or a product in a :class:`MonicQuotient`.  A product has
+  three strategies, chosen from the operands' lengths and nonzero counts
+  alone, each count taken once: an operand with at most one nonzero
+  coefficient c*x^k gives a shifted, scaled copy of the other (in a
+  quotient ring its top k coefficients fold back through g's low terms, in
+  one pass modulo a binomial); operands with at least PACK_PAIRS_PER_COEFF
+  pairs of nonzero coefficients per coefficient are packed into one
+  integer each, in slots wide enough for every coefficient of the product,
+  and multiplied once (Kronecker substitution); the others multiply only
+  pairs of nonzero coefficients;
 * every quotient ring is a :class:`MonicQuotient`, (Z/q)[x]/(g) for a monic
   g, or Z[x]/(g) when q is None: the quotient ring (Z/p^n)[u]/E(u)^r, the
   rings O_E = Z_p[x]/g of the local-field models, the finite fields
@@ -24,7 +28,10 @@ This module holds the package's one arithmetic kernel:
   nonzero low terms once, and every division by a monic polynomial, its
   own and :func:`poly_divmod_monic`, walks only those (one for a binomial
   x^m + a), reduces modulo q once, at the end, and builds no quotient list.
-  Modulo a binomial, a packed product is reduced in its packed form;
+  Modulo a binomial, a packed product is reduced in its packed form, and a
+  power of a dense operand with exponent 3 to PACK_POW_MAX is one
+  big-integer power of the packed operand, folded by x^m = -a and read
+  back once;
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
@@ -33,7 +40,8 @@ This module holds the package's one arithmetic kernel:
 * every power by square-and-multiply, of local-field elements, finite-field
   elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
-  returned only for the exponent 0.
+  returned only for the exponent 0.  A product of local-field elements by
+  a 1 at full precision is the other factor itself.
 
 Conventions
 -----------
@@ -243,17 +251,25 @@ def poly_mod(c, q: int) -> tuple[int, ...]:
 PACK_PAIRS_PER_COEFF = 6
 
 
-def _packed_terms(a, b) -> int:
-    """The smaller nonzero count of a and b when a*b is packed, else 0.  The
-    lengths bound the nonzero counts, so a short product counts no zeros.
-    As na*nb >= k*(na + nb) needs na or nb >= 2k, for k the ratio, callers
-    skip the call when neither operand has 2k coefficients."""
-    need = PACK_PAIRS_PER_COEFF * (len(a) + len(b))
-    if len(a) * len(b) < need:
-        return 0
-    na = len(a) - a.count(0)
-    nb = na if a is b else len(b) - b.count(0)
-    return min(na, nb) if na * nb >= need else 0
+# MonicQuotient.pow packs a power modulo a binomial for exponents
+# 3 <= k <= PACK_POW_MAX of operands a with na^2 >= PACK_POW_PAIRS_PER_COEFF
+# * len(a), na the nonzero count: the packed power grows as k^2 slots, the
+# square-and-multiply chain as log k products, and a sparse operand's
+# products are cheap single-term or pair products (the crossover is measured
+# in CHANGES.md).
+PACK_POW_MAX = 3
+PACK_POW_PAIRS_PER_COEFF = 3
+
+
+def _nonzero(a) -> int:
+    return len(a) - a.count(0)
+
+
+def _packed_terms(a, b, na: int, nb: int) -> int:
+    """min(na, nb) when a*b is packed, else 0, for the nonzero counts na of
+    a and nb of b.  As na*nb >= k*(na + nb) needs na or nb >= 2k, for k the
+    ratio, a product with neither operand of 2k coefficients never packs."""
+    return min(na, nb) if na * nb >= PACK_PAIRS_PER_COEFF * (len(a) + len(b)) else 0
 
 
 def _pack(c, bits: int) -> int:
@@ -264,14 +280,19 @@ def _pack(c, bits: int) -> int:
     return x
 
 
+def _slot_bits(bound: int) -> int:
+    """Whole bytes of slot that hold any integer of absolute value at most
+    ``bound`` as a balanced digit, with one more bit for the sign."""
+    return (bound.bit_length() + 8) & ~7
+
+
 def _packed_product(a, b, terms: int, scale: int = 1) -> tuple[int, int]:
     """(x, bits): x = A*B for the packed operands, in slots of ``bits`` bits,
     whole bytes wide, that hold ``scale`` times any coefficient of a*b as a
     balanced digit: each coefficient is a sum of at most ``terms`` products,
     and one more bit holds the sign.  A square (a is b) packs once."""
     top = max(map(abs, a))
-    bound = top * (top if a is b else max(map(abs, b))) * terms * scale
-    bits = (bound.bit_length() + 8) & ~7
+    bits = _slot_bits(top * (top if a is b else max(map(abs, b))) * terms * scale)
     x = _pack(a, bits)
     return x * (x if a is b else _pack(b, bits)), bits
 
@@ -289,6 +310,35 @@ def _unpack(x: int, bits: int, n: int) -> list[int]:
     ]
 
 
+def _fold_binomial(x: int, top: int, a0: int) -> int:
+    """sum_j (-a0)^j H_j for the chunks H_0, H_1, ... of ``top`` bits of x,
+    each read signed: a packed polynomial, in slots that fill ``top`` bits d
+    at a time, reduced by x^d = -a0 in its packed form."""
+    mask, sign = (1 << top) - 1, 1 << (top - 1)
+    chunks = []
+    while x:
+        low = x & mask
+        if low & sign:
+            low -= 1 << top
+        chunks.append(low)
+        x = (x - low) >> top
+    out = 0
+    for h in reversed(chunks):
+        out = out * -a0 + h
+    return out
+
+
+def _pair_product(a, b) -> list[int]:
+    """a*b, untrimmed, by the loop over pairs of nonzero coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = list(compress(enumerate(b), b))  # (k, b_k) for the nonzero b_k
+    for i, va in enumerate(a):
+        if va:
+            for k, vb in terms:
+                out[i + k] += va * vb
+    return out
+
+
 def poly_convolve(a, b, prec: int | None = None) -> list[int]:
     """Exact product of integer coefficient sequences, untrimmed; only the
     first ``prec`` coefficients when prec is given.  Dense operands (see
@@ -301,19 +351,17 @@ def poly_convolve(a, b, prec: int | None = None) -> list[int]:
         b = a if square else b[:prec]
     if not a or not b:
         return []
+    n = len(a) + len(b) - 1
+    if prec is not None:
+        n = min(n, prec)
     long = 2 * PACK_PAIRS_PER_COEFF
-    terms = (len(a) >= long or len(b) >= long) and _packed_terms(a, b)
-    if terms:
-        n = len(a) + len(b) - 1
-        x, bits = _packed_product(a, b, terms)
-        return _unpack(x, bits, n if prec is None else min(n, prec))
-    out = [0] * (len(a) + len(b) - 1)
-    terms = list(compress(enumerate(b), b))  # (k, b_k) for the nonzero b_k
-    for i, va in enumerate(a):
-        if va:
-            for k, vb in terms:
-                out[i + k] += va * vb
-    return out if prec is None else out[:prec]
+    if len(a) >= long or len(b) >= long:
+        na = _nonzero(a)
+        terms = _packed_terms(a, b, na, na if square else _nonzero(b))
+        if terms:
+            return _unpack(*_packed_product(a, b, terms), n)
+    out = _pair_product(a, b)
+    return out if prec is None else out[:n]
 
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -389,39 +437,99 @@ class MonicQuotient:
                     rem[i + k] -= c * v
         return rem
 
+    def _out(self, rem) -> tuple[int, ...]:
+        """A remainder list reduced mod q and trimmed."""
+        return poly_trim(rem if self.q is None else [v % self.q for v in rem])
+
     def reduce(self, num) -> tuple[int, ...]:
         """The remainder of ``num`` modulo g (and q)."""
-        rem = self._divide(num)[: self.deg]
-        return poly_trim(rem if self.q is None else [v % self.q for v in rem])
+        return self._out(self._divide(num)[: self.deg])
 
     def mul(self, a, b) -> tuple[int, ...]:
-        """a*b reduced.  A packed product (see :func:`poly_convolve`) of
-        operands of degree < d modulo a binomial g = x^d + a_0 is reduced
-        packed: its top d - 1 slots H hold the coefficients of x^d and up, and
-        x^d = -a_0 makes the remainder L - a_0*H, L the low d slots read
-        signed, in slots widened to hold (|a_0| + 1) times a coefficient."""
-        d, a0 = self.deg, self.binomial_a0
-        # operands of degree < d pack only if d >= 2 * PACK_PAIRS_PER_COEFF
-        # (see _packed_terms), so a small ring's products skip the count
-        terms = (
-            a0 is not None
-            and d >= 2 * PACK_PAIRS_PER_COEFF
-            and len(a) <= d
-            and len(b) <= d
-            and _packed_terms(a, b)
-        )
+        """a*b reduced, by one of three strategies, chosen from the nonzero
+        counts of a and b, taken once:
+
+        * an operand with at most one nonzero coefficient c*x^k gives a
+          shifted, scaled copy of the other (:meth:`_term_product`);
+        * dense operands (see :func:`poly_convolve`) give a packed product;
+          modulo a binomial g = x^d + a_0 and for operands of degree < d it
+          is reduced packed: its top d - 1 slots H hold the coefficients of
+          x^d and up, and x^d = -a_0 makes the remainder L - a_0*H, L the
+          low d slots read signed, in slots widened to hold (|a_0| + 1)
+          times a coefficient;
+        * other operands multiply by pairs of nonzero coefficients."""
+        na = _nonzero(a)
+        nb = na if a is b else _nonzero(b)
+        if na <= 1:
+            return self._term_product(a, b)
+        if nb <= 1:
+            return self._term_product(b, a)
+        terms = _packed_terms(a, b, na, nb)
         if not terms:
-            return self.reduce(poly_convolve(a, b))
+            return self.reduce(_pair_product(a, b))
+        d, a0 = self.deg, self.binomial_a0
+        if a0 is None or len(a) > d or len(b) > d:
+            x, bits = _packed_product(a, b, terms)
+            return self.reduce(_unpack(x, bits, len(a) + len(b) - 1))
         x, bits = _packed_product(a, b, terms, abs(a0) + 1)
-        top = bits * d
-        low = x & ((1 << top) - 1)
-        if low >> (top - 1):
-            low -= 1 << top
-        rem = _unpack(low - a0 * ((x - low) >> top), bits, d)
-        return poly_trim(rem if self.q is None else [v % self.q for v in rem])
+        return self._out(_unpack(_fold_binomial(x, bits * d, a0), bits, d))
+
+    def _term_product(self, t, b) -> tuple[int, ...]:
+        """t*b reduced, for t with at most one nonzero coefficient c at
+        degree k: c*b shifted up by k.  Its coefficients of degree d = deg g
+        and up, if any, fold back through g's low terms.  Modulo a binomial
+        g = x^d + a_0, with k < d and b of degree < d, that is one pass: b's
+        top coefficients b_j, j >= d - k, land at degree j + k - d, times
+        -a_0 c, and the others at j + k, times c."""
+        k = next(compress(count(), t), None)
+        if k is None:
+            return ()
+        c, d, a0 = t[k], self.deg, self.binomial_a0
+        split = d - k
+        if len(b) <= split:
+            return self._out([0] * k + [c * v for v in b])
+        if a0 is None or split <= 0 or len(b) > d:
+            return self.reduce([0] * k + [c * v for v in b])
+        ca = -a0 * c
+        return self._out(
+            [ca * v for v in b[split:]]
+            + [0] * (d - len(b))
+            + [c * v for v in b[:split]]
+        )
 
     def pow(self, a, k: int) -> tuple[int, ...]:
-        return power(a, k, self.mul, (1,))
+        """a^k reduced; x^1 is x itself, as :func:`power` gives it.  Modulo
+        a binomial, a power of a of degree < d with 3 <= k <= PACK_POW_MAX
+        and at least PACK_POW_PAIRS_PER_COEFF pairs of nonzero coefficients
+        per coefficient of a is :meth:`_packed_pow`; every other is
+        square-and-multiply by :meth:`mul` (a square is one product)."""
+        if (
+            self.binomial_a0 is None
+            or not 3 <= k <= PACK_POW_MAX
+            or len(a) > self.deg
+            or _nonzero(a) ** 2 < PACK_POW_PAIRS_PER_COEFF * len(a)
+        ):
+            return power(a, k, self.mul, (1,))
+        return self._packed_pow(a, k)
+
+    def _packed_pow(self, a, k: int) -> tuple[int, ...]:
+        """a^k modulo g = x^d + a_0, for k >= 1 and a of degree < d, from one
+        big-integer power: a is packed once, in slots of B bits, and raised
+        to the k-th power, which packs the k(len(a) - 1) + 1 coefficients of
+        a^k over Z.  Cut into chunks H_0, H_1, ... of d slots each, read
+        signed, x^d = -a_0 makes the remainder sum_j (-a_0)^j H_j, read back
+        once.  A coefficient of a^k is a sum of at most n^(k - 1) products
+        of k coefficients of a, n its nonzero count, so it is at most
+        n^(k - 1) M^k, M = max |a_i|; at most k chunks (j <= k - 1, as
+        len(a) <= d) add into one slot of the remainder, so the slots hold
+        n^(k - 1) M^k (|a_0| + 1)^(k - 1) and the sign."""
+        n = _nonzero(a)
+        if not n:
+            return ()
+        d, a0 = self.deg, self.binomial_a0
+        bits = _slot_bits(max(map(abs, a)) ** k * (n * (abs(a0) + 1)) ** (k - 1))
+        x = _pack(a, bits) ** k
+        return self._out(_unpack(_fold_binomial(x, bits * d, a0), bits, d))
 
 
 def divide_by_monic(
@@ -653,19 +761,23 @@ class LocalElement:
         gcd(q, a_0, ..., a_{m-1}) = p^v; as j < m, the least term is m * v + j
         for the first j with p^(v+1) not dividing a_j, and no term is below
         aprec when that one is not.  The element is immutable, so this runs
-        once per element."""
-        return self._xval
-
-    @cached_property
-    def _xval(self) -> int | None:
+        once per element: the value is kept in the instance dict, without
+        the lock that ``functools.cached_property`` takes on a first read
+        before Python 3.12."""
+        known = self.__dict__
+        if "_xval" in known:
+            return known["_xval"]
         model = self.model
         g = gcd(model.q, *self.coeffs)
         v = model.p_exponents[g]
-        if v == model.prec:
-            return None
-        j = next(compress(count(), map(operator.mod, self.coeffs, repeat(g * model.p))))
-        t = model.m * v + j
-        return t if t < self.aprec else None
+        t = None
+        if v < model.prec:
+            j = next(compress(count(), map(operator.mod, self.coeffs, repeat(g * model.p))))
+            t = model.m * v + j
+            if t >= self.aprec:
+                t = None
+        known["_xval"] = t
+        return t
 
     def valuation(self) -> Rat | LowerBound:
         """v_K-valuation; LowerBound(e_norm * aprec / m) when zero at precision."""
@@ -687,7 +799,10 @@ class LocalElement:
         return LocalElement(self.model, vec, min(self.aprec, other.aprec))
 
     def __sub__(self, other: "LocalElement") -> "LocalElement":
-        return self + (-other)
+        self._check(other)
+        q = self.model.q
+        vec = tuple([(a - b) % q for a, b in zip(self.coeffs, other.coeffs)])
+        return LocalElement(self.model, vec, min(self.aprec, other.aprec))
 
     def __neg__(self) -> "LocalElement":
         q = self.model.q
@@ -695,27 +810,67 @@ class LocalElement:
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        rem = self.model.quotient.mul(self.coeffs, other.coeffs)
-        vec = rem + (0,) * (self.model.m - len(rem))
+        model = self.model
         # aprec is min(self.aprec + v(other), other.aprec + v(self), full),
         # a factor's aprec standing in for its valuation when it is zero at
         # precision; each term is at least its own factor's aprec, so the
         # other factor's valuation is needed only when that aprec is below full
-        aprec = full = self.model.full_aprec
+        aprec = full = model.full_aprec
+        # coefficients are kept reduced mod q, m of them, so a factor with
+        # the coefficients of 1 gives the other factor's coefficients; at
+        # full precision (valuation 0) the rule gives the other's aprec too,
+        # so the product is the other factor itself
+        one = model.one().coeffs
+        if self.coeffs == one:
+            if self.aprec == full:
+                return other
+            vec = other.coeffs
+        elif other.coeffs == one:
+            if other.aprec == full:
+                return self
+            vec = self.coeffs
+        else:
+            rem = model.quotient.mul(self.coeffs, other.coeffs)
+            vec = rem + (0,) * (model.m - len(rem))
         if self.aprec < full:
             vb = other.xval()
             aprec = min(aprec, self.aprec + (other.aprec if vb is None else vb))
         if other.aprec < full:
             va = self.xval()
             aprec = min(aprec, other.aprec + (self.aprec if va is None else va))
-        return LocalElement(self.model, vec, aprec)
+        return LocalElement(model, vec, aprec)
 
     def mul_int(self, c: int) -> "LocalElement":
         q = self.model.q
         return LocalElement(self.model, tuple((c * a) % q for a in self.coeffs), self.aprec)
 
     def pow(self, k: int) -> "LocalElement":
-        return power(self, k, operator.mul, self.model.one())
+        """self^k, with the coefficients of :meth:`MonicQuotient.pow` and the
+        aprec min(F, a + (k - 1) v), F full precision, a = self.aprec and v
+        the xval, or a when self is zero at precision.  That is the aprec of
+        every square-and-multiply chain of :meth:`__mul__`: by induction, a
+        chain's x^i has aprec A_i = min(F, a + (i - 1) v) and valuation
+        V_i = min(i v, A_i) (xval, or aprec when zero at precision).  For
+        a = F, every product is of two full factors, so A_i = F.  For a < F,
+        the representative of x^i has valuation i * v(rep x), which is i v
+        below A_i exactly when v is an xval (else it is at least i a >= A_i);
+        and the product of x^i and x^j has aprec
+        min(F, A_i + V_j [A_i < F], A_j + V_i [A_j < F]).  When A_i, A_j < F,
+        V_j = j v (v <= a), so A_i + V_j = a + (i + j - 1) v, and the same for
+        the other term.  When A_i = F > A_j, the only term is
+        A_j + min(i v, F), which is a + (i + j - 1) v, or at least F when
+        i v > F, as is a + (i + j - 1) v >= (i + j) v.  When both are F,
+        a + (i + j - 1) v >= a + (i - 1) v >= F.  In each case
+        A_(i+j) = min(F, a + (i + j - 1) v)."""
+        if k < 2:
+            return power(self, k, operator.mul, self.model.one())
+        model = self.model
+        rem = model.quotient.pow(self.coeffs, k)
+        aprec = full = model.full_aprec
+        if self.aprec < full:
+            v = self.xval()
+            aprec = min(full, self.aprec + (k - 1) * (self.aprec if v is None else v))
+        return LocalElement(model, rem + (0,) * (model.m - len(rem)), aprec)
 
     # -- division ----------------------------------------------------------
 
@@ -726,17 +881,30 @@ class LocalElement:
         on one coefficient list, and one element is built: the coefficients
         mod q, the precision and the refusals (no precision left before not
         divisible, at the first single division that fails) are those of k
-        single divisions."""
+        single divisions.  Modulo a binomial g = x^m + a_0, a single division
+        rotates the list by one, so for k <= m the i-th division reads the
+        original coefficient i and the k divisions are one rotation."""
         if not k:
             return self
         model = self.model
         q, p, m = model.q, model.p, model.m
         u = model.g0_unit_inverse
+        vec = list(self.coeffs)
+        if model.quotient.binomial_a0 is not None and k <= m:
+            for i, z in enumerate(vec[:k]):
+                if self.aprec - i < 1:
+                    raise PrecisionError("no precision left for division")
+                if z % q % p:
+                    raise PrecisionError("element is not divisible by the uniformizer")
+            # z_i * x^(m - k + i) / x^m, with x^m = -a_0 = -p (a_0 / p)
+            top = [-(z % q // p) * u for z in vec[:k]]
+            return LocalElement(
+                model, tuple([v % q for v in vec[k:] + top]), self.aprec - k
+            )
         # adding w * g, which is 0 in the ring, with w = -(z_0/p)(g_0/p)^-1
         # clears coefficient 0 mod q and leaves x times the coefficients from
         # 1 on, w on top; g's low terms from degree 1 on feed those below it
         low = [(t + m - 1, v) for t, v in model.quotient.low_terms if t > -m]
-        vec = list(self.coeffs)
         for i in range(k):
             if self.aprec - i < 1:
                 raise PrecisionError("no precision left for division")

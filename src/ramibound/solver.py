@@ -399,7 +399,7 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
     if phi is None:
         phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
     (XA,) = mat_mul((Xl,), Al, mul, add)
-    return tuple(add(phi[j], witt_neg(ring, p, XA[j])) for j in range(prob.d))
+    return tuple(witt_sub(ring, p, phi[j], XA[j]) for j in range(prob.d))
 
 
 @dataclass(frozen=True)

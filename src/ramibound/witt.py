@@ -43,9 +43,10 @@ A coefficient ring A plugs in through an adapter, a
 of a in Z[x]/g), ``lower(z0, zs, inputs)`` (component 0 as an element of A
 and the companion values of the components from 1 on, mapped into A with
 the precision of the input components) and the A-side operations
-``from_int``, ``zero``, ``add``, ``neg``, ``mul`` and ``pow``.  The adapter
-builds its companion ring, the :class:`ramibound.padic.MonicQuotient` Z[x]/g
-of ``g``, and the ghost solver's operations in it once, on first use.
+``from_int``, ``zero``, ``add``, ``neg``, ``sub``, ``mul`` and ``pow``.  The
+adapter builds its companion ring, the
+:class:`ramibound.padic.MonicQuotient` Z[x]/g of ``g``, and the ghost
+solver's operations in it once, on first use.
 There are two adapters.  :class:`ZZRing` (exact integers, which the exact
 ghost identities need) has g = x, so its companion ring is Z.
 :class:`LocalRing` serves every truncated p-adic ring: the elements of a
@@ -409,6 +410,9 @@ class ZZRing(CoefficientRing):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -442,6 +446,9 @@ class LocalRing(CoefficientRing):
 
     def neg(self, a: LocalElement):
         return -a
+
+    def sub(self, a: LocalElement, b: LocalElement):
+        return a - b
 
     def mul(self, a: LocalElement, b: LocalElement):
         return a * b
@@ -514,8 +521,18 @@ def witt_neg(R, p: int, x: tuple) -> tuple:
     return tuple(R.neg(c) for c in x)
 
 
+def _companion_sub(x: tuple, y: tuple) -> tuple:
+    return companion_add(x, y, -1)
+
+
 def witt_sub(R, p: int, x: tuple, y: tuple) -> tuple:
-    return witt_add(R, p, x, witt_neg(R, p, y))
+    """x - y in one ghost solve: as p is odd, w_m(-y) = -w_m(y), so the
+    ghost components of x - y are w_m(x) - w_m(y), and component 0 is
+    R.sub(x_0, y_0).  It equals witt_add(x, witt_neg(y)): the lift of -y_i
+    is congruent mod q to minus the lift of y_i, so by the argument of the
+    module docstring every component mod q, and its precision, is the
+    same."""
+    return _witt_combine(R, p, x, y, R.sub, _companion_sub)
 
 
 def witt_arith(R, p: int, x: tuple, y: tuple, op: str) -> tuple:

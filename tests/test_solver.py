@@ -1382,40 +1382,57 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
 
 
 def test_readme_lift_product_count(monkeypatch):
-    """The README `--digits 6` lift makes 1003 polynomial products: 997
-    local-field element products (the lifter, the problem build, and 12 in
-    the level-a enumeration: one residual per basis digit, 4 residuals of 3
-    products each), one product in the quotient ring for N, three in the
-    height witnesses over Z/p^n (the two re-verifications and B*h), and two
-    in the mod-p series solve (adj*M, and that product times the inverse
-    unit).  It made 1117 while the staged search enumerated level a (126
-    products on 42 residuals), and 1115 before the mod-p series solve joined
-    the kernel as integer lists (3990 while powers multiplied by one and the
-    ghost solve divided by p^0, 1718 while every lift attempt inverted its
-    own divisors, 1190 while the first step recomputed the start's phi(X)); a
-    kernel that brings back trivial products, a lifter that inverts or takes
-    phi(X) again, or an enumeration that evaluates more than one residual
-    per basis digit, fails here."""
-    real = padic.poly_convolve
-    calls = []
+    """The README `--digits 6` lift, counted by product strategy: products
+    of a single-term operand (a shifted, scaled copy), pair-loop and packed
+    products, packed powers, and element products by a factor with the
+    coefficients of 1, which take the other factor's coefficients and reach
+    no strategy.  The same call made 1003 `poly_convolve` calls while every
+    product of the kernel ran through it: 997 local-field element products
+    (141 of them by a 1 at full precision, 737 with a single-term factor,
+    and the powers' chains), one in the quotient ring, three in the height
+    witnesses and two in the mod-p series solve.  A kernel that sends a
+    single-term product to the pair loop or multiplies by 1, or a lifter
+    that inverts or takes phi(X) again, fails here."""
+    counts = dict.fromkeys(
+        ["term", "pair", "packed", "packed_pow", "unit", "unit_in_kernel"], 0
+    )
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    users = [
-        mod for name, mod in sorted(sys.modules.items())
-        if name.startswith("ramibound") and getattr(mod, "poly_convolve", None) is real
-    ]
-    # witt's companion products run in padic's MonicQuotient.mul
-    assert {mod.__name__ for mod in users} >= {"ramibound.padic", "ramibound.kisin"}
-    for mod in users:
-        monkeypatch.setattr(mod, "poly_convolve", counting)
+    for name, owner, attr in [
+        ("term", padic.MonicQuotient, "_term_product"),
+        ("pair", padic, "_pair_product"),
+        ("packed", padic, "_packed_product"),
+        ("packed_pow", padic.MonicQuotient, "_packed_pow"),
+    ]:
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    real_mul = LocalElement.__mul__
+
+    def is_unit(x):
+        return x.coeffs == x.model.one().coeffs
+
+    def mul(self, other):
+        kernel = counts["term"] + counts["pair"] + counts["packed"]
+        out = real_mul(self, other)
+        if is_unit(self) or is_unit(other):
+            counts["unit"] += 1
+            if counts["term"] + counts["pair"] + counts["packed"] != kernel:
+                counts["unit_in_kernel"] += 1
+        return out
+
+    monkeypatch.setattr(LocalElement, "__mul__", mul)
     code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(calls) == 1003
+    assert counts == {
+        "term": 399, "pair": 109, "packed": 0, "packed_pow": 80,
+        "unit": 335, "unit_in_kernel": 0,
+    }
 
 
 def lift_work(monkeypatch):
