@@ -220,12 +220,6 @@ def fontaine_mu_bound(m: Rat, e_nk: int, e_fn: int, wild: bool = False) -> Rat:
     return e_nk * m + Fraction(1, e_fn)
 
 
-def different_from_pm(m: Rat) -> Rat:
-    """Strict upper bound on v_K of the different granted by the lifting
-    property at radius m."""
-    return Fraction(m)
-
-
 def kummer_different(p: int, e: int, s: int) -> Rat:
     """v_K of the different of the degree-p^s Kummer layer: differentiating
     the minimal polynomial of a p^s-th root of the uniformizer gives
@@ -267,7 +261,8 @@ def thm12_assembly(p: int, e: int, n: int, r: int, N: int) -> tuple[Rat, Rat]:
     a_level = Fraction(p * N, p - 1)
     radius = a_level * Fraction(1, p ** (s - n + 1))
 
-    diff = kummer_different(p, e, s) + different_from_pm(radius)
+    # the lifting property at radius m bounds v_K of the different by m
+    diff = kummer_different(p, e, s) + Fraction(radius)
 
     e_nk = p ** s * (p - 1)  # any positive value; it cancels in the estimate
     mu_wild = fontaine_mu_bound(radius, e_nk, e_fn=1, wild=True)

@@ -872,6 +872,8 @@ class LocalElement:
             aprec = min(full, self.aprec + (k - 1) * (self.aprec if v is None else v))
         return LocalElement(model, rem + (0,) * (model.m - len(rem)), aprec)
 
+    __pow__ = pow
+
     # -- division ----------------------------------------------------------
 
     def shift_down(self, k: int = 1) -> "LocalElement":

@@ -24,11 +24,11 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
   congruences.
 
 For a sum or product, w_0 is the identity, so component 0 is computed in A
-by the ring's own ``add`` or ``mul`` (for local-field elements that is
-mod q = p^M, reduced by g) and kept: it is never lifted and lowered
-again, and ``lower`` only sets its precision.  The ghost solve starts at
-component 1 from the lift of that z_0, which is taken only when there is a
-component from 1 on to solve.  The lift is congruent mod q to the companion
+by A's own ``+`` or ``*`` (for local-field elements that is mod q = p^M,
+reduced by g) and kept: it is never lifted and lowered again, and ``lower``
+only sets its precision.  The ghost solve starts at component 1 from the
+lift of that z_0, which is taken only when there is a component from 1 on
+to solve.  The lift is congruent mod q to the companion
 value that solving w_0 would give, and a = b (mod q) implies
 a^(p^k) = b^(p^k) (mod p^k q).  By induction on m, each numerator
 G_m - sum_{i<m} p^i z_i^(p^(m-i)) then changes by a multiple of p^m q, so
@@ -39,14 +39,14 @@ component 0 included, is the one ``lower`` gives: the least over all input
 components and full precision.
 
 A coefficient ring A plugs in through an adapter, a
-:class:`CoefficientRing`, that supplies ``g``, ``lift(a)`` (a representative
-of a in Z[x]/g), ``lower(z0, zs, inputs)`` (component 0 as an element of A
-and the companion values of the components from 1 on, mapped into A with
-the precision of the input components) and the A-side operations
-``from_int``, ``zero``, ``add``, ``neg``, ``sub``, ``mul`` and ``pow``.  The
-adapter builds its companion ring, the
-:class:`ramibound.padic.MonicQuotient` Z[x]/g of ``g``, and the ghost
-solver's operations in it once, on first use.
+:class:`CoefficientRing`, that supplies ``g``, ``from_int(c)`` (the image of
+the integer c in A), ``lift(a)`` (a representative of a in Z[x]/g) and
+``lower(z0, zs, inputs)`` (component 0 as an element of A and the companion
+values of the components from 1 on, mapped into A with the precision of the
+input components).  The rest of the A side is Python's operator protocol on
+A's elements: ``+``, ``-``, ``*`` and ``**``.  The adapter builds its
+companion ring, the :class:`ramibound.padic.MonicQuotient` Z[x]/g of ``g``,
+and the ghost solver's operations in it once, on first use.
 There are two adapters.  :class:`ZZRing` (exact integers, which the exact
 ghost identities need) has g = x, so its companion ring is Z.
 :class:`LocalRing` serves every truncated p-adic ring: the elements of a
@@ -63,6 +63,7 @@ vanishing-ghost systems.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -372,15 +373,15 @@ def companion_div_exact(x: tuple, q: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-ring adapters: g, lift, lower and the A-side operations
+# Coefficient-ring adapters: g, from_int, lift and lower
 # ---------------------------------------------------------------------------
 
 
 class CoefficientRing:
-    """Base of the adapters.  An adapter supplies ``g``, ``lift``, ``lower``
-    and the A-side operations; the companion ring Z[x]/g and the ghost
-    solver's operations in it are derived from ``g`` here, once per
-    adapter."""
+    """Base of the adapters.  An adapter supplies ``g``, ``from_int``,
+    ``lift`` and ``lower``, and A's elements supply ``+``, ``-``, ``*`` and
+    ``**``; the companion ring Z[x]/g and the ghost solver's operations in
+    it are derived from ``g`` here, once per adapter."""
 
     @cached_property
     def companion(self) -> MonicQuotient:
@@ -401,24 +402,6 @@ class ZZRing(CoefficientRing):
     def from_int(self, c: int):
         return c
 
-    def zero(self):
-        return 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, k):
-        return a ** k
-
     def lift(self, a):
         return (a,)
 
@@ -437,24 +420,6 @@ class LocalRing(CoefficientRing):
 
     def from_int(self, c: int):
         return self.model.from_int(c)
-
-    def zero(self):
-        return self.model.zero()
-
-    def add(self, a: LocalElement, b: LocalElement):
-        return a + b
-
-    def neg(self, a: LocalElement):
-        return -a
-
-    def sub(self, a: LocalElement, b: LocalElement):
-        return a - b
-
-    def mul(self, a: LocalElement, b: LocalElement):
-        return a * b
-
-    def pow(self, a: LocalElement, k: int):
-        return a.pow(k)
 
     def lift(self, a: LocalElement):
         return poly_trim(a.coeffs)
@@ -509,16 +474,16 @@ def _witt_combine(R, p: int, x: tuple, y: tuple, op, combine) -> tuple:
 
 
 def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, R.add, companion_add)
+    return _witt_combine(R, p, x, y, operator.add, companion_add)
 
 
 def witt_mul(R, p: int, x: tuple, y: tuple) -> tuple:
-    return _witt_combine(R, p, x, y, R.mul, R.companion.mul)
+    return _witt_combine(R, p, x, y, operator.mul, R.companion.mul)
 
 
 def witt_neg(R, p: int, x: tuple) -> tuple:
     # componentwise for odd p: all ghost exponents are odd
-    return tuple(R.neg(c) for c in x)
+    return tuple(-c for c in x)
 
 
 def _companion_sub(x: tuple, y: tuple) -> tuple:
@@ -528,11 +493,11 @@ def _companion_sub(x: tuple, y: tuple) -> tuple:
 def witt_sub(R, p: int, x: tuple, y: tuple) -> tuple:
     """x - y in one ghost solve: as p is odd, w_m(-y) = -w_m(y), so the
     ghost components of x - y are w_m(x) - w_m(y), and component 0 is
-    R.sub(x_0, y_0).  It equals witt_add(x, witt_neg(y)): the lift of -y_i
+    x_0 - y_0.  It equals witt_add(x, witt_neg(y)): the lift of -y_i
     is congruent mod q to minus the lift of y_i, so by the argument of the
     module docstring every component mod q, and its precision, is the
     same."""
-    return _witt_combine(R, p, x, y, R.sub, _companion_sub)
+    return _witt_combine(R, p, x, y, operator.sub, _companion_sub)
 
 
 def witt_arith(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
@@ -544,11 +509,11 @@ def witt_arith(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
 
 
 def witt_zero(R, n: int) -> tuple:
-    return tuple(R.zero() for _ in range(n))
+    return (R.from_int(0),) * n
 
 
 def teichmuller(R, z, n: int) -> tuple:
-    return (z,) + tuple(R.zero() for _ in range(n - 1))
+    return (z,) + (R.from_int(0),) * (n - 1)
 
 
 def teichmuller_powers(R, p: int, z, n: int) -> tuple:
@@ -556,21 +521,19 @@ def teichmuller_powers(R, p: int, z, n: int) -> tuple:
     representative [z] scales each Witt component."""
     out = [z]
     for _ in range(n - 1):
-        out.append(R.pow(out[-1], p))
+        out.append(out[-1] ** p)
     return tuple(out[:n])
 
 
 def teichmuller_scale(R, p: int, z, x: tuple) -> tuple:
     """[z]*(x_0,...,x_{n-1}) = (z x_0, z^p x_1, ..., z^{p^{n-1}} x_{n-1})."""
-    return tuple(
-        R.mul(zp, c) for zp, c in zip(teichmuller_powers(R, p, z, len(x)), x)
-    )
+    return tuple(zp * c for zp, c in zip(teichmuller_powers(R, p, z, len(x)), x))
 
 
 def power_frobenius(R, p: int, x: tuple) -> tuple:
     """Componentwise p-th power.  A ring homomorphism only over rings of
     characteristic p; always multiplicative on Teichmueller factors."""
-    return tuple(R.pow(c, p) for c in x)
+    return tuple(c ** p for c in x)
 
 
 def int_to_witt(R, p: int, c: int, n: int) -> tuple:
@@ -591,14 +554,14 @@ def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):
     """Evaluate one universal polynomial at Witt components in A.  Slow but
     independent of the ghost-solving path; used for cross-checks."""
     vals = tuple(x) + tuple(y)
-    acc = R.zero()
+    acc = R.from_int(0)
     for key, coeff in poly.items():
         exps = unpack_exponents(key, 2 * up.n, up.bits)
         term = R.from_int(coeff)
         for idx, e in enumerate(exps):
             if e:
-                term = R.mul(term, R.pow(vals[idx], e))
-        acc = R.add(acc, term)
+                term = term * vals[idx] ** e
+        acc = acc + term
     return acc
 
 

@@ -10,7 +10,6 @@ from ramibound.herbrand import (
     LowerFiltration,
     compose,
     cyclotomic_kummer_mu,
-    different_from_pm,
     fontaine_mu_bound,
     identity_plf,
     kummer_different,
@@ -118,11 +117,6 @@ def test_fontaine_bound():
     assert fontaine_mu_bound(F(1, 1000), 1, 4) == F(1, 1000) + F(1, 4)
     with pytest.raises(InputError):
         fontaine_mu_bound(F(0), 1, 1)
-
-
-def test_different_from_pm():
-    assert different_from_pm(F(3, 2)) == F(3, 2)
-    assert different_from_pm(1) == 1
 
 
 def test_kummer_different_closed_form_and_model():

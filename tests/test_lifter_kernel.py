@@ -181,10 +181,11 @@ def two_xval_product(a, b):
 
 @pytest.mark.parametrize("g", [(3, 1), binomial(6), binomial(12, -3), binomial(27)])
 def test_element_pow_matches_product_chain(g, monkeypatch):
-    """Coefficients and aprec of x.pow(k), k = 0..9, against the chain of
-    operator.mul and the chain of the two-valuation product: at full
-    aprec, below full aprec (units and non-units) and zero at precision;
-    with the packed power at the module's thresholds and forced."""
+    """Coefficients and aprec of x.pow(k), k = 0..9, against x ** k, the
+    chain of operator.mul and the chain of the two-valuation product: at
+    full aprec, below full aprec (units and non-units) and zero at
+    precision; with the packed power at the module's thresholds and
+    forced."""
     model = LocalFieldModel(eisenstein_validate(g, 3), 4)
     m, q, full = model.m, model.q, model.full_aprec
     rng = random.Random(m)
@@ -208,6 +209,8 @@ def test_element_pow_matches_product_chain(g, monkeypatch):
                 expect(x.pow(1) is x, x)
                 for k in range(10):
                     got = x.pow(k)
+                    op = x ** k
+                    expect((op.coeffs, op.aprec) == (got.coeffs, got.aprec), x, k)
                     for mul in (operator.mul, two_xval_product):
                         want = chain_element(x, k, mul)
                         expect((got.coeffs, got.aprec) == (want.coeffs, want.aprec),
