@@ -35,8 +35,10 @@ This module holds the package's one arithmetic kernel:
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
-* every matrix product, over Witt vectors, (Z/q)[u] or series over a finite
-  field, is :func:`mat_mul` with the entry product and sum passed in;
+* every matrix product over (Z/q)[u] or series over a finite field is
+  :func:`mat_mul` with the entry product and sum passed in (the solver's
+  matrices of Witt vectors have their own product, which skips products by
+  zero entries);
 * every power by square-and-multiply, of local-field elements, finite-field
   elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
@@ -700,6 +702,18 @@ class LocalFieldModel:
     def from_int(self, c: int) -> "LocalElement":
         return self.from_coeffs((c,))
 
+    def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The m coefficients of the product of two elements, from their m
+        coefficients each, reduced mod q.  A factor with the coefficients of
+        1 gives the other factor's coefficients, reaching no product."""
+        one = self.one().coeffs
+        if a == one:
+            return b
+        if b == one:
+            return a
+        rem = self.quotient.mul(a, b)
+        return rem + (0,) * (self.m - len(rem))
+
     def from_coeffs(self, coeffs: tuple[int, ...]) -> "LocalElement":
         if len(coeffs) > self.m:
             coeffs = self.quotient.reduce(coeffs)
@@ -816,22 +830,15 @@ class LocalElement:
         # precision; each term is at least its own factor's aprec, so the
         # other factor's valuation is needed only when that aprec is below full
         aprec = full = model.full_aprec
-        # coefficients are kept reduced mod q, m of them, so a factor with
-        # the coefficients of 1 gives the other factor's coefficients; at
-        # full precision (valuation 0) the rule gives the other's aprec too,
-        # so the product is the other factor itself
+        # a factor with the coefficients of 1 at full precision (valuation
+        # 0) gives, by the rule, the other's aprec as well as its
+        # coefficients (``mul_coeffs``), so the product is the other factor
         one = model.one().coeffs
-        if self.coeffs == one:
-            if self.aprec == full:
-                return other
-            vec = other.coeffs
-        elif other.coeffs == one:
-            if other.aprec == full:
-                return self
-            vec = self.coeffs
-        else:
-            rem = model.quotient.mul(self.coeffs, other.coeffs)
-            vec = rem + (0,) * (model.m - len(rem))
+        if self.aprec == full and self.coeffs == one:
+            return other
+        if other.aprec == full and other.coeffs == one:
+            return self
+        vec = model.mul_coeffs(self.coeffs, other.coeffs)
         if self.aprec < full:
             vb = other.xval()
             aprec = min(aprec, self.aprec + (other.aprec if vb is None else vb))

@@ -25,8 +25,10 @@ Three layers of machinery:
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
 
-Every matrix of Witt vectors is multiplied by the kernel's
-:func:`ramibound.padic.mat_mul`, with Witt products and sums as entry operations.
+Every matrix of Witt vectors is multiplied by one product,
+:func:`_witt_mat_mul`: it skips the products by an all-zero entry, and at
+Witt length 1 it forms each entry on the coefficients, with the precision
+that Witt products and sums would give.
 
 Working precision is self-tuning: when a certification cannot be reached at
 the current model precision the problem is rebuilt at twice the digit count
@@ -57,7 +59,6 @@ from .padic import (
     LowerBound,
     Rat,
     level_reps_count,
-    mat_mul,
 )
 from .witt import (
     LocalRing,
@@ -167,12 +168,71 @@ def _witt_identity(ring: LocalRing, p: int, n: int, d: int) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 
-def _witt_ops(ring, p):
-    """Witt product and sum over ``ring``, looked up when called."""
-    return (
-        lambda a, b: witt_mul(ring, p, a, b),
-        lambda a, b: witt_add(ring, p, a, b),
+def _witt_mat_mul(ring: LocalRing, p: int, A: tuple, B: tuple) -> tuple:
+    """Product of an (l x d) and a (d x m) matrix of Witt vectors over
+    ``ring``, a row vector being a 1 x d matrix.  Every coefficient and
+    aprec is that of :func:`ramibound.padic.mat_mul` with ``witt_mul`` and
+    ``witt_add`` as entry operations, which the tests compare it with.
+
+    That product's entry (i, j) is known to the least aprec over row i of A
+    and column j of B, and full precision: ``LocalRing.lower`` gives every
+    component of a Witt sum or product the least aprec over all components
+    of its inputs.  So the entry takes that aprec here, and two shortcuts
+    leave its coefficients as they were:
+
+    * a product with a factor whose components all have zero coefficients
+      is skipped.  Its ghost components are 0, so its coefficients are 0;
+      adding it gives the ghost components of the sum so far, whose solve
+      returns that sum's coefficients.  Its only effect is on the aprec.
+      An entry whose products are all skipped is zero at its aprec.
+    * at Witt length 1 a Witt product or sum is the product or sum of the
+      component-0 coefficients mod q, so the entry is the sum mod q of the
+      coefficient products (``LocalFieldModel.mul_coeffs``), built as one
+      element.  At length >= 2 the products left are ``witt_mul`` and their
+      sum ``witt_add``.
+    """
+    cols = tuple(zip(*B))
+    dot = _coeff_dot if cols and len(cols[0][0]) == 1 else _witt_dot
+    return tuple([tuple([dot(ring, p, row, col) for col in cols]) for row in A])
+
+
+def _coeff_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
+    """sum_k xs[k] * ys[k] for Witt vectors of length 1, on the
+    coefficients, as ``_witt_mat_mul`` forms an entry."""
+    model = ring.model
+    aprec, terms = model.full_aprec, []
+    for (a,), (b,) in zip(xs, ys):
+        aprec = min(aprec, a.aprec, b.aprec)
+        if any(a.coeffs) and any(b.coeffs):
+            terms.append(model.mul_coeffs(a.coeffs, b.coeffs))
+    if len(terms) == 1:
+        vec = terms[0]
+    else:
+        # the zero vector in front makes an entry without products zero
+        vec = tuple([sum(t) % model.q for t in zip((0,) * model.m, *terms)])
+    return (LocalElement(model, vec, aprec),)
+
+
+def _witt_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
+    """sum_k xs[k] * ys[k] by ``witt_mul`` and ``witt_add``, skipping the
+    products by an all-zero vector, as ``_witt_mat_mul`` forms an entry."""
+    model = ring.model
+    aprec, acc = model.full_aprec, None
+    for x, y in zip(xs, ys):
+        aprec = min(aprec, *[c.aprec for c in x + y])
+        if _has_coeffs(x) and _has_coeffs(y):
+            term = witt_mul(ring, p, x, y)
+            acc = term if acc is None else witt_add(ring, p, acc, term)
+    if acc is None:
+        return (LocalElement(model, (0,) * model.m, aprec),) * len(xs[0])
+    return tuple(
+        [c if c.aprec == aprec else LocalElement(model, c.coeffs, aprec) for c in acc]
     )
+
+
+def _has_coeffs(vec: tuple) -> bool:
+    """Some component of the Witt vector has a nonzero coefficient."""
+    return any([any(c.coeffs) for c in vec])
 
 
 def _teich_div(vec: tuple, parts: tuple) -> tuple:
@@ -287,8 +347,7 @@ def build_jset_problem(
 
     pi_n = prob.pi_s().pow(N)
     pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
-    mul, add = _witt_ops(ring, p)
-    prod = mat_mul(A_t, B_t0, mul, add)
+    prod = _witt_mat_mul(ring, p, A_t, B_t0)
     ident = _witt_identity(ring, p, n, d)
     R_mat = []
     for i in range(d):
@@ -311,7 +370,7 @@ def build_jset_problem(
         tuple(witt_neg(ring, p, R_mat[i][j]) for j in range(d)) for i in range(d)
     )
     for _ in range(model.full_aprec + 8):
-        term = mat_mul(term, neg_R, mul, add)
+        term = _witt_mat_mul(ring, p, term, neg_R)
         if all(_witt_vec_is_zero(term[i][j]) for i in range(d) for j in range(d)):
             break
         inv = tuple(
@@ -321,8 +380,8 @@ def build_jset_problem(
     else:
         raise PrecisionError("normalization series did not terminate at precision")
 
-    B_t = mat_mul(B_t0, inv, mul, add)
-    check = mat_mul(A_t, B_t, mul, add)
+    B_t = _witt_mat_mul(ring, p, B_t0, inv)
+    check = _witt_mat_mul(ring, p, A_t, B_t)
     pi_teich = teichmuller_scale(ring, p, pi_n, int_to_witt(ring, p, 1, n))
     for i in range(d):
         for j in range(d):
@@ -395,10 +454,9 @@ def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
         tuple(prob.A_tilde[i][j][:level_n] for j in range(prob.d))
         for i in range(prob.d)
     )
-    mul, add = _witt_ops(ring, p)
     if phi is None:
         phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
-    (XA,) = mat_mul((Xl,), Al, mul, add)
+    (XA,) = _witt_mat_mul(ring, p, (Xl,), Al)
     return tuple(witt_sub(ring, p, phi[j], XA[j]) for j in range(prob.d))
 
 
@@ -830,7 +888,9 @@ def _residual_aprec_bound(prob: JSetProblem, consts: _LiftConstants) -> int | No
        Y_0 is known to at most F - k + b = B.
     3. Component 0 of residual entry j, phi(Y)_j - sum_i Y_i * A~_ij, is a
        Witt sum of Witt products that each have Y_i among their inputs, so
-       by the weak rule it is known to at most B.
+       by the weak rule it is known to at most B.  ``_witt_mat_mul`` skips
+       a product by an all-zero entry, but gives the entry the least aprec
+       over row Y and column j of A~, which still counts every Y_i.
     4. A certificate accepts a component only when it is zero at precision
        with aprec >= target_x, or when its xval, which is below its aprec,
        is >= target_x.  For every n the lift certifies Witt level 1, on
@@ -953,7 +1013,7 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     def step(phi: tuple, Bl: tuple, parts: list, level: int) -> tuple:
         """The next Z, from phi(X + [beta] * Z): only the Frobenius of the
         moved point enters, so certify() hands it over."""
-        (MB,) = mat_mul((phi,), Bl, *_witt_ops(ring, p))
+        (MB,) = _witt_mat_mul(ring, p, (phi,), Bl)
         return tuple(
             _teich_div(witt_sub(ring, p, MB[i], piNX[i][:level]), parts)
             for i in range(d)

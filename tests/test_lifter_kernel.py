@@ -2,8 +2,10 @@
 path it replaces: single-term products against the reduced convolution,
 the packed power modulo a binomial against square-and-multiply, the
 element power's precision against the chain of element products, the
-one-pass Witt subtraction against adding the negative, and the one-pass
-shift modulo a binomial against single divisions.
+one-pass Witt subtraction against adding the negative, the one-pass shift
+modulo a binomial against single divisions, and the solver's Witt matrix
+product against ``padic.mat_mul`` with Witt products and sums, with the
+two Witt facts its skip of zero entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from ramibound import padic
+from ramibound import padic, solver
 from ramibound.errors import PrecisionError
 from ramibound.padic import (
     LocalElement,
@@ -23,7 +25,15 @@ from ramibound.padic import (
     poly_convolve,
     power,
 )
-from ramibound.witt import LocalRing, ZZRing, witt_add, witt_mul, witt_neg, witt_sub
+from ramibound.witt import (
+    LocalRing,
+    ZZRing,
+    int_to_witt,
+    witt_add,
+    witt_mul,
+    witt_neg,
+    witt_sub,
+)
 
 from test_kernel import dense_divmod_monic, schoolbook_convolve, single_shifts
 
@@ -321,3 +331,108 @@ def test_rotation_shift_matches_single_shifts(g):
             LocalElement(model, vec, 2).shift_down(3)
         with pytest.raises(PrecisionError, match="not divisible"):
             LocalElement(model, vec, 3).shift_down(3)
+
+
+def witt_entry(model, rng, n):
+    """A Witt vector of length n of one of seven kinds: random coefficients
+    at full precision or below it (each component its own aprec), all-zero
+    coefficients at full or reduced aprec, component 0 with the coefficients
+    of 1 at full or reduced aprec, or coefficients divisible by p^(prec-1),
+    nonzero yet close to zero."""
+    full, q, m = model.full_aprec, model.q, model.m
+    kind = rng.randrange(7)
+    low = kind in (1, 3, 5)
+
+    def aprec():
+        return rng.randrange(full + 1) if low else full
+
+    def coeffs():
+        if kind in (2, 3):
+            return (0,) * m
+        if kind == 6:
+            return tuple(rng.randrange(3) * q // 3 for _ in range(m))
+        return tuple(rng.choice([0, rng.randrange(q)]) for _ in range(m))
+
+    vec = [LocalElement(model, coeffs(), aprec()) for _ in range(n)]
+    if kind in (4, 5):
+        vec[0] = LocalElement(model, model.one().coeffs, aprec())
+    return tuple(vec)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", [binomial(6), binomial(12)])
+def test_witt_mat_mul_matches_mat_mul_of_witt_operations(g, n):
+    """solver._witt_mat_mul against padic.mat_mul with witt_mul and
+    witt_add: every component of every entry has the same coefficients and
+    aprec, for ranks 1 to 3, row vectors and square matrices, with all-zero
+    entries and entries with the coefficients of 1, at full precision and
+    below it.  Dropping the aprec of a skipped product by zero fails here."""
+    model = LocalFieldModel(eisenstein_validate(g, 3), 3)
+    ring = LocalRing(model)
+    rng = random.Random(len(g) * 10 + n)
+    full = model.full_aprec
+    zero_low = zero_low_only = 0
+    for _ in range(60 if n == 1 else 25):
+        d = rng.randrange(1, 4)
+        rows = rng.choice([1, d])
+        A = tuple(tuple(witt_entry(model, rng, n) for _ in range(d))
+                  for _ in range(rows))
+        B = tuple(tuple(witt_entry(model, rng, n) for _ in range(d))
+                  for _ in range(d))
+        want = padic.mat_mul(
+            A, B, lambda a, b: witt_mul(ring, 3, a, b),
+            lambda a, b: witt_add(ring, 3, a, b),
+        )
+        got = solver._witt_mat_mul(ring, 3, A, B)
+        expect(len(got) == len(want), A, B)
+        for got_row, want_row in zip(got, want):
+            expect(len(got_row) == len(want_row), A, B)
+            for x, y in zip(got_row, want_row):
+                expect([(c.coeffs, c.aprec) for c in x]
+                       == [(c.coeffs, c.aprec) for c in y], A, B)
+        # the inputs reach the case a lost aprec would show: a zero entry
+        # below full precision, and the least aprec of its row only there
+        for row in A:
+            zeros = [v for v in row if not any(any(c.coeffs) for c in v)]
+            others = [v for v in row if any(any(c.coeffs) for c in v)]
+            low = min([full + 1] + [c.aprec for v in zeros for c in v])
+            if low < full:
+                zero_low += 1
+                if all(c.aprec > low for v in others for c in v):
+                    zero_low_only += 1
+    expect(zero_low > 5 and zero_low_only > 2, zero_low, zero_low_only)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_products_and_sums_only_lower_the_aprec(n):
+    """The two facts behind the skip of zero entries: for z with all-zero
+    coefficients at any aprec, x * z has zero coefficients, and x + z has
+    x's coefficients, each at the least aprec over all components of x and
+    z.  Witt sums and products are also commutative and associative on
+    inputs at full precision, with 1 as the identity."""
+    rng = random.Random(100 + n)
+    for g, p, prec in ((binomial(6), 3, 3), ((-3, 0, 1), 3, 4), ((5, 0, 1), 5, 3)):
+        model = LocalFieldModel(eisenstein_validate(g, p), prec)
+        R, full, m = LocalRing(model), model.full_aprec, model.m
+        for _ in range(12):
+            x = local_vector(model, rng, n)
+            z = tuple(LocalElement(model, (0,) * m, rng.randrange(full + 1))
+                      for _ in range(n))
+            least = min(c.aprec for c in x + z)
+            for prod in (witt_mul(R, p, x, z), witt_mul(R, p, z, x)):
+                expect([(c.coeffs, c.aprec) for c in prod]
+                       == [((0,) * m, least)] * n, x, z)
+            for total in (witt_add(R, p, x, z), witt_add(R, p, z, x)):
+                expect([(c.coeffs, c.aprec) for c in total]
+                       == [(c.coeffs, least) for c in x], x, z)
+        one = int_to_witt(R, p, 1, n)
+        for _ in range(6):
+            x, y, w = (
+                tuple(model.from_coeffs(c.coeffs) for c in local_vector(model, rng, n))
+                for _ in range(3)
+            )
+            for op in (witt_add, witt_mul):
+                expect(op(R, p, x, y) == op(R, p, y, x), op, x, y)
+                expect(op(R, p, op(R, p, x, y), w) == op(R, p, x, op(R, p, y, w)),
+                       op, x, y, w)
+            expect(witt_mul(R, p, x, one) == x, x)

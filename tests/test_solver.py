@@ -1390,11 +1390,17 @@ def test_readme_lift_product_count(monkeypatch):
     product of the kernel ran through it: 997 local-field element products
     (141 of them by a 1 at full precision, 737 with a single-term factor,
     and the powers' chains), one in the quotient ring, three in the height
-    witnesses and two in the mod-p series solve.  A kernel that sends a
+    witnesses and two in the mod-p series solve.  The solver's Witt matrix
+    product forms its length-1 entries from coefficient products
+    (``LocalFieldModel.mul_coeffs``), not element products, and skips the
+    products by a zero entry; ``unit_coeffs`` counts the coefficient
+    products by 1, those of the matrix product and those of element
+    products by a 1 below full precision.  A kernel that sends a
     single-term product to the pair loop or multiplies by 1, or a lifter
     that inverts or takes phi(X) again, fails here."""
     counts = dict.fromkeys(
-        ["term", "pair", "packed", "packed_pow", "unit", "unit_in_kernel"], 0
+        ["term", "pair", "packed", "packed_pow", "unit", "unit_coeffs",
+         "unit_in_kernel"], 0
     )
 
     def counting(name, real):
@@ -1424,14 +1430,26 @@ def test_readme_lift_product_count(monkeypatch):
                 counts["unit_in_kernel"] += 1
         return out
 
+    real_mul_coeffs = LocalFieldModel.mul_coeffs
+
+    def mul_coeffs(self, a, b):
+        kernel = counts["term"] + counts["pair"] + counts["packed"]
+        out = real_mul_coeffs(self, a, b)
+        if self.one().coeffs in (a, b):
+            counts["unit_coeffs"] += 1
+            if counts["term"] + counts["pair"] + counts["packed"] != kernel:
+                counts["unit_in_kernel"] += 1
+        return out
+
     monkeypatch.setattr(LocalElement, "__mul__", mul)
+    monkeypatch.setattr(LocalFieldModel, "mul_coeffs", mul_coeffs)
     code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert counts == {
-        "term": 399, "pair": 109, "packed": 0, "packed_pow": 80,
-        "unit": 335, "unit_in_kernel": 0,
+        "term": 398, "pair": 109, "packed": 0, "packed_pow": 80,
+        "unit": 199, "unit_coeffs": 331, "unit_in_kernel": 0,
     }
 
 
