@@ -58,7 +58,6 @@ from .padic import (
     LowerBound,
     QuotRing,
     Rat,
-    divide_by_monic,
     eisenstein_validate,
     min_integer_strictly_above,
 )

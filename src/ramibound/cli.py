@@ -212,7 +212,6 @@ def _build_problem(args):
         args.s,
         args.r,
         N=args.N,
-        pi_s_power=args.pis,
         cap=_default_cap(args),
     )
 
@@ -508,7 +507,6 @@ _PROBLEM = _MODULE + (
     _arg("--matrix", help="Frobenius matrix"),
     _arg("--model", help="model generator polynomial 'a0,...,1'"),
     _arg("--s", type=int, required=True, help="Kummer level"),
-    _arg("--pis", type=int, help="pi_s as a power of the uniformizer x"),
     _arg("--cap", type=int, help="enumeration cap (or RAMIBOUND_CAP)"),
     _arg("--prec", type=int, default=24, help="model p-digit precision"),
 )

@@ -6,8 +6,8 @@ linear algebra over F_p[[u]] (a discrete valuation ring, so Laurent-series
 elimination decides solvability) followed by digit-by-digit p-adic lifting,
 each digit solved with the one factorization of A mod p; direct inversion
 is unavailable because the coefficient ring is not a domain for n > 1.
-Every witness is re-verified before it is returned: A*B, by the kernel's
-:func:`ramibound.padic.mat_mul`, must equal c*I modulo u^prec
+Every witness is re-verified before it is returned: A*B, by the one matrix
+product :func:`_mat_mul` over (Z/p^n)[u], must equal c*I modulo u^prec
 (:func:`is_scalar_mod_u`).
 
 The mod-p layer works on one series form: a series over F_{p^f} = F_p[y]/(m)
@@ -32,7 +32,7 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, count, product, zip_longest
 
 from .errors import (
@@ -43,12 +43,11 @@ from .errors import (
 from .padic import (
     EisensteinPoly,
     MonicQuotient,
-    divide_by_monic,
     eisenstein_validate,
     fp_series_inverse,
-    mat_mul,
     poly_add,
     poly_convolve,
+    poly_divmod_monic,
     poly_mod,
     poly_trim,
     power,
@@ -209,9 +208,14 @@ def series_add(F: GF, a: list, b: list) -> list:
     return out
 
 
-def _series_ops(F: GF, prec: int):
-    """Entry product and sum for :func:`mat_mul` over F[[u]]/u^prec."""
-    return (lambda a, b: series_mul(F, a, b, prec), lambda a, b: series_add(F, a, b))
+def _mat_mul(A, B, mul, add):
+    """Product of an (l x d) and a (d x m) matrix, with the entry product and
+    sum given: each entry is the sum, left to right, of the products along
+    its row and column.  It serves matrices over (Z/q)[u]
+    (:func:`_mat_mul_series`) and of series over F_{p^f}
+    (:meth:`SeriesFactorization.solve`).  Rows are tuples."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in A)
 
 
 def series_neg(F: GF, a: list) -> list:
@@ -304,8 +308,14 @@ class SeriesFactorization:
         out_prec = prec - 2 * v
         if out_prec <= 0:
             raise PrecisionError("u-precision exhausted by determinant valuation")
+        prod = _mat_mul(
+            self.adj,
+            M,
+            lambda a, b: series_mul(F, a, b, prec),
+            lambda a, b: series_add(F, a, b),
+        )
         C = []
-        for row in mat_mul(self.adj, M, *_series_ops(F, prec)):
+        for row in prod:
             C.append([])
             for acc in row:
                 t = series_mul(F, acc, self.unit_inv, prec - v)
@@ -379,7 +389,7 @@ def kisin_new(
 
 def _mat_mul_series(A, B, q: int, prec: int):
     """Matrix product over (Z/q)[u]/u^prec."""
-    return mat_mul(
+    return _mat_mul(
         A,
         B,
         lambda a, b: poly_mod(poly_convolve(a, b, prec), q),
@@ -474,7 +484,7 @@ def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitne
         raise InputError("N must be >= 1")
     q = mod.q
     er_poly = mod.E.power(wit.r, q)
-    quot, rem = divide_by_monic((0,) * N + (1,), er_poly, mod.p, mod.n)
+    quot, rem = poly_divmod_monic((0,) * N + (1,), er_poly, q)
     if rem:
         raise InputError(f"u^{N} does not vanish in the quotient: N too small")
     avail = wit.uprec

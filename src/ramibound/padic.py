@@ -35,10 +35,10 @@ This module holds the package's one arithmetic kernel:
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
-* every matrix product over (Z/q)[u] or series over a finite field is
-  :func:`mat_mul` with the entry product and sum passed in (the solver's
-  matrices of Witt vectors have their own product, which skips products by
-  zero entries);
+* matrix products are not here: :mod:`ramibound.kisin` has one for its
+  matrices over (Z/q)[u] and of series over a finite field, with the entry
+  product and sum passed in, and :mod:`ramibound.solver` one for its
+  matrices of Witt vectors, which skips products by zero entries;
 * every power by square-and-multiply, of local-field elements, finite-field
   elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
@@ -199,23 +199,6 @@ def power(x, k: int, mul, one):
             out = mul(out, x)
         k >>= 1
     return out
-
-
-def mat_mul(A, B, mul, add):
-    """Product of an (l x d) and a (d x m) matrix, with the entry product and
-    sum given; a row vector is a 1 x d matrix.  Rows are tuples."""
-    cols = tuple(zip(*B))
-    out = []
-    for row in A:
-        out_row = []
-        for col in cols:
-            acc = None
-            for a, b in zip(row, col):
-                term = mul(a, b)
-                acc = term if acc is None else add(acc, term)
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +517,6 @@ class MonicQuotient:
         return self._out(_unpack(_fold_binomial(x, bits * d, a0), bits, d))
 
 
-def divide_by_monic(
-    num: tuple[int, ...], den: tuple[int, ...], p: int, n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(Q, R) with num = Q*den + R exactly mod p^n and deg R < deg den."""
-    return poly_divmod_monic(num, den, p ** n)
-
-
 def parse_poly(text: str) -> tuple[int, ...]:
     """Comma-separated integer coefficients, ascending degree ('3,1' is u+3)."""
     try:
@@ -717,8 +693,8 @@ class LocalFieldModel:
     def from_coeffs(self, coeffs: tuple[int, ...]) -> "LocalElement":
         if len(coeffs) > self.m:
             coeffs = self.quotient.reduce(coeffs)
-        vec = tuple(coeffs[i] % self.q if i < len(coeffs) else 0 for i in range(self.m))
-        return LocalElement(self, vec, self.full_aprec)
+        vec = [c % self.q for c in coeffs] + [0] * (self.m - len(coeffs))
+        return LocalElement(self, tuple(vec), self.full_aprec)
 
     def uniformizer_pow(self, k: int) -> "LocalElement":
         if k < 0:
@@ -989,7 +965,3 @@ class LocalElement:
                 )
         p = self.model.p
         return tuple(a % (p ** k) for a, k in zip(self.coeffs, cuts))
-
-
-def level_reps_count(model: LocalFieldModel, level: Rat) -> int:
-    return model.p ** sum(model.coeff_cutoffs(level))

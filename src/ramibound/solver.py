@@ -3,7 +3,8 @@
 A problem instance fixes a Frobenius module (matrix A over (Z/p^n)[u]), a
 local-field model E containing the level-s Kummer layer, and the annihilation
 exponent N.  The variable u acts through the Teichmueller representative of a
-p^s-th root pi_s of the base uniformizer; the finite solution sets consist of
+p^s-th root pi_s of the base uniformizer, which the problem derives from the
+model (:func:`derive_pi_s`); the finite solution sets consist of
 d-vectors over W_n(O_E) solving the Frobenius congruence modulo the graded
 ideal [a^{>c/p^s}].
 
@@ -58,7 +59,6 @@ from .padic import (
     LocalFieldModel,
     LowerBound,
     Rat,
-    level_reps_count,
 )
 from .witt import (
     LocalRing,
@@ -89,7 +89,7 @@ class JSetProblem:
     r: int
     N: int
     constants: BoundConstants
-    pi_s_power: int
+    pi_s: LocalElement  # derive_pi_s of the module, model and s
     cap: int
     A_tilde: tuple
     B_tilde: tuple
@@ -133,31 +133,33 @@ class JSetProblem:
         are taken in W_n(O_E/p)."""
         return self.model.with_prec(1)
 
-    def pi_s(self) -> LocalElement:
-        return self.model.uniformizer_pow(self.pi_s_power)
-
     def quotient_level(self, c: Rat) -> Rat:
         return Fraction(c) / self.p ** self.s
 
     def comp_threshold(self, c: Rat, i: int) -> Rat:
         return self.quotient_level(c) * self.p ** i
 
+    def level_cutoffs(self, c: Rat) -> list:
+        """The ``coeff_cutoffs`` at each Witt component's threshold t_i at
+        level c, which depend on the model's degree and normalization only."""
+        model = self.residue_model
+        return [model.coeff_cutoffs(self.comp_threshold(c, i)) for i in range(self.n)]
+
 
 def _ring(prob: JSetProblem) -> LocalRing:
     return LocalRing(prob.model)
 
 
-def _lift_poly(prob: JSetProblem, ring: LocalRing, poly: tuple) -> tuple:
+def _lift_poly(
+    ring: LocalRing, p: int, n: int, pi_s: LocalElement, poly: tuple
+) -> tuple:
     """Image of a (Z/p^n)[u]-polynomial in W_n(O_E) under u -> [pi_s]:
     sum of [pi_s^k] * (Witt image of the integer coefficient)."""
-    p, n = prob.p, prob.n
     acc = witt_zero(ring, n)
     for k, c in enumerate(poly):
         if c == 0:
             continue
-        term = teichmuller_scale(
-            ring, p, prob.pi_s().pow(k), int_to_witt(ring, p, c, n)
-        )
+        term = teichmuller_scale(ring, p, pi_s.pow(k), int_to_witt(ring, p, c, n))
         acc = witt_add(ring, p, acc, term)
     return acc
 
@@ -171,8 +173,9 @@ def _witt_identity(ring: LocalRing, p: int, n: int, d: int) -> tuple:
 def _witt_mat_mul(ring: LocalRing, p: int, A: tuple, B: tuple) -> tuple:
     """Product of an (l x d) and a (d x m) matrix of Witt vectors over
     ``ring``, a row vector being a 1 x d matrix.  Every coefficient and
-    aprec is that of :func:`ramibound.padic.mat_mul` with ``witt_mul`` and
-    ``witt_add`` as entry operations, which the tests compare it with.
+    aprec is that of the plain product whose entries are sums, left to
+    right, of ``witt_mul`` products by ``witt_add``, which the tests compare
+    it with.
 
     That product's entry (i, j) is known to the least aprec over row i of A
     and column j of B, and full precision: ``LocalRing.lower`` gives every
@@ -264,33 +267,32 @@ def _witt_vec_val_ge(vec: tuple, target_x: int) -> bool:
     return True
 
 
-def derive_pi_s_power(module: KisinModule, model: LocalFieldModel, s: int) -> int:
-    """For a model of degree m = e * p^s * t the canonical choice pi_s = x^t
-    satisfies pi_s^{p^s} = x^{m/e}; validated by evaluating E at its p^s-th
-    power."""
-    e = module.E.e
-    m = model.m
-    ps = module.p ** s
+def derive_pi_s(module: KisinModule, model: LocalFieldModel, s: int) -> LocalElement:
+    """pi_s = x^t, t = m/(e * p^s), checked to be a p^s-th root of a root of
+    E: E must vanish at pi_s^{p^s} = x^{m/e}.
+
+    It is the only power of x that can be: over a model of degree m, x^t has
+    v_p = t/m, and a p^s-th root of a uniformizer of the base field has
+    v_p = 1/(e * p^s)."""
+    e, ps, m = module.E.e, module.p ** s, model.m
     if m % (e * ps):
         raise InputError(
-            f"model degree {m} is not a multiple of e*p^s = {e * ps}; "
-            "pass the uniformizer power for pi_s explicitly"
+            f"the model's degree must be a multiple of e*p^s = {e * ps} for "
+            f"pi_s to be a power of x; it is {m}"
         )
     t = m // (e * ps)
-    _validate_pi_s(module, model, s, t)
-    return t
-
-
-def _validate_pi_s(module: KisinModule, model: LocalFieldModel, s: int, t: int) -> None:
-    pi = model.uniformizer_pow(t).pow(module.p ** s)
+    pi_s = model.uniformizer_pow(t)
+    pi = pi_s.pow(ps)
     acc = model.zero()
     for i, c in enumerate(module.E.coeffs):
         if c:
             acc = acc + pi.pow(i).mul_int(c)
     if not acc.is_zero_at_prec():
         raise InputError(
-            "candidate pi_s does not produce a root of the Eisenstein polynomial"
+            f"E must vanish at x^{m // e} on the model for pi_s = x^{t} to be a "
+            "p^s-th root of a root of E; it does not"
         )
+    return pi_s
 
 
 def build_jset_problem(
@@ -299,7 +301,6 @@ def build_jset_problem(
     s: int,
     r: int,
     N: int | None = None,
-    pi_s_power: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> JSetProblem:
     """Assemble the lifted matrices and the normalization A~ * B~ = [pi_s]^N.
@@ -322,30 +323,24 @@ def build_jset_problem(
         raise InputError(
             f"level s={s} is below the minimal admissible level {constants.s_min_int}"
         )
-    if pi_s_power is None:
-        pi_s_power = derive_pi_s_power(module, model, s)
-    else:
-        _validate_pi_s(module, model, s, pi_s_power)
-
-    prob = JSetProblem(
-        module, model, s, r, N, constants, pi_s_power, cap, (), ()
-    )
+    pi_s = derive_pi_s(module, model, s)
     if module.rank == 0:
-        return prob
-    ring = _ring(prob)
-    p, n, d = prob.p, prob.n, prob.d
+        return JSetProblem(module, model, s, r, N, constants, pi_s, cap, (), ())
+    ring = LocalRing(model)
+    p, n, d = module.p, module.n, module.rank
 
     A_t = tuple(
-        tuple(_lift_poly(prob, ring, module.entry(i, j)) for j in range(d))
+        tuple(_lift_poly(ring, p, n, pi_s, module.entry(i, j)) for j in range(d))
         for i in range(d)
     )
 
     wit = u_power_witness(module, height_witness(module, r), N)
     B_t0 = tuple(
-        tuple(_lift_poly(prob, ring, wit.B[i][j]) for j in range(d)) for i in range(d)
+        tuple(_lift_poly(ring, p, n, pi_s, wit.B[i][j]) for j in range(d))
+        for i in range(d)
     )
 
-    pi_n = prob.pi_s().pow(N)
+    pi_n = pi_s.pow(N)
     pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
     prod = _witt_mat_mul(ring, p, A_t, B_t0)
     ident = _witt_identity(ring, p, n, d)
@@ -389,19 +384,18 @@ def build_jset_problem(
             if not _witt_vec_is_zero(witt_sub(ring, p, check[i][j], want)):
                 raise PrecisionError("normalized witness check failed at precision")
 
-    return JSetProblem(
-        module, model, s, r, N, constants, pi_s_power, cap, A_t, B_t
-    )
+    return JSetProblem(module, model, s, r, N, constants, pi_s, cap, A_t, B_t)
 
 
 def with_precision(prob: JSetProblem, prec_digits: int) -> JSetProblem:
+    """The problem rebuilt on its model at ``prec_digits``, which derives
+    its own pi_s there."""
     return build_jset_problem(
         prob.module,
         prob.model.with_prec(prec_digits),
         prob.s,
         prob.r,
         prob.N,
-        prob.pi_s_power,
         prob.cap,
     )
 
@@ -593,10 +587,8 @@ def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
     bound = Fraction(e * prob.p ** (prob.s - prob.n + 1))
     if not 0 <= c < bound:
         raise InputError(f"level {c} outside the admissible range [0, {bound})")
-    count_one_coord = 1
-    for i in range(prob.n):
-        count_one_coord *= level_reps_count(prob.model, prob.comp_threshold(c, i))
-    total = count_one_coord ** prob.d
+    cuts = prob.level_cutoffs(c)
+    total = prob.p ** (prob.d * sum(map(sum, cuts)))
     if total > prob.cap:
         raise CapExceededError(
             f"enumeration needs {total} candidates, cap is {prob.cap}"
@@ -610,8 +602,8 @@ def _solution_set(prob: JSetProblem, c: Rat, gens: tuple) -> JSolutionSet:
     """The solution set at level c that canonical tuples generate, with the
     pivots of ``_echelon`` on the rows (g, g) as its p-basis (step 6)."""
     low = prob.residue_model
-    cuts = [low.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(prob.n)]
-    pivots, _ = _echelon(prob, cuts, [(X, X) for X in (_vectors(low, g) for g in gens)])
+    rows = [(X, X) for X in (_vectors(low, g) for g in gens)]
+    pivots, _ = _echelon(prob, prob.level_cutoffs(c), rows)
     return JSolutionSet(c, tuple(map(_key, pivots)), low, prob.n, prob.d)
 
 
@@ -633,7 +625,7 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
     is read mod p without running out of precision."""
     n, d, m = prob.n, prob.d, prob.model.m
     low, ring = prob.residue_model, _ring(prob)
-    cuts = [low.coeff_cutoffs(prob.comp_threshold(c, i)) for i in range(n)]
+    cuts = prob.level_cutoffs(c)
     zero = (0,) * m
     rows = []
     for t in range(d):
@@ -853,7 +845,7 @@ def _lift_constants(
     if known is not None:
         return known
     p, n = prob.p, prob.n
-    pi_n = prob.pi_s().pow(prob.N)
+    pi_n = prob.pi_s.pow(prob.N)
     beta = _decompose_valuation(prob, a_prime).div(pi_n)
     consts = _LiftConstants(
         pi_n,

@@ -240,11 +240,6 @@ def _var(idx: int, bits: int, exp: int = 1) -> dict:
     return {exp << (bits * idx): 1}
 
 
-def unpack_exponents(key: int, nvars: int, bits: int) -> tuple[int, ...]:
-    mask = (1 << bits) - 1
-    return tuple((key >> (bits * i)) & mask for i in range(nvars))
-
-
 # ---------------------------------------------------------------------------
 # Ghost components and the ghost equations, in any commutative ring
 # ---------------------------------------------------------------------------
@@ -555,8 +550,7 @@ def eval_universal(R, up: WittUniversalPolys, poly: dict, x: tuple, y: tuple):
     independent of the ghost-solving path; used for cross-checks."""
     vals = tuple(x) + tuple(y)
     acc = R.from_int(0)
-    for key, coeff in poly.items():
-        exps = unpack_exponents(key, 2 * up.n, up.bits)
+    for exps, coeff in up.exponent_dict(poly).items():
         term = R.from_int(coeff)
         for idx, e in enumerate(exps):
             if e:

@@ -280,7 +280,7 @@ def test_criterion_09_lifting(degree6_problem):
             # independent residual recomputation at the certification target
             rp = lr.problem
             ring = LocalRing(rp.model)
-            pi = rp.pi_s().pow(1)
+            pi = rp.pi_s
             a_lift = rp.A_tilde
             d = rp.d
             for j in range(d):

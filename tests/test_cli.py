@@ -1,7 +1,7 @@
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -163,17 +163,30 @@ def test_jset_cap_exit_code(monkeypatch):
     assert code == 0
 
 
-def test_jset_explicit_pis():
+def run_cli_err(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
+    return code, out, err.getvalue()
+
+
+def test_jset_pi_s_is_derived():
+    """pi_s is x^(m/(e*p^s)), derived from the model: there is no option to
+    pass it, and a model without that root (degree 4 is not a multiple of
+    e*p^s = 3; E = u + 3 does not vanish at x^6 over x^6 - 3) exits 2 with
+    a message about the model that names no option."""
     args = [
         "jset", "--eisenstein", "3,1", "--n", "1", "--r", "1",
-        "--matrix", "0:1", "--model", "3,0,0,0,0,0,1", "--s", "1",
-        "--pis", "2",
+        "--matrix", "0:1", "--s", "1",
     ]
-    data = run_json(args)
-    assert data["image_ab"] == 3
-    # a power that is not a p^s-th root of the base uniformizer is rejected
-    code, _ = run_cli(args[:-1] + ["1"])
-    assert code == 2
+    assert run_json(args + ["--model", "3,0,0,0,0,0,1"])["image_ab"] == 3
+    code, out, err = run_cli_err(args + ["--model", "3,0,0,0,0,0,1", "--pis", "2"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --pis 2" in err
+    for model in ("3,0,0,0,1", "-3,0,0,0,0,0,1"):
+        code, out, err = run_cli_err(args + ["--model", model])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "model" in err and "--" not in err
 
 
 def test_grid_tsv_mixed_shape_has_empty_uep_cell():

@@ -13,12 +13,12 @@ from ramibound.kisin import (
     _fp_polgcd,
     _has_root,
     _is_irreducible,
-    _series_ops,
     etale_new,
     etale_to_kisin,
     height_witness,
     is_scalar_mod_u,
     kisin_new,
+    series_add,
     series_adjugate,
     series_det,
     series_inv_unit,
@@ -30,7 +30,6 @@ from ramibound.kisin import (
 )
 from ramibound.padic import (
     eisenstein_validate,
-    mat_mul,
     poly_add,
     poly_convolve,
     poly_divmod_monic,
@@ -49,6 +48,22 @@ def result_as_kisin_module(res, p, E, uprec=None):
         [tuple(c[0] % p for c in entry) for entry in row] for row in res.matrix
     ]
     return kisin_new(p, 1, E, matrix, uprec=uprec, r_hint=max(res.r, 1))
+
+
+def ops_mat_mul(A, B, mul, add):
+    """Independent matrix product with the entry product and sum given, a
+    row vector being a 1 x d matrix: entry (i, j) is the sum, left to right,
+    of mul(A[i][k], B[k][j]) over k."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = mul(row[0], B[0][j])
+            for k in range(1, len(row)):
+                acc = add(acc, mul(row[k], B[k][j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def naive_mat_mul(A, B, q):
@@ -122,7 +137,7 @@ def tuple_series_add(F: GF, a: list, b: list) -> list:
 
 
 def tuple_series_ops(F: GF, prec: int):
-    """Entry product and sum for :func:`mat_mul` over F[[u]]/u^prec."""
+    """Entry product and sum for :func:`ops_mat_mul` over F[[u]]/u^prec."""
     return (
         lambda a, b: tuple_series_mul(F, a, b, prec),
         lambda a, b: tuple_series_add(F, a, b),
@@ -207,7 +222,7 @@ def tuple_series_solve(F: GF, A, M, prec: int):
     if out_prec <= 0:
         raise PrecisionError("u-precision exhausted by determinant valuation")
     C = []
-    for row in mat_mul(adj, M, *tuple_series_ops(F, prec)):
+    for row in ops_mat_mul(adj, M, *tuple_series_ops(F, prec)):
         C.append([])
         for acc in row:
             t = tuple_series_mul(F, acc, unit_inv, prec - v)
@@ -301,7 +316,12 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
     tgt = [0] * (er * F.f) + list(F.one())
     M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
     C, avail = SeriesFactorization(F, A, uprec).solve(M, uprec)
-    prod = mat_mul(A, C, *_series_ops(F, avail))
+    prod = ops_mat_mul(
+        A,
+        C,
+        lambda a, b: series_mul(F, a, b, avail),
+        lambda a, b: series_add(F, a, b),
+    )
     if not is_scalar_mod_u(prod, tgt, avail * F.f, F.p):
         raise AssertionError("mod-p witness re-verification failed")
     return C, avail

@@ -4,7 +4,7 @@ the packed power modulo a binomial against square-and-multiply, the
 element power's precision against the chain of element products, the
 one-pass Witt subtraction against adding the negative, the one-pass shift
 modulo a binomial against single divisions, and the solver's Witt matrix
-product against ``padic.mat_mul`` with Witt products and sums, with the
+product against a plain product of Witt products and sums, with the
 two Witt facts its skip of zero entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
@@ -36,6 +36,7 @@ from ramibound.witt import (
 )
 
 from test_kernel import dense_divmod_monic, schoolbook_convolve, single_shifts
+from test_kisin import ops_mat_mul
 
 
 def expect(cond, *info):
@@ -362,8 +363,8 @@ def witt_entry(model, rng, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("g", [binomial(6), binomial(12)])
 def test_witt_mat_mul_matches_mat_mul_of_witt_operations(g, n):
-    """solver._witt_mat_mul against padic.mat_mul with witt_mul and
-    witt_add: every component of every entry has the same coefficients and
+    """solver._witt_mat_mul against the plain product ``ops_mat_mul`` with
+    witt_mul and witt_add: every component of every entry has the same coefficients and
     aprec, for ranks 1 to 3, row vectors and square matrices, with all-zero
     entries and entries with the coefficients of 1, at full precision and
     below it.  Dropping the aprec of a skipped product by zero fails here."""
@@ -379,7 +380,7 @@ def test_witt_mat_mul_matches_mat_mul_of_witt_operations(g, n):
                   for _ in range(rows))
         B = tuple(tuple(witt_entry(model, rng, n) for _ in range(d))
                   for _ in range(d))
-        want = padic.mat_mul(
+        want = ops_mat_mul(
             A, B, lambda a, b: witt_mul(ring, 3, a, b),
             lambda a, b: witt_add(ring, 3, a, b),
         )

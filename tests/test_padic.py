@@ -21,10 +21,8 @@ from ramibound.padic import (
     LowerBound,
     MonicQuotient,
     QuotRing,
-    divide_by_monic,
     eisenstein_validate,
     is_odd_prime,
-    level_reps_count,
     min_integer_strictly_above,
     odd_prime_factors,
     parse_poly,
@@ -100,13 +98,13 @@ def test_quotient_ring_axioms_random():
 
 def test_divide_by_monic_examples():
     # u^2 = (u - 3)(u + 3) + 9, and 9 = 0 mod 9
-    q, r = divide_by_monic((0, 0, 1), (3, 1), 3, 2)
+    q, r = poly_divmod_monic((0, 0, 1), (3, 1), 9)
     assert q == (6, 1) and r == ()
     E = eisenstein_validate((3, 1), 3)
     er = E.power(2, 9)
-    q, r = divide_by_monic(er, er, 3, 2)
+    q, r = poly_divmod_monic(er, er, 9)
     assert q == (1,) and r == ()
-    q, r = divide_by_monic((0, 1), (3, 1), 3, 2)
+    q, r = poly_divmod_monic((0, 1), (3, 1), 9)
     assert q == (1,) and r == (6,)  # remainder -3
 
 
@@ -141,7 +139,7 @@ def test_divide_by_monic_roundtrip_random():
     for _ in range(500):
         num = tuple(rng.randrange(q_mod) for _ in range(rng.randrange(1, 8)))
         den = tuple(rng.randrange(q_mod) for _ in range(rng.randrange(1, 4))) + (1,)
-        quo, rem = divide_by_monic(num, den, 3, 2)
+        quo, rem = poly_divmod_monic(num, den, q_mod)
         back = poly_add(poly_mul(quo, den, q_mod), rem, q_mod)
         assert back == poly_add(num, (), q_mod)
 
@@ -371,8 +369,8 @@ def test_division_and_inverse():
 
 def test_truncation_levels():
     model = LocalFieldModel(eisenstein_validate((3, 0, 0, 0, 0, 0, 1), 3), 12, e_norm=1)
-    assert level_reps_count(model, F(1, 2)) == 81
-    assert level_reps_count(model, F(1, 6)) == 9
+    assert 3 ** sum(model.coeff_cutoffs(F(1, 2))) == 81
+    assert 3 ** sum(model.coeff_cutoffs(F(1, 6))) == 9
     elem = model.from_coeffs((1, 2, 1, 0, 2, 1))
     assert elem.truncate_to_level(F(1, 6)) == (1, 2, 0, 0, 0, 0)
     shallow = LocalFieldModel(eisenstein_validate((3, 0, 0, 0, 0, 0, 1), 3), 1, e_norm=1)

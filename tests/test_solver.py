@@ -46,6 +46,7 @@ from ramibound.witt import (
     witt_sub,
 )
 from test_cli import run_cli
+from test_kisin import ops_mat_mul
 
 E13 = eisenstein_validate((3, 1), 3)
 
@@ -79,7 +80,7 @@ def test_problem_constants(prob6):
     assert prob6.N == 1
     assert prob6.level_a == F(3, 2)
     assert prob6.level_b == F(1, 2)
-    assert prob6.pi_s_power == 2
+    assert prob6.pi_s == prob6.model.uniformizer_pow(2)
 
 
 def test_problem_validation():
@@ -93,6 +94,65 @@ def test_problem_validation():
         # wrong normalization on the model
         bad = LocalFieldModel(eisenstein_validate((3, 0, 0, 0, 0, 0, 1), 3), 24, 2)
         build_jset_problem(u_module(), bad, s=1, r=1)
+
+
+PI_S_EISENSTEIN = ((3, 1), (-3, 1), (3, 0, 1), (-3, 0, 1), (3, 3, 1))
+
+
+def pi_s_models(rng):
+    """Generators E(x^k) for each E of PI_S_EISENSTEIN and k in (2, 3, 6, 9),
+    over which x^k is a root of E (binomial, or not for E = u^2 + 3u + 3),
+    and two random Eisenstein generators of each degree in
+    (3, 4, 6, 9, 12, 18)."""
+    models = set()
+    for coeffs in PI_S_EISENSTEIN:
+        for k in (2, 3, 6, 9):
+            g = [0] * (k * (len(coeffs) - 1) + 1)
+            g[::k] = coeffs
+            models.add(tuple(g))
+    for m in (3, 4, 6, 9, 12, 18):
+        for _ in range(2):
+            low = tuple(3 * rng.randrange(-1, 2) for _ in range(m - 1))
+            models.add((3 * rng.choice([1, -1, 2, -2]),) + low + (1,))
+    return sorted(models)
+
+
+def test_pi_s_is_the_one_power_of_x_that_can_be():
+    """A problem builds exactly when E vanishes at the p^s-th power of
+    x^(m/(e*p^s)), whose pi_s is then that power; and no other x^t with
+    1 <= t <= m makes E vanish at its p^s-th power, as x^t has v_p = t/m
+    and pi_s has v_p = 1/(e*p^s).  E is evaluated term by term on powers
+    of x, not by the solver's own evaluation."""
+    models = pi_s_models(random.Random(5))
+    built = refused = 0
+    for coeffs in PI_S_EISENSTEIN:
+        E = eisenstein_validate(coeffs, 3)
+        module = kisin_new(3, 1, E, [[(0, 1)]], r_hint=1)
+        for g in models:
+            model = LocalFieldModel(eisenstein_validate(g, 3), 8, e_norm=E.e)
+            m = model.m
+            for s in (1, 2):
+                ps = 3 ** s
+                roots = [
+                    t for t in range(1, m + 1)
+                    if sum(
+                        (model.uniformizer_pow(t * ps * i).mul_int(c)
+                         for i, c in enumerate(coeffs)),
+                        model.zero(),
+                    ).is_zero_at_prec()
+                ]
+                derived = m // (E.e * ps) if m % (E.e * ps) == 0 else None
+                assert set(roots) <= {derived}, (coeffs, g, s, roots)
+                try:
+                    prob = build_jset_problem(module, model, s=s, r=1)
+                except InputError as exc:
+                    assert not roots, (coeffs, g, s, exc)
+                    refused += 1
+                    continue
+                assert roots == [derived], (coeffs, g, s)
+                assert prob.pi_s == model.uniformizer_pow(derived)
+                built += 1
+    assert (built, refused) == (26, 274)
 
 
 def test_enumeration_counts(prob6, prob3):
@@ -115,7 +175,7 @@ def recheck_member(prob, member, c):
     universal polynomials instead of the ghost solving of ``_residual``."""
     ring, p = LocalRing(prob.model), prob.p
     X = member_to_witt(prob, member)
-    (XA,) = padic.mat_mul(
+    (XA,) = ops_mat_mul(
         (X,),
         prob.A_tilde,
         lambda a, b: witt_arith_symbolic(ring, p, a, b, "mul"),
@@ -471,7 +531,8 @@ def test_lift_retries_with_doubled_precision(prob6, monkeypatch, fails):
 def test_with_precision_rebuild(prob6):
     boosted = with_precision(prob6, 30)
     assert boosted.model.prec == 30
-    assert boosted.N == prob6.N and boosted.pi_s_power == prob6.pi_s_power
+    assert boosted.N == prob6.N
+    assert boosted.pi_s == boosted.model.uniformizer_pow(2)
     assert len(jset_enumerate(boosted, "b")) == 3
 
 
@@ -1043,7 +1104,7 @@ def breakpoints(prob):
 def full_product(prob, c):
     count = 1
     for i in range(prob.n):
-        count *= padic.level_reps_count(prob.model, prob.comp_threshold(c, i))
+        count *= prob.p ** sum(prob.model.coeff_cutoffs(prob.comp_threshold(c, i)))
     return count ** prob.d
 
 
