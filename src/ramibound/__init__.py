@@ -38,13 +38,13 @@ from .herbrand import (
     thm12_assembly,
 )
 from .kisin import (
-    GF,
     EtalePhiModule,
     KisinModule,
     Laurent,
     TameLiftSpec,
     etale_new,
     etale_to_kisin,
+    finite_field,
     height_witness,
     kisin_new,
     tame_character_oracle,
@@ -83,7 +83,6 @@ from .witt import (
     teichmuller_scale,
     universal_polys,
     witt_add,
-    witt_arith,
     witt_mul,
     witt_neg,
     witt_sub,

@@ -10,17 +10,18 @@ Every witness is re-verified before it is returned: A*B, by the one matrix
 product :func:`_mat_mul` over (Z/p^n)[u], must equal c*I modulo u^prec
 (:func:`is_scalar_mod_u`).
 
-The mod-p layer works on one series form: a series over F_{p^f} = F_p[y]/(m)
-is one flat list of residues mod p, f per u-degree, so coefficient t of the
-field element at u^k stands at index k*f + t (for f = 1, one residue per
-u-degree).  A product is one :func:`ramibound.padic.poly_convolve` of the
-two lists with their u-degrees spaced 2f - 1 apart, so that the products of
-two field elements never overlap (dense lists are packed into one integer
-product there, sparse ones multiply their nonzero pairs), followed by one
-reduction of each u-degree in the field's quotient ring F_p[y]/(m), a
-:class:`ramibound.padic.MonicQuotient` (for f = 1, just mod p).  The etale
-path takes Laurent series of field-element tuples and flattens them at its
-boundary only.
+A finite field F_{p^f} is the quotient ring F_p[y]/(m) that does its
+arithmetic, a :class:`ramibound.padic.MonicQuotient` from
+:func:`finite_field`; it has no element protocol of its own.  The mod-p
+layer works on one series form: a series over F_{p^f} is one flat list of
+residues mod p, f per u-degree, so coefficient t of the field element at
+u^k stands at index k*f + t (for f = 1, one residue per u-degree).  A
+product is one :func:`ramibound.padic.poly_convolve` of the two lists with
+their u-degrees spaced 2f - 1 apart, so that the products of two field
+elements never overlap (dense lists are packed into one integer product
+there, sparse ones multiply their nonzero pairs), followed by one reduction
+of each u-degree in F (for f = 1, just mod p).  The etale path takes Laurent series of
+field-element tuples and flattens them at its boundary only.
 
 The tame-lift builder produces the cyclic module with phi(e_{i+1}) =
 (u+p)^{n_i} e_i together with its filtered-module data and the exponent of
@@ -32,7 +33,7 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress, count, product, zip_longest
 
 from .errors import (
@@ -50,7 +51,6 @@ from .padic import (
     poly_divmod_monic,
     poly_mod,
     poly_trim,
-    power,
 )
 
 # ---------------------------------------------------------------------------
@@ -93,76 +93,22 @@ def _is_irreducible(mod: tuple, p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GF:
-    """F_{p^f} presented as F_p[y]/(modulus); the modulus is the first monic
-    irreducible in lexicographic coefficient order, recorded explicitly.
-    Elements are coefficient tuples of length f."""
-
-    p: int
-    f: int
-    modulus: tuple[int, ...]
-
-    @staticmethod
-    def create(p: int, f: int) -> "GF":
-        """The search walks the monic candidates in lexicographic order of
-        their coefficients from the constant term up, starting at constant
-        term 1 (a zero constant term gives the factor y); a candidate with a
-        root in F_p is rejected before Ben-Or's test runs."""
-        if f < 1:
-            raise InputError("extension degree must be >= 1")
-        if f == 1:
-            return GF(p, 1, (0, 1))
-        for tail in product(range(1, p), *[range(p)] * (f - 1)):
-            mod = tail + (1,)
-            if not _has_root(mod, p) and _is_irreducible(mod, p):
-                return GF(p, f, mod)
-        raise AssertionError("irreducible polynomial must exist")
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.f
-
-    def zero(self):
-        return (0,) * self.f
-
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, c: int):
-        return (c % self.p,) + (0,) * (self.f - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    @cached_property
-    def quotient(self) -> MonicQuotient:
-        return MonicQuotient(self.modulus, self.p)
-
-    def mul(self, a, b):
-        r = self.quotient.mul(a, b)
-        return r + (0,) * (self.f - len(r))
-
-    def pow(self, a, k: int):
-        return power(a, k, self.mul, self.one())
-
-    def inv(self, a):
-        if not any(a):
-            raise InputError("inversion of zero")
-        return self.pow(a, self.order - 2)
-
-    def is_zero(self, a) -> bool:
-        return not any(a)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
-    def elements(self):
-        for combo in product(range(self.p), repeat=self.f):
-            yield tuple(combo)
+def finite_field(p: int, f: int) -> MonicQuotient:
+    """F_{p^f} as the quotient ring F_p[y]/(m), m the first monic
+    irreducible of degree f in lexicographic order of its coefficients from
+    the constant term up, starting at constant term 1 (a zero constant term
+    gives the factor y); a candidate with a root in F_p is rejected before
+    Ben-Or's test runs.  F.q is p, F.deg is f and F.g is m; elements are
+    the ring's trimmed coefficient tuples."""
+    if f < 1:
+        raise InputError("extension degree must be >= 1")
+    if f == 1:
+        return MonicQuotient((0, 1), p)
+    for tail in product(range(1, p), *[range(p)] * (f - 1)):
+        mod = tail + (1,)
+        if not _has_root(mod, p) and _is_irreducible(mod, p):
+            return MonicQuotient(mod, p)
+    raise AssertionError("irreducible polynomial must exist")
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +130,26 @@ def _spread(a: list, f: int, w: int) -> list:
     return out
 
 
-def series_mul(F: GF, a: list, b: list, prec: int) -> list:
+def series_mul(F: MonicQuotient, a: list, b: list, prec: int) -> list:
     """a*b mod u^prec: one convolution of the two lists with their u-degrees
     spaced 2f - 1 apart, then each u-degree reduced by the modulus mod p."""
-    f, p = F.f, F.p
+    f, p = F.deg, F.q
     if f == 1:
         return [v % p for v in poly_convolve(a, b, prec)]
     w = 2 * f - 1
     prod = poly_convolve(_spread(a, f, w), _spread(b, f, w), prec * w)
     out = []
     for s in range(0, len(prod), w):
-        r = F.quotient.reduce(prod[s : s + w])
+        r = F.reduce(prod[s : s + w])
         out += r
         out += [0] * (f - len(r))
     return out
 
 
-def series_add(F: GF, a: list, b: list) -> list:
+def series_add(F: MonicQuotient, a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = [(x + y) % F.p for x, y in zip(a, b)]
+    out = [(x + y) % F.q for x, y in zip(a, b)]
     out += a[len(b) :]
     return out
 
@@ -218,25 +164,26 @@ def _mat_mul(A, B, mul, add):
     return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in A)
 
 
-def series_neg(F: GF, a: list) -> list:
-    return [(-v) % F.p for v in a]
+def series_neg(F: MonicQuotient, a: list) -> list:
+    return [(-v) % F.q for v in a]
 
 
-def series_val(F: GF, a: list, prec: int) -> int | None:
-    i = next(compress(count(), a[: prec * F.f]), None)
-    return None if i is None else i // F.f
+def series_val(F: MonicQuotient, a: list, prec: int) -> int | None:
+    i = next(compress(count(), a[: prec * F.deg]), None)
+    return None if i is None else i // F.deg
 
 
-def series_inv_unit(F: GF, a: list, prec: int) -> list:
+def series_inv_unit(F: MonicQuotient, a: list, prec: int) -> list:
     """1/a mod u^prec.  Over F_p it is :func:`fp_series_inverse`; over F_{p^f},
     f > 1, Newton's iteration b <- b*(2 - a*b) doubles the u-precision of b
     at each step, from the inverse of a's constant term."""
-    f, p = F.f, F.p
+    f, p = F.deg, F.q
     if not any(a[:f]):
         raise InputError("series inverse needs a unit constant term")
     if f == 1:
         return fp_series_inverse(a, p, prec)
-    out = list(F.inv(tuple(a[:f])))
+    out = list(F.pow(tuple(a[:f]), p ** f - 2))
+    out += [0] * (f - len(out))
     done = 1
     while done < prec:
         done = min(2 * done, prec)
@@ -250,7 +197,7 @@ def _mat_minor(mat, i, j):
     return [row[:j] + row[j + 1 :] for r, row in enumerate(mat) if r != i]
 
 
-def series_det(F: GF, mat, prec: int) -> list:
+def series_det(F: MonicQuotient, mat, prec: int) -> list:
     d = len(mat)
     if d == 1:
         return list(mat[0][0])
@@ -266,10 +213,10 @@ def series_det(F: GF, mat, prec: int) -> list:
     return acc
 
 
-def series_adjugate(F: GF, mat, prec: int):
+def series_adjugate(F: MonicQuotient, mat, prec: int):
     d = len(mat)
     if d == 1:
-        return [[list(F.one())]]
+        return [[[1] + [0] * (F.deg - 1)]]
     out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -287,13 +234,13 @@ class SeriesFactorization:
     a lower precision, is what A cut there gives.  The last two are needed
     only when some precision leaves a solution: prec - 2v > 0."""
 
-    def __init__(self, F: GF, A, prec: int):
+    def __init__(self, F: MonicQuotient, A, prec: int):
         self.F, self.prec = F, prec
         det = series_det(F, A, prec)
         self.v = series_val(F, det, prec)
         if self.v is not None and prec - 2 * self.v > 0:
             self.adj = series_adjugate(F, A, prec)
-            self.unit_inv = series_inv_unit(F, det[self.v * F.f :], prec - self.v)
+            self.unit_inv = series_inv_unit(F, det[self.v * F.deg :], prec - self.v)
 
     def solve(self, M, prec: int):
         """(C, prec') with A*C = M over F[[u]]/u^prec', prec' = prec -
@@ -319,11 +266,11 @@ class SeriesFactorization:
             C.append([])
             for acc in row:
                 t = series_mul(F, acc, self.unit_inv, prec - v)
-                if any(t[: v * F.f]):
+                if any(t[: v * F.deg]):
                     raise NotHeightError(
                         "solution acquires a pole: no witness at this height"
                     )
-                C[-1].append(t[v * F.f :])
+                C[-1].append(t[v * F.deg :])
         return C, out_prec
 
 
@@ -430,7 +377,7 @@ def height_witness(mod: KisinModule, r: int) -> HeightWitness:
     p, n, q, P = mod.p, mod.n, mod.q, mod.uprec
     if P < mod.E.e * r + 1:
         raise PrecisionError("u-precision below e*r + 1 cannot certify the height")
-    F = GF.create(p, 1)
+    F = finite_field(p, 1)
     d = mod.rank
     A_f = [[[c % p for c in entry] for entry in row] for row in mod.entries]
     target = mod.E.power(r, q)
@@ -600,13 +547,13 @@ def tame_character_oracle(p: int, d: int, seq) -> TameOracleResult:
     exps = {a0 % q for a0 in starts}
     if len(exps) != 1:
         raise AssertionError("inconsistent exponent classes")
-    F = GF.create(p, d)
+    F = finite_field(p, d)
     # coefficient solutions form an F_{p^d}-line: d-fold Frobenius, the
     # p^d-th power, must fix the field elementwise
-    probe = F.from_int(2) if d == 1 else tuple([1, 1] + [0] * (d - 2))
-    if F.pow(probe, F.order) != probe:
+    probe = (2,) if d == 1 else (1, 1)
+    if F.pow(probe, p ** d) != probe:
         raise AssertionError("field presentation is not fixed by q-Frobenius")
-    return TameOracleResult(exps.pop(), tuple(starts), F.modulus)
+    return TameOracleResult(exps.pop(), tuple(starts), F.g)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +568,9 @@ class Laurent:
     shift: int
     coeffs: tuple
 
-    def val(self, F: GF) -> int | None:
+    def val(self) -> int | None:
         for i, c in enumerate(self.coeffs):
-            if not F.is_zero(c):
+            if any(c):
                 return self.shift + i
         return None
 
@@ -632,7 +579,7 @@ class Laurent:
 class EtalePhiModule:
     """Frobenius matrix over F_q((u)), truncated; etale means det != 0."""
 
-    field: GF
+    field: MonicQuotient
     entries: tuple[tuple[Laurent, ...], ...]
     e: int
     uprec: int
@@ -642,7 +589,7 @@ class EtalePhiModule:
         return len(self.entries)
 
 
-def etale_new(field: GF, entries, e: int, uprec: int = 32) -> EtalePhiModule:
+def etale_new(field: MonicQuotient, entries, e: int, uprec: int = 32) -> EtalePhiModule:
     d = len(entries)
     if any(len(row) != d for row in entries):
         raise InputError("Frobenius matrix must be square")
@@ -662,7 +609,7 @@ def _etale_det_val(mod: EtalePhiModule) -> int | None:
     shifts = [ent.shift for row in mod.entries for ent in row]
     base = min(shifts) if shifts else 0
     mat = [
-        [[0] * ((ent.shift - base) * F.f) + [c for el in ent.coeffs for c in el]
+        [[0] * ((ent.shift - base) * F.deg) + [c for el in ent.coeffs for c in el]
          for ent in row]
         for row in mod.entries
     ]
@@ -683,9 +630,9 @@ def etale_to_kisin(mod: EtalePhiModule) -> EtaleToKisinResult:
     """Rescale by the minimal u^{t(p-1)} making the matrix integral, then read
     off the height r = ceil(val_u(det)/e) of the resulting mod-p module."""
     F = mod.field
-    p = F.p
+    p = F.q
     d = mod.rank
-    vals = [ent.val(F) for row in mod.entries for ent in row]
+    vals = [ent.val() for row in mod.entries for ent in row]
     vals = [v for v in vals if v is not None]
     if not vals:
         raise InputError("zero matrix is not etale")
@@ -701,7 +648,7 @@ def etale_to_kisin(mod: EtalePhiModule) -> EtaleToKisinResult:
             pad = ent.shift + shift
             if pad < 0:
                 raise AssertionError("rescaled entry still fractional")
-            mat_row.append(tuple([F.zero()] * pad + list(ent.coeffs)))
+            mat_row.append(tuple([(0,) * F.deg] * pad + list(ent.coeffs)))
         mat.append(tuple(mat_row))
     rescaled = EtalePhiModule(
         F,
@@ -713,5 +660,5 @@ def etale_to_kisin(mod: EtalePhiModule) -> EtaleToKisinResult:
     if det_val is None:
         raise PrecisionError("determinant vanished at truncation after rescaling")
     r = -(-det_val // mod.e)
-    return EtaleToKisinResult(F.modulus, t, r, tuple(mat), det_val)
+    return EtaleToKisinResult(F.g, t, r, tuple(mat), det_val)
 

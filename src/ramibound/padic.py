@@ -12,10 +12,10 @@ This module holds the package's one arithmetic kernel:
   :func:`poly_convolve` (exact, optionally truncated to the first ``prec``
   coefficients) or a product in a :class:`MonicQuotient`.  A product has
   three strategies, chosen from the operands' lengths and nonzero counts
-  alone, each count taken once: an operand with at most one nonzero
-  coefficient c*x^k gives a shifted, scaled copy of the other (in a
-  quotient ring its top k coefficients fold back through g's low terms, in
-  one pass modulo a binomial); operands with at least PACK_PAIRS_PER_COEFF
+  alone: an operand with at most one nonzero coefficient c*x^k gives a
+  shifted, scaled copy of the other (in a quotient ring its top k
+  coefficients fold back through g's low terms, in one pass modulo a
+  binomial); operands with at least PACK_PAIRS_PER_COEFF
   pairs of nonzero coefficients per coefficient are packed into one
   integer each, in slots wide enough for every coefficient of the product,
   and multiplied once (Kronecker substitution); the others multiply only
@@ -28,10 +28,12 @@ This module holds the package's one arithmetic kernel:
   nonzero low terms once, and every division by a monic polynomial, its
   own and :func:`poly_divmod_monic`, walks only those (one for a binomial
   x^m + a), reduces modulo q once, at the end, and builds no quotient list.
-  Modulo a binomial, a packed product is reduced in its packed form, and a
-  power of a dense operand with exponent 3 to PACK_POW_MAX is one
-  big-integer power of the packed operand, folded by x^m = -a and read
-  back once;
+  A quotient ring's product of two operands with more than one nonzero
+  coefficient each is :func:`poly_convolve` and one reduction, so
+  :func:`poly_convolve` alone chooses the pair loop or packing.  Modulo a
+  binomial, a power of a dense operand with exponent 3 to PACK_POW_MAX (a
+  cube) is one big-integer power of the packed operand, folded by
+  x^m = -a and read back once;
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
@@ -43,7 +45,8 @@ This module holds the package's one arithmetic kernel:
   elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
   returned only for the exponent 0.  A product of local-field elements by
-  a 1 at full precision is the other factor itself.
+  a 1 takes the other factor's coefficients and the aprec of the general
+  rule (:meth:`LocalFieldModel.mul_coeffs` reaches no product).
 
 Conventions
 -----------
@@ -271,13 +274,13 @@ def _slot_bits(bound: int) -> int:
     return (bound.bit_length() + 8) & ~7
 
 
-def _packed_product(a, b, terms: int, scale: int = 1) -> tuple[int, int]:
+def _packed_product(a, b, terms: int) -> tuple[int, int]:
     """(x, bits): x = A*B for the packed operands, in slots of ``bits`` bits,
-    whole bytes wide, that hold ``scale`` times any coefficient of a*b as a
-    balanced digit: each coefficient is a sum of at most ``terms`` products,
-    and one more bit holds the sign.  A square (a is b) packs once."""
+    whole bytes wide, that hold any coefficient of a*b as a balanced digit:
+    each coefficient is a sum of at most ``terms`` products, and one more
+    bit holds the sign.  A square (a is b) packs once."""
     top = max(map(abs, a))
-    bits = _slot_bits(top * (top if a is b else max(map(abs, b))) * terms * scale)
+    bits = _slot_bits(top * (top if a is b else max(map(abs, b))) * terms)
     x = _pack(a, bits)
     return x * (x if a is b else _pack(b, bits)), bits
 
@@ -431,33 +434,16 @@ class MonicQuotient:
         return self._out(self._divide(num)[: self.deg])
 
     def mul(self, a, b) -> tuple[int, ...]:
-        """a*b reduced, by one of three strategies, chosen from the nonzero
-        counts of a and b, taken once:
-
-        * an operand with at most one nonzero coefficient c*x^k gives a
-          shifted, scaled copy of the other (:meth:`_term_product`);
-        * dense operands (see :func:`poly_convolve`) give a packed product;
-          modulo a binomial g = x^d + a_0 and for operands of degree < d it
-          is reduced packed: its top d - 1 slots H hold the coefficients of
-          x^d and up, and x^d = -a_0 makes the remainder L - a_0*H, L the
-          low d slots read signed, in slots widened to hold (|a_0| + 1)
-          times a coefficient;
-        * other operands multiply by pairs of nonzero coefficients."""
-        na = _nonzero(a)
-        nb = na if a is b else _nonzero(b)
-        if na <= 1:
+        """a*b reduced.  An operand with at most one nonzero coefficient
+        c*x^k gives a shifted, scaled copy of the other
+        (:meth:`_term_product`); every other product is
+        :func:`poly_convolve`, which chooses the pair loop or packing,
+        followed by one reduction."""
+        if _nonzero(a) <= 1:
             return self._term_product(a, b)
-        if nb <= 1:
+        if b is not a and _nonzero(b) <= 1:
             return self._term_product(b, a)
-        terms = _packed_terms(a, b, na, nb)
-        if not terms:
-            return self.reduce(_pair_product(a, b))
-        d, a0 = self.deg, self.binomial_a0
-        if a0 is None or len(a) > d or len(b) > d:
-            x, bits = _packed_product(a, b, terms)
-            return self.reduce(_unpack(x, bits, len(a) + len(b) - 1))
-        x, bits = _packed_product(a, b, terms, abs(a0) + 1)
-        return self._out(_unpack(_fold_binomial(x, bits * d, a0), bits, d))
+        return self.reduce(poly_convolve(a, b))
 
     def _term_product(self, t, b) -> tuple[int, ...]:
         """t*b reduced, for t with at most one nonzero coefficient c at
@@ -806,14 +792,6 @@ class LocalElement:
         # precision; each term is at least its own factor's aprec, so the
         # other factor's valuation is needed only when that aprec is below full
         aprec = full = model.full_aprec
-        # a factor with the coefficients of 1 at full precision (valuation
-        # 0) gives, by the rule, the other's aprec as well as its
-        # coefficients (``mul_coeffs``), so the product is the other factor
-        one = model.one().coeffs
-        if self.aprec == full and self.coeffs == one:
-            return other
-        if other.aprec == full and other.coeffs == one:
-            return self
         vec = model.mul_coeffs(self.coeffs, other.coeffs)
         if self.aprec < full:
             vb = other.xval()

@@ -495,14 +495,6 @@ def witt_sub(R, p: int, x: tuple, y: tuple) -> tuple:
     return _witt_combine(R, p, x, y, operator.sub, _companion_sub)
 
 
-def witt_arith(R, p: int, x: tuple, y: tuple, op: str) -> tuple:
-    if op == "add":
-        return witt_add(R, p, x, y)
-    if op == "mul":
-        return witt_mul(R, p, x, y)
-    raise InputError(f"unknown op {op!r}")
-
-
 def witt_zero(R, n: int) -> tuple:
     return (R.from_int(0),) * n
 

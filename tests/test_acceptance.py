@@ -30,10 +30,10 @@ from ramibound.herbrand import (
     thm12_assembly,
 )
 from ramibound.kisin import (
-    GF,
     Laurent,
     etale_new,
     etale_to_kisin,
+    finite_field,
     height_witness,
     kisin_new,
     tame_character_oracle,
@@ -73,7 +73,7 @@ from ramibound.witt import (
 )
 
 from test_herbrand import random_concave_plf
-from test_kisin import modp_height_witness
+from test_kisin import el_one, modp_height_witness
 
 
 @contextmanager
@@ -354,8 +354,8 @@ def test_criterion_11_height_witnesses():
             wu = u_power_witness(module, wit, N)
             _reverify(module, wu, (0,) * N + (1,))
 
-        F3 = GF.create(3, 1)
-        one = F3.one()
+        F3 = finite_field(3, 1)
+        one = el_one(F3)
         for laurent, expect_r in [
             (Laurent(0, (one,)), 0),
             (Laurent(3, (one,)), 3),

@@ -7,7 +7,6 @@ import pytest
 from ramibound import kisin
 from ramibound.errors import InputError, NotHeightError, PrecisionError
 from ramibound.kisin import (
-    GF,
     Laurent,
     SeriesFactorization,
     _fp_polgcd,
@@ -15,6 +14,7 @@ from ramibound.kisin import (
     _is_irreducible,
     etale_new,
     etale_to_kisin,
+    finite_field,
     height_witness,
     is_scalar_mod_u,
     kisin_new,
@@ -29,12 +29,14 @@ from ramibound.kisin import (
     u_power_witness,
 )
 from ramibound.padic import (
+    MonicQuotient,
     eisenstein_validate,
     poly_add,
     poly_convolve,
     poly_divmod_monic,
     poly_mul,
     poly_trim,
+    power,
 )
 
 E13 = eisenstein_validate((3, 1), 3)
@@ -101,6 +103,46 @@ def assert_witness(module, wit, target_poly):
 # ---------------------------------------------------------------------------
 
 
+def el_pad(F, a):
+    """An element of the finite field F (a MonicQuotient) as a tuple of
+    F.deg residues mod p, the form the oracles below work on."""
+    return tuple(a) + (0,) * (F.deg - len(a))
+
+
+def el_zero(F):
+    return (0,) * F.deg
+
+
+def el_one(F):
+    return el_pad(F, (1,))
+
+
+def el_add(F, a, b):
+    return tuple((x + y) % F.q for x, y in zip(a, b))
+
+
+def el_neg(F, a):
+    return tuple(-x % F.q for x in a)
+
+
+def el_mul(F, a, b):
+    """The schoolbook product of two elements, then division by F.g."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return el_pad(F, poly_divmod_monic(prod, F.g, F.q)[1])
+
+
+def el_inv(F, a):
+    return power(a, F.q ** F.deg - 2, partial(el_mul, F), el_one(F))
+
+
+def el_elements(F):
+    """Every element of F, p^f tuples."""
+    return itertools.product(range(F.q), repeat=F.deg)
+
+
 def flat(series):
     """A series of field-element tuples in the library's flat form."""
     return [c for el in series for c in el]
@@ -112,31 +154,31 @@ def flat_matrix(M):
 
 def unflat(F, a, prec):
     """The first prec field elements of a flat series, zero past its end."""
-    els = [tuple(a[s : s + F.f]) for s in range(0, len(a), F.f)]
-    return (els + [F.zero()] * prec)[:prec]
+    els = [tuple(a[s : s + F.deg]) for s in range(0, len(a), F.deg)]
+    return (els + [el_zero(F)] * prec)[:prec]
 
 
-def tuple_series_mul(F: GF, a: list, b: list, prec: int) -> list:
-    out = [F.zero()] * min(prec, max(len(a) + len(b) - 1, 0))
+def tuple_series_mul(F, a: list, b: list, prec: int) -> list:
+    out = [el_zero(F)] * min(prec, max(len(a) + len(b) - 1, 0))
     for i, va in enumerate(a):
-        if F.is_zero(va) or i >= prec:
+        if not any(va) or i >= prec:
             continue
         for j, vb in enumerate(b):
             if i + j >= prec:
                 break
-            out[i + j] = F.add(out[i + j], F.mul(va, vb))
+            out[i + j] = el_add(F, out[i + j], el_mul(F, va, vb))
     return out
 
 
-def tuple_series_add(F: GF, a: list, b: list) -> list:
+def tuple_series_add(F, a: list, b: list) -> list:
     n = max(len(a), len(b))
     return [
-        F.add(a[i] if i < len(a) else F.zero(), b[i] if i < len(b) else F.zero())
+        el_add(F, a[i] if i < len(a) else el_zero(F), b[i] if i < len(b) else el_zero(F))
         for i in range(n)
     ]
 
 
-def tuple_series_ops(F: GF, prec: int):
+def tuple_series_ops(F, prec: int):
     """Entry product and sum for :func:`ops_mat_mul` over F[[u]]/u^prec."""
     return (
         lambda a, b: tuple_series_mul(F, a, b, prec),
@@ -144,29 +186,29 @@ def tuple_series_ops(F: GF, prec: int):
     )
 
 
-def tuple_series_neg(F: GF, a: list) -> list:
-    return [F.neg(v) for v in a]
+def tuple_series_neg(F, a: list) -> list:
+    return [el_neg(F, v) for v in a]
 
 
-def tuple_series_val(F: GF, a: list, prec: int) -> int | None:
+def tuple_series_val(F, a: list, prec: int) -> int | None:
     for i, v in enumerate(a):
         if i >= prec:
             break
-        if not F.is_zero(v):
+        if any(v):
             return i
     return None
 
 
-def tuple_series_inv_unit(F: GF, a: list, prec: int) -> list:
-    if not a or F.is_zero(a[0]):
+def tuple_series_inv_unit(F, a: list, prec: int) -> list:
+    if not a or not any(a[0]):
         raise InputError("series inverse needs a unit constant term")
-    inv0 = F.inv(a[0])
+    inv0 = el_inv(F, a[0])
     out = [inv0]
     for k in range(1, prec):
-        acc = F.zero()
+        acc = el_zero(F)
         for i in range(1, min(k, len(a) - 1) + 1):
-            acc = F.add(acc, F.mul(a[i], out[k - i]))
-        out.append(F.neg(F.mul(inv0, acc)))
+            acc = el_add(F, acc, el_mul(F, a[i], out[k - i]))
+        out.append(el_neg(F, el_mul(F, inv0, acc)))
     return out
 
 
@@ -174,7 +216,7 @@ def tuple_mat_minor(mat, i, j):
     return [row[:j] + row[j + 1 :] for r, row in enumerate(mat) if r != i]
 
 
-def tuple_series_det(F: GF, mat, prec: int) -> list:
+def tuple_series_det(F, mat, prec: int) -> list:
     d = len(mat)
     if d == 1:
         return list(mat[0][0])
@@ -190,10 +232,10 @@ def tuple_series_det(F: GF, mat, prec: int) -> list:
     return acc
 
 
-def tuple_series_adjugate(F: GF, mat, prec: int):
+def tuple_series_adjugate(F, mat, prec: int):
     d = len(mat)
     if d == 1:
-        return [[[F.one()]]]
+        return [[[el_one(F)]]]
     out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -204,7 +246,7 @@ def tuple_series_adjugate(F: GF, mat, prec: int):
     return out
 
 
-def tuple_series_solve(F: GF, A, M, prec: int):
+def tuple_series_solve(F, A, M, prec: int):
     """C with A*C = M over F[[u]]/u^prec', prec' = prec - 2*val(det A).
 
     Returns (C, prec').  Raises NotHeightError when the unique Laurent
@@ -226,7 +268,7 @@ def tuple_series_solve(F: GF, A, M, prec: int):
         C.append([])
         for acc in row:
             t = tuple_series_mul(F, acc, unit_inv, prec - v)
-            if any(not F.is_zero(c) for c in t[:v]):
+            if any(any(c) for c in t[:v]):
                 raise NotHeightError(
                     "solution acquires a pole: no witness at this height"
                 )
@@ -247,9 +289,9 @@ def divmod_polgcd(a: tuple, b: tuple, p: int) -> tuple:
 def rabin_is_irreducible(mod: tuple, p: int) -> bool:
     """Rabin's test for a monic polynomial of degree f >= 2 over F_p."""
     f = len(mod) - 1
-    R = GF(p, f, mod)  # the ring F_p[y]/(mod), a field iff the test passes
-    y = (0, 1) + (0,) * (f - 2)
-    if R.pow(y, p ** f) != y:
+    R = MonicQuotient(mod, p)  # F_p[y]/(mod), a field iff the test passes
+    y = el_pad(R, (0, 1))
+    if el_pad(R, R.pow(y, p ** f)) != y:
         return False
     primes = set()
     ff = f
@@ -263,7 +305,7 @@ def rabin_is_irreducible(mod: tuple, p: int) -> bool:
     if ff > 1:
         primes.add(ff)
     for t in primes:
-        z = R.pow(y, p ** (f // t))
+        z = el_pad(R, R.pow(y, p ** (f // t)))
         if len(divmod_polgcd(mod, tuple((a - b) % p for a, b in zip(z, y)), p)) > 1:
             return False
     return True
@@ -302,7 +344,7 @@ def scan_tame_starts(p: int, d: int, seq) -> tuple:
     return tuple(starts)
 
 
-def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
+def modp_height_witness(field, matrix, e: int, r: int, uprec: int):
     """Witness A*B = u^{e*r} * I over F_q[[u]] for a matrix of field-element
     series (as etale_to_kisin returns it), by the library's series layer:
     the mod-p incarnation of the height condition (E is congruent to u^e
@@ -313,7 +355,7 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
     er = e * r
     if er >= uprec:
         raise PrecisionError("u-precision too small for this height")
-    tgt = [0] * (er * F.f) + list(F.one())
+    tgt = [0] * (er * F.deg) + list(el_one(F))
     M = [[list(tgt) if i == j else [] for j in range(d)] for i in range(d)]
     C, avail = SeriesFactorization(F, A, uprec).solve(M, uprec)
     prod = ops_mat_mul(
@@ -322,7 +364,7 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
         lambda a, b: series_mul(F, a, b, avail),
         lambda a, b: series_add(F, a, b),
     )
-    if not is_scalar_mod_u(prod, tgt, avail * F.f, F.p):
+    if not is_scalar_mod_u(prod, tgt, avail * F.deg, F.q):
         raise AssertionError("mod-p witness re-verification failed")
     return C, avail
 
@@ -333,26 +375,35 @@ def modp_height_witness(field: GF, matrix, e: int, r: int, uprec: int):
 
 
 def test_gf_basic():
-    F9 = GF.create(3, 2)
-    assert F9.order == 9
-    els = list(F9.elements())
-    assert len(els) == 9
-    for a in els:
-        for b in els:
-            assert F9.mul(a, b) == F9.mul(b, a)
-            assert F9.frobenius(F9.add(a, b)) == F9.add(
-                F9.frobenius(a), F9.frobenius(b)
-            )
-        if any(a):
-            assert F9.mul(a, F9.inv(a)) == F9.one()
-    with pytest.raises(InputError):
-        F9.inv(F9.zero())
+    """F = finite_field(p, f) for p in {3, 5, 7} and f <= 4: the p^f-th
+    power fixes every element, a * a^(p^f - 2) is 1 for every nonzero a,
+    and a product is the schoolbook product followed by division by F.g
+    (every pair for p^f <= 125, else seeded pairs).  Elements enter padded
+    to f residues, as the series layer's seeds do, or trimmed, as the ring
+    returns them."""
+    rng = random.Random(7)
+    for p, f in itertools.product((3, 5, 7), range(1, 5)):
+        F, order = finite_field(p, f), p ** f
+        els = list(el_elements(F))
+        for a in els:
+            assert F.pow(a, order) == poly_trim(a), (p, f, a)
+            if any(a):
+                assert F.mul(a, F.pow(a, order - 2)) == (1,), (p, f, a)
+        pairs = (
+            itertools.product(els, repeat=2)
+            if order <= 125
+            else ((rng.choice(els), rng.choice(els)) for _ in range(3000))
+        )
+        for a, b in pairs:
+            want = el_mul(F, a, b)
+            assert el_pad(F, F.mul(a, b)) == want, (p, f, a, b)
+            assert el_pad(F, F.mul(poly_trim(a), poly_trim(b))) == want, (p, f, a, b)
 
 
 def test_gf_modulus_is_irreducible():
-    F27 = GF.create(3, 3)
+    F27 = finite_field(3, 3)
     # no roots in F_3 means no linear factor; degree 3 then has no factor
-    mod = F27.modulus
+    mod = F27.g
     for c in range(3):
         val = sum(coef * c ** i for i, coef in enumerate(mod)) % 3
         assert val != 0
@@ -362,18 +413,19 @@ def test_gf_modulus_is_irreducible():
         (5, 1): (0, 1), (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1),
     }
     for (p, f), modulus in pinned.items():
-        assert GF.create(p, f).modulus == modulus
+        assert finite_field(p, f).g == modulus
 
 
 def test_gf_prime_field_mul_matches_polynomial_path():
     # the quotient ring F_p[y]/(y) against (a*b) % p and against the
     # product-then-monic-division path
     for p in (3, 5, 7):
-        F = GF.create(p, 1)
-        for a in F.elements():
-            for b in F.elements():
-                r = poly_divmod_monic(poly_convolve(a, b), F.modulus, p)[1]
-                assert F.mul(a, b) == r + (0,) * (1 - len(r)) == ((a[0] * b[0]) % p,)
+        F = finite_field(p, 1)
+        for a in el_elements(F):
+            for b in el_elements(F):
+                r = poly_divmod_monic(poly_convolve(a, b), F.g, p)[1]
+                got = el_pad(F, F.mul(a, b))
+                assert got == r + (0,) * (1 - len(r)) == ((a[0] * b[0]) % p,)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -406,26 +458,26 @@ def random_series(rng, F, length, unit=False):
     """Field-element tuples, a third of them zero; a unit constant term
     when asked."""
     out = [
-        tuple(rng.randrange(F.p) for _ in range(F.f)) if rng.randrange(3) else F.zero()
+        tuple(rng.randrange(F.q) for _ in range(F.deg)) if rng.randrange(3) else el_zero(F)
         for _ in range(length)
     ]
     if unit and length:
         while not any(out[0]):
-            out[0] = tuple(rng.randrange(F.p) for _ in range(F.f))
+            out[0] = tuple(rng.randrange(F.q) for _ in range(F.deg))
     return out
 
 
 @pytest.mark.parametrize("pf", FIELDS)
 def test_flat_series_product_and_inverse_match_tuple_oracle(pf):
-    F = GF.create(*pf)
-    rng = random.Random(F.order)
+    F = finite_field(*pf)
+    rng = random.Random(F.q ** F.deg)
     for _ in range(80):
         a = random_series(rng, F, rng.randrange(8))
         b = random_series(rng, F, rng.randrange(8))
         prec = rng.randint(1, 12)
         got = series_mul(F, flat(a), flat(b), prec)
-        assert len(got) % F.f == 0 and len(got) <= prec * F.f, (a, b, prec)
-        assert all(0 <= c < F.p for c in got)
+        assert len(got) % F.deg == 0 and len(got) <= prec * F.deg, (a, b, prec)
+        assert all(0 <= c < F.q for c in got)
         want = tuple_series_mul(F, a, b, prec)
         assert unflat(F, got, prec) == unflat(F, flat(want), prec), (a, b, prec)
         assert series_val(F, flat(a), prec) == tuple_series_val(F, a, prec), a
@@ -434,7 +486,7 @@ def test_flat_series_product_and_inverse_match_tuple_oracle(pf):
         prec = rng.randint(1, 16)
         got = series_inv_unit(F, flat(a), prec)
         assert unflat(F, got, prec) == tuple_series_inv_unit(F, a, prec), (a, prec)
-    for bad in ([], [F.zero(), F.one()]):
+    for bad in ([], [el_zero(F), el_one(F)]):
         with pytest.raises(InputError):
             series_inv_unit(F, flat(bad), 3)
 
@@ -453,8 +505,8 @@ def test_flat_series_linear_algebra_matches_tuple_oracle(pf):
     the same u-precision, or the same refusal with the same message.  A
     matrix is factored once, at prec, and solved at every precision up to
     prec, each against the one-shot solve at that precision."""
-    F = GF.create(*pf)
-    rng = random.Random(7 * F.order)
+    F = finite_field(*pf)
+    rng = random.Random(7 * F.q ** F.deg)
     seen = set()
     for _ in range(60):
         d = rng.randint(1, 3)
@@ -463,7 +515,7 @@ def test_flat_series_linear_algebra_matches_tuple_oracle(pf):
             for _ in range(d)
         ]
         for i in range(d):  # a diagonal that is often u^k times a unit
-            shift = [F.zero()] * rng.randrange(3)
+            shift = [el_zero(F)] * rng.randrange(3)
             A[i][i] = shift + random_series(rng, F, 3, unit=True)
         M = [
             [random_series(rng, F, rng.randrange(6)) for _ in range(d)]
@@ -507,9 +559,9 @@ def test_gf_create_matches_rabin_search():
               71, 73, 79):
         f = 1
         while p ** f <= 3 ** 8:
-            assert GF.create(p, f).modulus == rabin_modulus(p, f), (p, f)
+            assert finite_field(p, f).g == rabin_modulus(p, f), (p, f)
             f += 1
-    assert GF.create(3, 15).modulus == (1,) + (0,) * 12 + (1, 2, 1)
+    assert finite_field(3, 15).g == (1,) + (0,) * 12 + (1, 2, 1)
 
 
 def test_tame_oracle_starts_match_full_scan():
@@ -687,15 +739,15 @@ def test_tame_builder_matches_oracle_all_sequences():
 
 
 def test_etale_identity():
-    F3 = GF.create(3, 1)
-    em = etale_new(F3, ((Laurent(0, (F3.one(),)),),), e=1)
+    F3 = finite_field(3, 1)
+    em = etale_new(F3, ((Laurent(0, (el_one(F3),)),),), e=1)
     res = etale_to_kisin(em)
     assert res.rescale_power == 0 and res.r == 0
 
 
 def test_etale_u_cubed():
-    F3 = GF.create(3, 1)
-    em = etale_new(F3, ((Laurent(3, (F3.one(),)),),), e=1)
+    F3 = finite_field(3, 1)
+    em = etale_new(F3, ((Laurent(3, (el_one(F3),)),),), e=1)
     res = etale_to_kisin(em)
     assert res.r == 3 and res.det_val == 3
     modp_height_witness(F3, res.matrix, 1, 3, em.uprec)
@@ -704,8 +756,8 @@ def test_etale_u_cubed():
 
 
 def test_etale_negative_power():
-    F3 = GF.create(3, 1)
-    em = etale_new(F3, ((Laurent(-1, (F3.one(),)),),), e=1)
+    F3 = finite_field(3, 1)
+    em = etale_new(F3, ((Laurent(-1, (el_one(F3),)),),), e=1)
     res = etale_to_kisin(em)
     assert res.rescale_power == 1 and res.r == 1 and res.det_val == 1
     km = result_as_kisin_module(res, 3, E13)
@@ -714,11 +766,11 @@ def test_etale_negative_power():
 
 
 def test_etale_rank2_over_f9():
-    F9 = GF.create(3, 2)
-    one = F9.one()
+    F9 = finite_field(3, 2)
+    one = el_one(F9)
     gen = (0, 1)
     entries = (
-        (Laurent(1, (one,)), Laurent(0, (F9.zero(),))),
+        (Laurent(1, (one,)), Laurent(0, (el_zero(F9),))),
         (Laurent(0, (gen,)), Laurent(2, (one,))),
     )
     em = etale_new(F9, entries, e=1)
@@ -728,6 +780,6 @@ def test_etale_rank2_over_f9():
 
 
 def test_etale_rejects_singular():
-    F3 = GF.create(3, 1)
+    F3 = finite_field(3, 1)
     with pytest.raises(InputError):
-        etale_new(F3, ((Laurent(0, (F3.zero(),)),),), e=1)
+        etale_new(F3, ((Laurent(0, (el_zero(F3),)),),), e=1)

@@ -1,11 +1,12 @@
 """The kernel paths that make a lifter iteration cheap, each against the
 path it replaces: single-term products against the reduced convolution,
-the packed power modulo a binomial against square-and-multiply, the
-element power's precision against the chain of element products, the
-one-pass Witt subtraction against adding the negative, the one-pass shift
-modulo a binomial against single divisions, and the solver's Witt matrix
-product against a plain product of Witt products and sums, with the
-two Witt facts its skip of zero entries rests on.
+dense products modulo a binomial against the dense product, the packed
+power there against square-and-multiply, the element power's precision
+against the chain of element products, the one-pass Witt subtraction
+against adding the negative, the one-pass shift modulo a binomial against
+single divisions, and the solver's Witt matrix product against a plain
+product of Witt products and sums, with the two Witt facts its skip of
+zero entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""
@@ -128,6 +129,37 @@ def test_zz_witt_products_take_no_convolution(monkeypatch):
     expect(calls == [], calls)
 
 
+@pytest.mark.parametrize("m", [27, 40])
+def test_dense_binomial_products_match_reference(m, monkeypatch):
+    """Dense products and squares of operands of degree < m modulo
+    x^m + a_0, which poly_convolve packs at the module's ratio, then
+    reduced by the ring: the dense product and the dense division."""
+    packed = []
+    real = padic._packed_product
+
+    def spy(*args):
+        packed.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(padic, "_packed_product", spy)
+    rng = random.Random(m)
+    products = 0
+    for a0 in (3, -3, -1, 3 ** 20):
+        for q in QS:
+            ring = MonicQuotient(binomial(m, a0), q)
+            bound = q or 3 ** 20
+            for _ in range(4):
+                a, b = (
+                    [rng.choice((-1, 1)) * rng.randrange(1, bound) for _ in range(m)]
+                    for _ in range(2)
+                )
+                a[rng.randrange(m)] = 0  # dense, not full
+                for u, v in ((a, b), (a, a), (tuple(b), tuple(a))):
+                    expect(ring.mul(u, v) == reference(ring, u, v), m, a0, q, u, v)
+                    products += 1
+    expect(len(packed) == products, len(packed), products)
+
+
 @pytest.mark.parametrize("g", BINOMIALS)
 def test_packed_pow_matches_power(g, monkeypatch):
     """MonicQuotient.pow modulo a binomial for k = 2..7, with the packed
@@ -229,9 +261,10 @@ def test_element_pow_matches_product_chain(g, monkeypatch):
 
 
 def test_product_by_one_takes_the_other_factor(monkeypatch):
-    """A factor 1 at full precision gives the other factor itself, which
-    is the general rule's product; a 1 known to less gives the other's
-    coefficients, with the rule's aprec, and calls no product strategy."""
+    """A factor 1 at full precision gives the other factor's coefficients
+    and aprec, which is the general rule's product; a 1 known to less gives
+    the other's coefficients, with the rule's aprec; neither calls a
+    product strategy."""
     model = LocalFieldModel(eisenstein_validate(binomial(6), 3), 5)
     rng = random.Random(6)
     one, full = model.one(), model.full_aprec
@@ -243,8 +276,8 @@ def test_product_by_one_takes_the_other_factor(monkeypatch):
         x = LocalElement(model, vec, rng.choice([full, rng.randrange(full)]))
         want = two_xval_product(one, x)
         expect((x.coeffs, x.aprec) == (want.coeffs, want.aprec), x)
-        expect(one * x is x and x * one is x, x)
-        expect(model.from_int(1) * x is x, x)
+        for got in (one * x, x * one, model.from_int(1) * x):
+            expect((got.coeffs, got.aprec) == (x.coeffs, x.aprec), x)
         for low_one in (LocalElement(model, one.coeffs, rng.randrange(full)),
                         LocalElement(model, one.coeffs, 0)):
             for got in (low_one * x, x * low_one):

@@ -5,7 +5,7 @@ from itertools import zip_longest
 
 import pytest
 
-from ramibound.kisin import GF, series_mul
+from ramibound.kisin import finite_field, series_mul
 from ramibound import padic
 from ramibound.errors import (
     BaseMismatchError,
@@ -257,7 +257,7 @@ def test_packed_and_pair_products_agree(monkeypatch):
         assert each_strategy(lambda: ring.mul(a, b)) == want, (g, q, a, b)
     assert any(taken) and not all(taken)
 
-    F27 = GF.create(3, 3)
+    F27 = finite_field(3, 3)
     taken.clear()
     for _ in range(60):
         prec = rng.randint(1, 20)
