@@ -58,7 +58,8 @@ def parse_rat(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise InputError(f"bad rational {text!r}: {why}") from None
 
 
 def jsonable(value):

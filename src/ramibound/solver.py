@@ -26,10 +26,9 @@ Three layers of machinery:
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
 
-Every matrix of Witt vectors is multiplied by one product,
-:func:`_witt_mat_mul`: it skips the products by an all-zero entry, and at
-Witt length 1 it forms each entry on the coefficients, with the precision
-that Witt products and sums would give.
+Every entry of a product of Witt matrices is one dot product,
+:func:`_witt_dot`, which skips products by an all-zero entry and forms
+length-1 entries on the coefficients.
 
 Working precision is self-tuning: when a certification cannot be reached at
 the current model precision the problem is rebuilt at twice the digit count
@@ -41,9 +40,11 @@ of one call share it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from types import SimpleNamespace
 
 from .bounds import BoundConstants, bound_constants, exact_nilpotency_index
 from .errors import (
@@ -81,6 +82,12 @@ LIFT_ATTEMPTS = 5  # model precisions tried by lift_solution, each double the la
 Member = tuple  # tuple over coords of tuples over Witt components of coeffs
 
 
+def _memo():
+    """A write-once dict of a frozen problem, outside its init, equality
+    and repr."""
+    return field(default_factory=dict, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class JSetProblem:
     module: KisinModule
@@ -93,19 +100,11 @@ class JSetProblem:
     cap: int
     A_tilde: tuple
     B_tilde: tuple
-    # write-once memo {level: JSolutionSet} filled by jset_enumerate
-    jset_memo: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # write-once memo {a': _LiftConstants} filled by _lift_attempt
-    lift_memo: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # write-once memo {digits: with_precision(self, digits)} filled by
-    # lift_solution
-    boosted: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    # write-once memos, filled by the functions named
+    jset_memo: dict = _memo()  # {level: JSolutionSet}, jset_enumerate
+    lift_memo: dict = _memo()  # {a': _LiftConstants}, _lift_attempt
+    level_memo: dict = _memo()  # {Witt level: columns}, columns
+    boosted: dict = _memo()  # {digits: with_precision}, lift_solution
 
     @property
     def d(self) -> int:
@@ -128,6 +127,21 @@ class JSetProblem:
         return self.constants.b
 
     @cached_property
+    def ring(self) -> LocalRing:
+        return LocalRing(self.model)
+
+    def columns(self, level: int) -> tuple:
+        """A~ and B~ by columns, each entry cut to ``level`` Witt
+        components; made once per level."""
+        known = self.level_memo.get(level)
+        if known is None:
+            known = self.level_memo[level] = tuple(
+                tuple(tuple(vec[:level] for vec in col) for col in zip(*M))
+                for M in (self.A_tilde, self.B_tilde)
+            )
+        return known
+
+    @cached_property
     def residue_model(self) -> LocalFieldModel:
         """The model at one p-digit, where the solution sets' Witt sums
         are taken in W_n(O_E/p)."""
@@ -146,10 +160,6 @@ class JSetProblem:
         return [model.coeff_cutoffs(self.comp_threshold(c, i)) for i in range(self.n)]
 
 
-def _ring(prob: JSetProblem) -> LocalRing:
-    return LocalRing(prob.model)
-
-
 def _lift_poly(
     ring: LocalRing, p: int, n: int, pi_s: LocalElement, poly: tuple
 ) -> tuple:
@@ -164,62 +174,34 @@ def _lift_poly(
     return acc
 
 
-def _witt_identity(ring: LocalRing, p: int, n: int, d: int) -> tuple:
-    one = int_to_witt(ring, p, 1, n)
-    zero = witt_zero(ring, n)
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
 def _witt_mat_mul(ring: LocalRing, p: int, A: tuple, B: tuple) -> tuple:
     """Product of an (l x d) and a (d x m) matrix of Witt vectors over
-    ``ring``, a row vector being a 1 x d matrix.  Every coefficient and
-    aprec is that of the plain product whose entries are sums, left to
-    right, of ``witt_mul`` products by ``witt_add``, which the tests compare
-    it with.
-
-    That product's entry (i, j) is known to the least aprec over row i of A
-    and column j of B, and full precision: ``LocalRing.lower`` gives every
-    component of a Witt sum or product the least aprec over all components
-    of its inputs.  So the entry takes that aprec here, and two shortcuts
-    leave its coefficients as they were:
-
-    * a product with a factor whose components all have zero coefficients
-      is skipped.  Its ghost components are 0, so its coefficients are 0;
-      adding it gives the ghost components of the sum so far, whose solve
-      returns that sum's coefficients.  Its only effect is on the aprec.
-      An entry whose products are all skipped is zero at its aprec.
-    * at Witt length 1 a Witt product or sum is the product or sum of the
-      component-0 coefficients mod q, so the entry is the sum mod q of the
-      coefficient products (``LocalFieldModel.mul_coeffs``), built as one
-      element.  At length >= 2 the products left are ``witt_mul`` and their
-      sum ``witt_add``.
-    """
+    ``ring``, a row vector being a 1 x d matrix, entry by entry by
+    ``_witt_dot``."""
     cols = tuple(zip(*B))
-    dot = _coeff_dot if cols and len(cols[0][0]) == 1 else _witt_dot
-    return tuple([tuple([dot(ring, p, row, col) for col in cols]) for row in A])
-
-
-def _coeff_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
-    """sum_k xs[k] * ys[k] for Witt vectors of length 1, on the
-    coefficients, as ``_witt_mat_mul`` forms an entry."""
-    model = ring.model
-    aprec, terms = model.full_aprec, []
-    for (a,), (b,) in zip(xs, ys):
-        aprec = min(aprec, a.aprec, b.aprec)
-        if any(a.coeffs) and any(b.coeffs):
-            terms.append(model.mul_coeffs(a.coeffs, b.coeffs))
-    if len(terms) == 1:
-        vec = terms[0]
-    else:
-        # the zero vector in front makes an entry without products zero
-        vec = tuple([sum(t) % model.q for t in zip((0,) * model.m, *terms)])
-    return (LocalElement(model, vec, aprec),)
+    return tuple([tuple([_witt_dot(ring, p, row, col) for col in cols]) for row in A])
 
 
 def _witt_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
-    """sum_k xs[k] * ys[k] by ``witt_mul`` and ``witt_add``, skipping the
-    products by an all-zero vector, as ``_witt_mat_mul`` forms an entry."""
+    """sum_k xs[k] * ys[k] for Witt vectors, with every coefficient and
+    aprec of the plain sum, left to right, of ``witt_mul`` products by
+    ``witt_add``, which the tests compare it with.  That sum is known to the
+    least aprec over xs, ys and full precision, as ``LocalRing.lower`` gives
+    a Witt sum or product the least aprec of its inputs; so the entry takes
+    that aprec, and two shortcuts leave its coefficients as they were:
+
+    * a product by a factor whose components are all zero is skipped: its
+      ghost components are 0, so adding it leaves the sum's coefficients,
+      and only its aprec counts.  An entry with every product skipped is
+      zero at its aprec.
+    * at Witt length 1 a Witt product or sum is that of the component-0
+      coefficients mod q, so ``_coeff_dot`` forms the entry as one element
+      from ``LocalFieldModel.mul_coeffs``.  At length >= 2 the products are
+      ``witt_mul`` and their sum ``witt_add``.
+    """
     model = ring.model
+    if len(ys[0]) == 1:
+        return (_coeff_dot(model, [x for x, in xs], ys),)
     aprec, acc = model.full_aprec, None
     for x, y in zip(xs, ys):
         aprec = min(aprec, *[c.aprec for c in x + y])
@@ -231,6 +213,22 @@ def _witt_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
     return tuple(
         [c if c.aprec == aprec else LocalElement(model, c.coeffs, aprec) for c in acc]
     )
+
+
+def _coeff_dot(model: LocalFieldModel, xs: tuple, ys: tuple) -> LocalElement:
+    """sum_k xs[k] * ys[k] for elements xs and Witt vectors ys of length 1,
+    on the coefficients, as ``_witt_dot`` forms it: an element."""
+    aprec, terms = model.full_aprec, []
+    for a, (b,) in zip(xs, ys):
+        aprec = min(aprec, a.aprec, b.aprec)
+        if any(a.coeffs) and any(b.coeffs):
+            terms.append(model.mul_coeffs(a.coeffs, b.coeffs))
+    if len(terms) == 1:
+        vec = terms[0]
+    else:
+        # the zero vector in front makes an entry without products zero
+        vec = tuple([sum(t) % model.q for t in zip((0,) * model.m, *terms)])
+    return LocalElement(model, vec, aprec)
 
 
 def _has_coeffs(vec: tuple) -> bool:
@@ -343,7 +341,8 @@ def build_jset_problem(
     pi_n = pi_s.pow(N)
     pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
     prod = _witt_mat_mul(ring, p, A_t, B_t0)
-    ident = _witt_identity(ring, p, n, d)
+    one, zero = int_to_witt(ring, p, 1, n), witt_zero(ring, n)
+    ident = tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
     R_mat = []
     for i in range(d):
         row = []
@@ -422,7 +421,7 @@ def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
     the rest is read the same way from there.  Vectors congruent modulo I_c
     give the same representative, and at n = 1 it is the componentwise
     truncation."""
-    ring, p = _ring(prob), prob.p
+    ring, p = prob.ring, prob.p
     out = []
     for vec in X:
         digits = []
@@ -437,21 +436,37 @@ def truncate_solution(prob: JSetProblem, X: tuple, c: Rat) -> Member:
     return tuple(out)
 
 
-def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
-              phi=None) -> tuple:
-    """phi(X) - X * A~, truncated to the first level_n Witt components.
-    ``phi``, when given, is the Frobenius of those truncated components,
-    already computed by the caller."""
-    p = prob.p
-    Xl = tuple(vec[:level_n] for vec in X)
-    Al = tuple(
-        tuple(prob.A_tilde[i][j][:level_n] for j in range(prob.d))
-        for i in range(prob.d)
+def _level_ops(ring: LocalRing, p: int, level: int, elements: bool) -> SimpleNamespace:
+    """The arithmetic of the first ``level`` Witt components, on Witt
+    vectors or, with ``elements`` at level 1, on component-0 elements (see
+    ``_lift_attempt``): ``cut`` and ``comps`` convert from and to Witt
+    vectors, ``scale(zs, x)`` is [z] * x from z's powers, and ``div`` is
+    ``_teich_div``."""
+    if elements:
+        return SimpleNamespace(
+            cut=operator.itemgetter(0), comps=lambda c: (c,), add=operator.add,
+            sub=operator.sub, frob=lambda c: c ** p,
+            dot=partial(_coeff_dot, ring.model), scale=lambda zs, c: zs[0] * c,
+            div=lambda c, parts: c.div_by(*parts[0]),
+        )
+    return SimpleNamespace(
+        cut=lambda vec: vec[:level], comps=lambda vec: vec, div=_teich_div,
+        add=partial(witt_add, ring, p), sub=partial(witt_sub, ring, p),
+        frob=partial(power_frobenius, ring, p), dot=partial(_witt_dot, ring, p),
+        scale=lambda zs, vec: tuple([z * c for z, c in zip(zs, vec)]),
     )
+
+
+def _residual(prob: JSetProblem, ring: LocalRing, X: tuple, level_n: int,
+              phi=None, ops=None) -> tuple:
+    """phi(X) - X * A~ on the first level_n Witt components, in the
+    arithmetic ``ops`` (Witt vectors over ``ring`` by default).  ``phi``,
+    when given, is phi(X), already computed."""
+    ops = ops or _level_ops(ring, prob.p, level_n, False)
     if phi is None:
-        phi = tuple(power_frobenius(ring, p, vec) for vec in Xl)
-    (XA,) = _witt_mat_mul(ring, p, (Xl,), Al)
-    return tuple(witt_sub(ring, p, phi[j], XA[j]) for j in range(prob.d))
+        phi = tuple(map(ops.frob, X))
+    A = prob.columns(level_n)[0]
+    return tuple([ops.sub(f, ops.dot(X, col)) for f, col in zip(phi, A)])
 
 
 @dataclass(frozen=True)
@@ -496,7 +511,8 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
     try:
         return Fraction(level)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad level {level!r}: {exc}") from None
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise InputError(f"bad level {level!r}: {why}") from None
 
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:
@@ -624,7 +640,7 @@ def _kernel_generators(prob: JSetProblem, c: Rat) -> tuple:
     A~ is known to full precision, so every residual is, and each residual
     is read mod p without running out of precision."""
     n, d, m = prob.n, prob.d, prob.model.m
-    low, ring = prob.residue_model, _ring(prob)
+    low, ring = prob.residue_model, prob.ring
     cuts = prob.level_cutoffs(c)
     zero = (0,) * m
     rows = []
@@ -826,12 +842,10 @@ class _LiftConstants:
     div_parts: list
 
     def parts(self, level: int) -> list:
-        """The divisor halves of the first ``level`` powers; each is made
-        when a lift first reaches its level, so a power that is zero at
-        precision fails only there.  Part i is stored at index i, not
-        appended: two lifts that make the same part at once store equal
-        values in one slot, so the list is the same whichever writes
-        first."""
+        """The divisor halves of the first ``level`` powers, each made when
+        a lift first reaches its level, so a power that is zero at precision
+        fails only there.  Part i is stored at index i, not appended, so two
+        lifts that make it at once leave the same list."""
         for i in range(len(self.div_parts), level):
             self.div_parts[i:i + 1] = [self.divisor_pows[i].divisor()]
         return self.div_parts
@@ -880,8 +894,8 @@ def _residual_aprec_bound(prob: JSetProblem, consts: _LiftConstants) -> int | No
        Y_0 is known to at most F - k + b = B.
     3. Component 0 of residual entry j, phi(Y)_j - sum_i Y_i * A~_ij, is a
        Witt sum of Witt products that each have Y_i among their inputs, so
-       by the weak rule it is known to at most B.  ``_witt_mat_mul`` skips
-       a product by an all-zero entry, but gives the entry the least aprec
+       by the weak rule it is known to at most B.  ``_witt_dot`` skips a
+       product by an all-zero entry, but gives the entry the least aprec
        over row Y and column j of A~, which still counts every Y_i.
     4. A certificate accepts a component only when it is zero at precision
        with aprec >= target_x, or when its xval, which is below its aprec,
@@ -911,20 +925,24 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     From the congruence defect a' of X, beta has valuation a' - N/p^s, and
     Z -> (phi(X + [beta] Z) * B~ - [pi^N] X) / [pi^N * beta] is iterated
     from Z = 0 until X + [beta] Z is certified to ``target_digits``, one Witt
-    level at a time (the p-adic digit induction).  What depends only on the
-    problem and a' is kept on the problem, per a', by ``_lift_constants``:
-    [pi^N], the powers beta^{p^i} and (pi^N * beta)^{p^i}, and the divisor
-    halves ``(z^{p^i}).divisor()`` of the division by [pi^N * beta], each
-    taken when a lift first reaches level i + 1 (a power that is zero at
-    precision fails only once its level is reached).  So every lift of the
-    problem with the same a' shares them, and each Teichmueller power is
-    inverted once per problem.  [pi^N] X is computed once per attempt.  A
-    step needs only phi(X + [beta] Z); the certificate of Z computes it
-    anyway and hands it to ``_residual`` and to the next step, and the first
-    step at Witt level 1 takes phi(X) from the start's residual.  Each step
-    takes the xval of each component of the increment Z' - Z once: it
-    decides whether the iteration is stationary and is kept for the trace,
-    whose strings are made only when ``LiftResult.trace`` is read.
+    level at a time (the p-adic digit induction).  ``_lift_constants`` keeps
+    what depends only on the problem and a', ``JSetProblem.columns`` A~ and
+    B~ cut to each level; X and [pi^N] X are cut once per level.  A step
+    needs only phi(X + [beta] Z): the certificate of Z computes it for
+    ``_residual`` and hands it to the next step, and the first step takes
+    phi(X) from the start's residual.  Each step takes the xval of each
+    component of the increment Z' - Z once: it decides whether the
+    iteration is stationary and is kept for the trace, whose strings are
+    made only when ``LiftResult.trace`` is read.
+
+    One loop serves every level, in the arithmetic ``_level_ops`` picks:
+    at level 1, the first of every lift and all of one at n = 1, the
+    component-0 elements, and Witt vectors above.  As W_1(O_E) = O_E, each
+    piece gives the coefficients and aprec of length-1 Witt vectors: a sum
+    or difference is the elements', whose aprec is already the least of the
+    inputs'; [beta] z is beta * z, the Frobenius c ** p; a matrix entry is
+    ``_coeff_dot``'s, as ``_witt_dot`` forms it; [pi^N * beta] divides by
+    pi^N * beta.  So the trace, refusals and result are the Witt vectors'.
 
     Before the first step, once a' and gamma are checked, the attempt
     bounds the precision of every residual it could certify by
@@ -937,9 +955,8 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     NonConvergenceError when the starting point is not a level-a solution or
     the budget runs out.
     """
-    ring = _ring(prob)
+    ring, model = prob.ring, prob.model
     p, n, d = prob.p, prob.n, prob.d
-    model = prob.model
     target_x = model.m * target_digits
     if model.prec < target_digits:
         raise PrecisionError("model precision below the certification target")
@@ -947,27 +964,26 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
     X = member_to_witt(prob, member)
     level_a_q = prob.quotient_level(prob.level_a)
 
-    phi_X = tuple(power_frobenius(ring, p, vec) for vec in X)
-    res = _residual(prob, ring, X, n, phi=phi_X)
-    if all(_witt_vec_val_ge(entry, target_x) for entry in res):
+    ops = _level_ops(ring, p, n, n == 1)
+    Xn = tuple(map(ops.cut, X))
+    phi_X = tuple(map(ops.frob, Xn))
+    res = _residual(prob, ring, Xn, n, phi=phi_X, ops=ops)
+    if all(_witt_vec_val_ge(ops.comps(entry), target_x) for entry in res):
         return LiftResult(prob, X, 0, None, None, target_digits, ())
 
     # congruence defect level a' (capped so the auxiliary monomial stays
     # inside the ring of integers of every Witt component)
     candidates = []
     for entry in res:
-        for i, comp in enumerate(entry):
+        for i, comp in enumerate(ops.comps(entry)):
             v = comp.valuation()
-            if isinstance(v, LowerBound):
-                if Fraction(v.value) / p ** i <= level_a_q:
-                    raise PrecisionError(
-                        "residual component vanished below the level-a threshold"
-                    )
-                candidates.append(Fraction(v.value) / p ** i)
-            else:
-                candidates.append(Fraction(v) / p ** i)
-    a_prime = min(candidates)
-    a_prime = min(a_prime, Fraction(model.e_norm, p ** (n - 1)))
+            bounded = isinstance(v, LowerBound)
+            candidates.append(Fraction(v.value if bounded else v) / p ** i)
+            if bounded and candidates[-1] <= level_a_q:
+                raise PrecisionError(
+                    "residual component vanished below the level-a threshold"
+                )
+    a_prime = min(*candidates, Fraction(model.e_norm, p ** (n - 1)))
     if a_prime <= level_a_q:
         raise NonConvergenceError(
             f"congruence defect {a_prime} does not exceed the level-a "
@@ -990,83 +1006,51 @@ def _lift_attempt(prob: JSetProblem, member: Member, target_digits: int) -> Lift
             f"no iterate's residual is known beyond x-precision {bound} < {target_x}"
         )
 
-    piNX = tuple(teichmuller_scale(ring, p, consts.pi_n, X[i]) for i in range(d))
-    steps: list = []
-
-    def moved(Z: tuple, level: int) -> tuple:
-        """X + [beta] * Z on the first ``level`` Witt components."""
-        return tuple(
-            witt_add(
-                ring, p, X[i][:level], tuple(b * z for b, z in zip(beta_pows, Z[i]))
-            )
-            for i in range(d)
-        )
-
-    def step(phi: tuple, Bl: tuple, parts: list, level: int) -> tuple:
-        """The next Z, from phi(X + [beta] * Z): only the Frobenius of the
-        moved point enters, so certify() hands it over."""
-        (MB,) = _witt_mat_mul(ring, p, (phi,), Bl)
-        return tuple(
-            _teich_div(witt_sub(ring, p, MB[i], piNX[i][:level]), parts)
-            for i in range(d)
-        )
-
-    def certify(Z: tuple, level: int) -> tuple:
-        """(Y, phi(Y), whether Y's residual is certified) for Y = X + [beta] Z."""
-        Y = moved(Z, level)
-        phi = tuple(power_frobenius(ring, p, vec) for vec in Y)
-        r = _residual(prob, ring, Y, level, phi=phi)
-        return Y, phi, all(_witt_vec_val_ge(entry, target_x) for entry in r)
-
-    iterations = 0
-
-    def solve(Z: tuple, level: int, phi: tuple | None) -> tuple:
-        """(Z, Y) for the certified Z at this Witt level, iterated from Z;
-        ``phi``, when given, is phi(X + [beta] Z), already computed."""
-        nonlocal iterations
-        parts = consts.parts(level)
-        Bl = tuple(
-            tuple(prob.B_tilde[i][j][:level] for j in range(d)) for i in range(d)
-        )
-        if phi is None:
-            phi = tuple(power_frobenius(ring, p, vec) for vec in moved(Z, level))
+    piNX = tuple(teichmuller_scale(ring, p, consts.pi_n, vec) for vec in X)
+    steps = []
+    # a level starts from the last one's Z with a zero component added; at
+    # level 1 phi(X + [beta] * 0) is the start's phi(X), on elements
+    Z, phi = ((),) * d, tuple(ops.comps(f)[0] for f in phi_X)
+    for level in range(1, n + 1):
+        ops = _level_ops(ring, p, level, level == 1)
+        cut, add, sub, scale = ops.cut, ops.add, ops.sub, ops.scale
+        Xl, piNXl = tuple(map(cut, X)), tuple(map(cut, piNX))
+        B, parts = prob.columns(level)[1], consts.parts(level)
+        Z = tuple(cut(vec + (model.zero(),)) for vec in Z)
+        if phi is None:  # phi(X + [beta] Z)
+            phi = tuple(ops.frob(add(x, scale(beta_pows, z))) for x, z in zip(Xl, Z))
         for it in range(1, budget + 1):
-            Z_next = step(phi, Bl, parts, level)
+            # the step: only the Frobenius of the moved point enters
+            Z_next = tuple(
+                ops.div(sub(ops.dot(phi, col), x), parts) for col, x in zip(B, piNXl)
+            )
             vals = tuple(
                 (c.xval(), c.aprec)
-                for i in range(d)
-                for c in witt_sub(ring, p, Z_next[i], Z[i])
+                for z_next, z in zip(Z_next, Z)
+                for c in ops.comps(sub(z_next, z))
             )
             Z = Z_next
             steps.append((level, it, vals))
-            iterations = max(iterations, it)
-            Y, phi, done = certify(Z, level)
-            if done:
-                return Z, Y
+            # the certificate of Y = X + [beta] Z, whose phi(Y) the next step takes
+            Y = tuple(add(x, scale(beta_pows, z)) for x, z in zip(Xl, Z))
+            phi = tuple(map(ops.frob, Y))
+            r = _residual(prob, ring, Y, level, phi=phi, ops=ops)
+            if all(_witt_vec_val_ge(ops.comps(entry), target_x) for entry in r):
+                break
             if all(xv is None for xv, _ in vals):
                 raise PrecisionError(
                     "iteration is stationary but the residual is not certified"
                 )
-        raise NonConvergenceError(
-            f"no convergence within {budget} iterations at Witt level {level}"
-        )
-
-    # each level starts from the last one's Z with a zero component added;
-    # solve() returns only once certify() has accepted X_exact's residual.
-    # A loop, not recursion: a closure that calls itself is a reference
-    # cycle, which would keep the attempt's values alive until the cyclic
-    # garbage collector runs
-    # at level 1, X + [beta] * 0 is X's component 0 itself (the coefficients
-    # mod q and the aprec), whose Frobenius the start's residual has made
-    Z = tuple(() for _ in range(d))
-    phi = tuple(vec[:1] for vec in phi_X)
-    for level in range(1, n + 1):
-        Z, X_exact = solve(tuple(vec + (model.zero(),) for vec in Z), level, phi)
-        phi = None
-    diff = tuple(witt_sub(ring, p, X_exact[i], X[i]) for i in range(d))
-    for entry in diff:
-        if not ideal_membership_gt(entry, prob.quotient_level(prob.level_b)):
+        else:
+            raise NonConvergenceError(
+                f"no convergence within {budget} iterations at Witt level {level}"
+            )
+        Z, phi = tuple(map(ops.comps, Z)), None
+    level_b_q = prob.quotient_level(prob.level_b)
+    for y, x in zip(Y, Xl):
+        if not ideal_membership_gt(ops.comps(sub(y, x)), level_b_q):
             raise AssertionError("lift strayed outside the level-b class")
+    X_exact, iterations = tuple(map(ops.comps, Y)), max(it for _, it, _ in steps)
     return LiftResult(
         prob, X_exact, iterations, gamma, a_prime, target_digits, tuple(steps)
     )
@@ -1084,7 +1068,7 @@ class InjectivityVerdict:
 def injectivity_gap(prob: JSetProblem, X: tuple, Y: tuple) -> InjectivityVerdict:
     """Exact solutions agreeing modulo [a^{>b/p^s}] must be equal; distinct
     ones are reported with the first separating component and its valuation."""
-    ring = _ring(prob)
+    ring = prob.ring
     p = prob.p
     level_b_q = prob.quotient_level(prob.level_b)
     diffs = tuple(witt_sub(ring, p, X[i], Y[i]) for i in range(prob.d))

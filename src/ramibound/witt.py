@@ -469,6 +469,12 @@ def _witt_combine(R, p: int, x: tuple, y: tuple, op, combine) -> tuple:
 
 
 def witt_add(R, p: int, x: tuple, y: tuple) -> tuple:
+    """x + y.  At length 1 it is x_0 + y_0 in A, without the ghost solve
+    or ``lower``: ``lower`` would only give that sum the least precision of
+    its inputs and of full precision, which A's ``+`` already gives, as no
+    element is known beyond full precision."""
+    if len(x) == 1 == len(y):
+        return (x[0] + y[0],)
     return _witt_combine(R, p, x, y, operator.add, companion_add)
 
 
@@ -491,7 +497,9 @@ def witt_sub(R, p: int, x: tuple, y: tuple) -> tuple:
     x_0 - y_0.  It equals witt_add(x, witt_neg(y)): the lift of -y_i
     is congruent mod q to minus the lift of y_i, so by the argument of the
     module docstring every component mod q, and its precision, is the
-    same."""
+    same.  At length 1 it is x_0 - y_0 in A, as in :func:`witt_add`."""
+    if len(x) == 1 == len(y):
+        return (x[0] - y[0],)
     return _witt_combine(R, p, x, y, operator.sub, _companion_sub)
 
 
@@ -526,7 +534,10 @@ def power_frobenius(R, p: int, x: tuple) -> tuple:
 def int_to_witt(R, p: int, c: int, n: int) -> tuple:
     """Image of the integer c under Z -> W_n(A): the components solve the
     ghost equations w_m = c, exactly, then map into A.  Component 0 is c
-    itself, passed to ``lower`` as R.from_int(c)."""
+    itself, passed to ``lower`` as R.from_int(c), which is known to full
+    precision; so at length 1 it is the whole vector."""
+    if n == 1:
+        return (R.from_int(c),)
     zs = _solve_ghosts([(c,)] * (n - 1), p, R.ops, [(c,)])
     return R.lower(R.from_int(c), zs, ())
 

@@ -62,6 +62,24 @@ def test_bad_level_is_refused(level):
     assert err.startswith(f"error: bad level '{level}'") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (JSET + ["--c", "1/0"], "bad level '1/0'"),
+        (JSET + ["--c", "-3/0"], "bad level '-3/0'"),
+        (["herbrand", "--filtration", "1/0:2", "--order", "2"], "bad rational '1/0'"),
+        (["herbrand", "--filtration", "1:2,5/0:3", "--order", "2"],
+         "bad rational '5/0'"),
+    ],
+)
+def test_zero_denominator_is_refused_in_words(argv, refusal):
+    """A level or a rational with a zero denominator is refused in words,
+    not with Python's exception text."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal}: zero denominator\n"
+
+
 @pytest.mark.parametrize("level", ["3/2", "1.5"])
 def test_rational_level_spellings(level):
     code, out, err = run(JSET + ["--c", level])
