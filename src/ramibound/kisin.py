@@ -7,8 +7,8 @@ elimination decides solvability) followed by digit-by-digit p-adic lifting,
 each digit solved with the one factorization of A mod p; direct inversion
 is unavailable because the coefficient ring is not a domain for n > 1.
 Every witness is re-verified before it is returned: A*B, by the one matrix
-product :func:`_mat_mul` over (Z/p^n)[u], must equal c*I modulo u^prec
-(:func:`is_scalar_mod_u`).
+product :func:`ramibound.padic.mat_mul` with a series dot over (Z/p^n)[u],
+must equal c*I modulo u^prec (:func:`is_scalar_mod_u`).
 
 A finite field F_{p^f} is the quotient ring F_p[y]/(m) that does its
 arithmetic, a :class:`ramibound.padic.MonicQuotient` from
@@ -46,6 +46,7 @@ from .padic import (
     MonicQuotient,
     eisenstein_validate,
     fp_series_inverse,
+    mat_mul,
     poly_add,
     poly_convolve,
     poly_divmod_monic,
@@ -154,14 +155,13 @@ def series_add(F: MonicQuotient, a: list, b: list) -> list:
     return out
 
 
-def _mat_mul(A, B, mul, add):
-    """Product of an (l x d) and a (d x m) matrix, with the entry product and
-    sum given: each entry is the sum, left to right, of the products along
-    its row and column.  It serves matrices over (Z/q)[u]
+def _series_dot(mul, add):
+    """The dot product for :func:`ramibound.padic.mat_mul` with the entry
+    product and sum given: the sum, left to right, of the products along a
+    row and a column.  It serves matrices over (Z/q)[u]
     (:func:`_mat_mul_series`) and of series over F_{p^f}
-    (:meth:`SeriesFactorization.solve`).  Rows are tuples."""
-    cols = tuple(zip(*B))
-    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in A)
+    (:meth:`SeriesFactorization.solve`)."""
+    return lambda row, col: reduce(add, map(mul, row, col))
 
 
 def series_neg(F: MonicQuotient, a: list) -> list:
@@ -255,12 +255,10 @@ class SeriesFactorization:
         out_prec = prec - 2 * v
         if out_prec <= 0:
             raise PrecisionError("u-precision exhausted by determinant valuation")
-        prod = _mat_mul(
-            self.adj,
-            M,
+        prod = mat_mul(self.adj, M, _series_dot(
             lambda a, b: series_mul(F, a, b, prec),
             lambda a, b: series_add(F, a, b),
-        )
+        ))
         C = []
         for row in prod:
             C.append([])
@@ -293,9 +291,6 @@ class KisinModule:
     @property
     def q(self) -> int:
         return self.p ** self.n
-
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        return self.entries[i][j]
 
 
 def kisin_new(
@@ -336,12 +331,10 @@ def kisin_new(
 
 def _mat_mul_series(A, B, q: int, prec: int):
     """Matrix product over (Z/q)[u]/u^prec."""
-    return _mat_mul(
-        A,
-        B,
+    return mat_mul(A, B, _series_dot(
         lambda a, b: poly_mod(poly_convolve(a, b, prec), q),
         lambda a, b: poly_add(a, b, q),
-    )
+    ))
 
 
 def is_scalar_mod_u(M, c, prec: int, q: int) -> bool:

@@ -37,10 +37,12 @@ This module holds the package's one arithmetic kernel:
 * every inverse of a power series over F_p, the seed of
   :meth:`LocalElement.unit_inverse` and a series inverse in
   :mod:`ramibound.kisin`, is :func:`fp_series_inverse`;
-* matrix products are not here: :mod:`ramibound.kisin` has one for its
-  matrices over (Z/q)[u] and of series over a finite field, with the entry
-  product and sum passed in, and :mod:`ramibound.solver` one for its
-  matrices of Witt vectors, which skips products by zero entries;
+* every matrix product is :func:`mat_mul`, with the dot product of a row
+  and a column passed in: the series dots of :mod:`ramibound.kisin` over
+  (Z/q)[u] and over a finite field, and the Witt dot of
+  :mod:`ramibound.solver`, which skips products by zero entries (the
+  lifter applies that dot to the columns it keeps, row vector by row
+  vector);
 * every power by square-and-multiply, of local-field elements, finite-field
   elements, polynomials or quotient-ring elements, is :func:`power`, which
   never multiplies by its identity: x^1 is x itself, and the identity is
@@ -202,6 +204,14 @@ def power(x, k: int, mul, one):
             out = mul(out, x)
         k >>= 1
     return out
+
+
+def mat_mul(A, B, dot):
+    """Product of an (l x d) and a (d x m) matrix, a row vector being a
+    1 x d matrix: entry (i, j) is ``dot(row i of A, column j of B)``.  The
+    rows of the product are tuples."""
+    cols = tuple(zip(*B))
+    return tuple([tuple([dot(row, col) for col in cols]) for row in A])
 
 
 # ---------------------------------------------------------------------------

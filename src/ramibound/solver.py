@@ -26,9 +26,9 @@ Three layers of machinery:
   exact solution, gaining a fixed positive valuation per step, with the
   p-adic digit induction for n > 1.
 
-Every entry of a product of Witt matrices is one dot product,
-:func:`_witt_dot`, which skips products by an all-zero entry and forms
-length-1 entries on the coefficients.
+Every product of Witt matrices is :func:`ramibound.padic.mat_mul` with one
+dot product, :func:`_witt_dot`, which skips products by an all-zero entry
+and forms length-1 entries on the coefficients.
 
 Working precision is self-tuning: when a certification cannot be reached at
 the current model precision the problem is rebuilt at twice the digit count
@@ -60,6 +60,7 @@ from .padic import (
     LocalFieldModel,
     LowerBound,
     Rat,
+    mat_mul,
 )
 from .witt import (
     LocalRing,
@@ -174,12 +175,9 @@ def _lift_poly(
     return acc
 
 
-def _witt_mat_mul(ring: LocalRing, p: int, A: tuple, B: tuple) -> tuple:
-    """Product of an (l x d) and a (d x m) matrix of Witt vectors over
-    ``ring``, a row vector being a 1 x d matrix, entry by entry by
-    ``_witt_dot``."""
-    cols = tuple(zip(*B))
-    return tuple([tuple([_witt_dot(ring, p, row, col) for col in cols]) for row in A])
+def _scalar_matrix(d: int, c, zero) -> tuple:
+    """The d x d matrix with c on the diagonal and zero off it."""
+    return tuple([tuple([c if i == j else zero for j in range(d)]) for i in range(d)])
 
 
 def _witt_dot(ring: LocalRing, p: int, xs: tuple, ys: tuple) -> tuple:
@@ -326,62 +324,44 @@ def build_jset_problem(
         return JSetProblem(module, model, s, r, N, constants, pi_s, cap, (), ())
     ring = LocalRing(model)
     p, n, d = module.p, module.n, module.rank
-
-    A_t = tuple(
-        tuple(_lift_poly(ring, p, n, pi_s, module.entry(i, j)) for j in range(d))
-        for i in range(d)
-    )
-
+    dot = partial(_witt_dot, ring, p)
+    add, sub = partial(witt_add, ring, p), partial(witt_sub, ring, p)
+    lift = partial(_lift_poly, ring, p, n, pi_s)
+    A_t = tuple([tuple(map(lift, row)) for row in module.entries])
     wit = u_power_witness(module, height_witness(module, r), N)
-    B_t0 = tuple(
-        tuple(_lift_poly(ring, p, n, pi_s, wit.B[i][j]) for j in range(d))
-        for i in range(d)
-    )
+    B_t0 = tuple([tuple(map(lift, row)) for row in wit.B])
 
     pi_n = pi_s.pow(N)
     pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
-    prod = _witt_mat_mul(ring, p, A_t, B_t0)
     one, zero = int_to_witt(ring, p, 1, n), witt_zero(ring, n)
-    ident = tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-    R_mat = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            quot = _teich_div(prod[i][j], pi_n_parts)
-            entry = witt_sub(ring, p, quot, ident[i][j])
-            if not _witt_vec_is_zero(entry):
-                if not ideal_membership_gt(entry, Fraction(0)):
-                    raise PrecisionError(
-                        "normalization defect is not in the positive-valuation ideal"
-                    )
-            row.append(entry)
-        R_mat.append(tuple(row))
-    R_mat = tuple(R_mat)
+    ident = _scalar_matrix(d, one, zero)
 
-    inv = ident
-    term = ident
-    neg_R = tuple(
-        tuple(witt_neg(ring, p, R_mat[i][j]) for j in range(d)) for i in range(d)
-    )
+    def neg_defect(x, want):
+        entry = sub(_teich_div(x, pi_n_parts), want)
+        if not _witt_vec_is_zero(entry) and not ideal_membership_gt(entry, Fraction(0)):
+            raise PrecisionError(
+                "normalization defect is not in the positive-valuation ideal"
+            )
+        return witt_neg(ring, p, entry)
+
+    # -R for the defect R = A~ B~0 / [pi^N] - I; B~ = B~0 * sum_k (-R)^k
+    neg_R = tuple([tuple(map(neg_defect, row, wants))
+                   for row, wants in zip(mat_mul(A_t, B_t0, dot), ident)])
+    inv = term = ident
     for _ in range(model.full_aprec + 8):
-        term = _witt_mat_mul(ring, p, term, neg_R)
-        if all(_witt_vec_is_zero(term[i][j]) for i in range(d) for j in range(d)):
+        term = mat_mul(term, neg_R, dot)
+        if all(_witt_vec_is_zero(x) for row in term for x in row):
             break
-        inv = tuple(
-            tuple(witt_add(ring, p, inv[i][j], term[i][j]) for j in range(d))
-            for i in range(d)
-        )
+        inv = tuple([tuple(map(add, *rows)) for rows in zip(inv, term)])
     else:
         raise PrecisionError("normalization series did not terminate at precision")
 
-    B_t = _witt_mat_mul(ring, p, B_t0, inv)
-    check = _witt_mat_mul(ring, p, A_t, B_t)
-    pi_teich = teichmuller_scale(ring, p, pi_n, int_to_witt(ring, p, 1, n))
-    for i in range(d):
-        for j in range(d):
-            want = pi_teich if i == j else witt_zero(ring, n)
-            if not _witt_vec_is_zero(witt_sub(ring, p, check[i][j], want)):
-                raise PrecisionError("normalized witness check failed at precision")
+    B_t = mat_mul(B_t0, inv, dot)
+    pi_I = _scalar_matrix(d, teichmuller_scale(ring, p, pi_n, one), zero)
+    check = mat_mul(A_t, B_t, dot)
+    if not all(_witt_vec_is_zero(sub(x, y))
+               for row, wants in zip(check, pi_I) for x, y in zip(row, wants)):
+        raise PrecisionError("normalized witness check failed at precision")
 
     return JSetProblem(module, model, s, r, N, constants, pi_s, cap, A_t, B_t)
 

@@ -1,4 +1,5 @@
-"""The shared kernel: one exponentiation, one matrix product and one
+"""The shared kernel: one exponentiation, one matrix product
+(:func:`ramibound.padic.mat_mul`, here with the series dots) and one
 witness check, each against an independent naive computation; and the
 kernel that skips trivial work (no product by one, zero coefficients
 skipped) against the dense code it replaced."""
@@ -11,8 +12,8 @@ import pytest
 
 from ramibound.errors import InputError, PrecisionError
 from ramibound.kisin import (
-    _mat_mul,
     _mat_mul_series,
+    _series_dot,
     finite_field,
     is_scalar_mod_u,
     series_add,
@@ -23,6 +24,8 @@ from ramibound.padic import (
     LocalFieldModel,
     MonicQuotient,
     eisenstein_validate,
+    mat_mul,
+    poly_add,
     poly_convolve,
     poly_divmod_monic,
     poly_mul,
@@ -49,6 +52,8 @@ from test_kisin import (
     flat,
     flat_matrix,
     naive_mat_mul,
+    ops_mat_mul,
+    tuple_series_ops,
     unflat,
 )
 from test_witt import schoolbook_pmul
@@ -182,14 +187,23 @@ def test_power_refuses_negative_exponent():
     assert not calls
 
 
-def _random_matrix(rng, d, q):
+def _random_matrix(rng, rows, q, cols=None):
     return tuple(
         tuple(
             poly_trim(tuple(rng.randrange(q) for _ in range(rng.randrange(6))))
-            for _ in range(d)
+            for _ in range(rows if cols is None else cols)
         )
-        for _ in range(d)
+        for _ in range(rows)
     )
+
+
+# (l, d, m) of non-square products l x d times d x m: a 1 x d row vector
+# times a square matrix, and l != m
+NON_SQUARE = [(1, 2, 2), (1, 3, 3), (2, 3, 1), (3, 1, 2), (1, 2, 3), (3, 2, 1)]
+
+
+def _truncated(M, prec):
+    return tuple(tuple(poly_trim(entry[:prec]) for entry in row) for row in M)
 
 
 @pytest.mark.parametrize("q", [9, 27])
@@ -202,9 +216,31 @@ def test_series_matrix_product_matches_naive(q):
         assert _mat_mul_series(A, B, q, None) == tuple(map(tuple, want))
         for prec in (1, 3, 5):
             got = _mat_mul_series(A, B, q, prec)
-            assert got == tuple(
-                tuple(poly_trim(entry[:prec]) for entry in row) for row in want
-            ), (A, B, prec)
+            assert got == _truncated(want, prec), (A, B, prec)
+    for l, d, m in NON_SQUARE:
+        for _ in range(5):
+            A, B = _random_matrix(rng, l, q, d), _random_matrix(rng, d, q, m)
+            want = ops_mat_mul(
+                A, B, lambda a, b: poly_mul(a, b, q), lambda a, b: poly_add(a, b, q)
+            )
+            assert _mat_mul_series(A, B, q, None) == want, (A, B)
+            for prec in (1, 3, 5):
+                got = _mat_mul_series(A, B, q, prec)
+                assert got == _truncated(want, prec), (A, B, prec)
+
+
+def gf_mat_mul(F, A, B, prec):
+    """The product of SeriesFactorization.solve, on series of field-element
+    tuples over F, in the library's flat form."""
+    return mat_mul(flat_matrix(A), flat_matrix(B), _series_dot(
+        lambda a, b: series_mul(F, a, b, prec),
+        lambda a, b: series_add(F, a, b),
+    ))
+
+
+def random_gf_matrix(rng, elems, rows, cols):
+    return [[[rng.choice(elems) for _ in range(rng.randrange(1, 5))]
+             for _ in range(cols)] for _ in range(rows)]
 
 
 def test_gf_series_matrix_product_matches_naive():
@@ -213,18 +249,9 @@ def test_gf_series_matrix_product_matches_naive():
     elems = list(el_elements(F))
     for _ in range(20):
         d = rng.randint(1, 3)
-        A, B = (
-            [[[rng.choice(elems) for _ in range(rng.randrange(1, 5))]
-              for _ in range(d)] for _ in range(d)]
-            for _ in range(2)
-        )
+        A, B = (random_gf_matrix(rng, elems, d, d) for _ in range(2))
         prec = rng.randint(1, 8)
-        got = _mat_mul(
-            flat_matrix(A),
-            flat_matrix(B),
-            lambda a, b: series_mul(F, a, b, prec),
-            lambda a, b: series_add(F, a, b),
-        )
+        got = gf_mat_mul(F, A, B, prec)
         for i in range(d):
             for j in range(d):
                 want = [el_zero(F)] * prec
@@ -234,6 +261,16 @@ def test_gf_series_matrix_product_matches_naive():
                             if s + t < prec:
                                 want[s + t] = el_add(F, want[s + t], el_mul(F, a, b))
                 assert unflat(F, got[i][j], prec) == want, (A, B, prec)
+    for l, d, m in NON_SQUARE:
+        for _ in range(4):
+            A = random_gf_matrix(rng, elems, l, d)
+            B = random_gf_matrix(rng, elems, d, m)
+            prec = rng.randint(1, 8)
+            got = gf_mat_mul(F, A, B, prec)
+            want = ops_mat_mul(A, B, *tuple_series_ops(F, prec))
+            assert [[unflat(F, x, prec) for x in row] for row in got] == [
+                [(x + [el_zero(F)] * prec)[:prec] for x in row] for row in want
+            ], (A, B, prec)
 
 
 def _changed(M, i, j, t, zero, new):

@@ -4,15 +4,16 @@ dense products modulo a binomial against the dense product, the packed
 power there against square-and-multiply, the element power's precision
 against the chain of element products, the one-pass Witt subtraction
 against adding the negative, the one-pass shift modulo a binomial against
-single divisions, and the solver's Witt matrix product against a plain
-product of Witt products and sums, with the two Witt facts its skip of
-zero entries rests on.
+single divisions, and ``padic.mat_mul`` with the solver's Witt dot against
+a plain product of Witt products and sums, with the two Witt facts its skip
+of zero entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""
 
 import operator
 import random
+from functools import partial
 
 import pytest
 
@@ -396,34 +397,42 @@ def witt_entry(model, rng, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("g", [binomial(6), binomial(12)])
 def test_witt_mat_mul_matches_mat_mul_of_witt_operations(g, n):
-    """solver._witt_mat_mul against the plain product ``ops_mat_mul`` with
-    witt_mul and witt_add: every component of every entry has the same coefficients and
-    aprec, for ranks 1 to 3, row vectors and square matrices, with all-zero
-    entries and entries with the coefficients of 1, at full precision and
-    below it.  Dropping the aprec of a skipped product by zero fails here."""
+    """padic.mat_mul with solver._witt_dot against the plain product
+    ``ops_mat_mul`` with witt_mul and witt_add: every component of every
+    entry has the same coefficients and aprec, for ranks 1 to 3, row vectors
+    times square matrices, square matrices and l x d times d x m with
+    l != m, with all-zero entries and entries with the coefficients of 1, at
+    full precision and below it.  Dropping the aprec of a skipped product by
+    zero fails here."""
     model = LocalFieldModel(eisenstein_validate(g, 3), 3)
     ring = LocalRing(model)
     rng = random.Random(len(g) * 10 + n)
     full = model.full_aprec
     zero_low = zero_low_only = 0
-    for _ in range(60 if n == 1 else 25):
-        d = rng.randrange(1, 4)
-        rows = rng.choice([1, d])
-        A = tuple(tuple(witt_entry(model, rng, n) for _ in range(d))
-                  for _ in range(rows))
-        B = tuple(tuple(witt_entry(model, rng, n) for _ in range(d))
-                  for _ in range(d))
+
+    def matrix(rows, cols):
+        return tuple(tuple(witt_entry(model, rng, n) for _ in range(cols))
+                     for _ in range(rows))
+
+    def check(A, B):
         want = ops_mat_mul(
             A, B, lambda a, b: witt_mul(ring, 3, a, b),
             lambda a, b: witt_add(ring, 3, a, b),
         )
-        got = solver._witt_mat_mul(ring, 3, A, B)
+        got = padic.mat_mul(A, B, partial(solver._witt_dot, ring, 3))
         expect(len(got) == len(want), A, B)
         for got_row, want_row in zip(got, want):
             expect(len(got_row) == len(want_row), A, B)
             for x, y in zip(got_row, want_row):
                 expect([(c.coeffs, c.aprec) for c in x]
                        == [(c.coeffs, c.aprec) for c in y], A, B)
+
+    for _ in range(60 if n == 1 else 25):
+        d = rng.randrange(1, 4)
+        rows = rng.choice([1, d])
+        A = matrix(rows, d)
+        B = matrix(d, d)
+        check(A, B)
         # the inputs reach the case a lost aprec would show: a zero entry
         # below full precision, and the least aprec of its row only there
         for row in A:
@@ -434,6 +443,8 @@ def test_witt_mat_mul_matches_mat_mul_of_witt_operations(g, n):
                 zero_low += 1
                 if all(c.aprec > low for v in others for c in v):
                     zero_low_only += 1
+    for l, d, m in [(2, 3, 1), (1, 2, 3), (3, 1, 2), (3, 2, 1)] * 3:
+        check(matrix(l, d), matrix(d, m))
     expect(zero_low > 5 and zero_low_only > 2, zero_low, zero_low_only)
 
 

@@ -5,9 +5,10 @@ that ran every level on Witt vectors.
 sum and difference a ghost solve (``witt._witt_combine``, which the
 length-1 shortcuts of ``witt_add`` and ``witt_sub`` now pass by) and every
 matrix product the plain sum of ``witt_mul`` products, which
-``solver._witt_mat_mul`` equals (``test_lifter_kernel``).  Each class of
-each instance climbs the precision ladder of ``lift_solution`` under both,
-and every rung must give the same LiftResult, or the same refusal.
+``padic.mat_mul`` with ``solver._witt_dot`` equals (``test_lifter_kernel``).
+Each class of each instance climbs the precision ladder of
+``lift_solution`` under both, and every rung must give the same
+LiftResult, or the same refusal.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""

@@ -1763,6 +1763,20 @@ def test_precheck_skips_only_rungs_that_cannot_certify(monkeypatch, name):
     assert skips == want.get(name, 0)
 
 
+def test_residual_aprec_bound_needs_a_divisor_of_positive_valuation(prob6):
+    """The bound's argument needs k = v_x(pi^N * beta) >= 1: a first divisor
+    that is a unit (xval 0) or zero at precision (xval None) gives None,
+    and k >= 1 gives F - k + v_x(beta)."""
+    model = prob6.model
+    pi_n, beta = prob6.pi_s.pow(prob6.N), model.uniformizer_pow(1)
+    for divisor in (model.one(), model.zero()):
+        assert divisor.xval() in (0, None)
+        consts = solver._LiftConstants(pi_n, (beta,), (divisor,), [])
+        assert solver._residual_aprec_bound(prob6, consts) is None
+    consts = solver._LiftConstants(pi_n, (beta,), (model.uniformizer_pow(2),), [])
+    assert solver._residual_aprec_bound(prob6, consts) == model.full_aprec - 2 + 1
+
+
 def test_readme_lifts_at_24_digits_share_one_rebuilt_problem(monkeypatch):
     """The 25 README lifts that need 48 digits skip the 24-digit model and
     share one 48-digit problem, kept on the caller's problem, with its lift
