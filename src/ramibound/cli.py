@@ -145,7 +145,7 @@ def _parse_matrix(text: str, p: int, n: int):
         row = []
         for ent in row_text.split(","):
             ent = ent.strip()
-            if not ent or ent == "0":
+            if not ent:
                 row.append(())
                 continue
             try:

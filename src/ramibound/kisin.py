@@ -317,14 +317,14 @@ def kisin_new(
     for row in matrix:
         out_row = []
         for entry in row:
-            entry = tuple(entry)
+            entry = poly_trim(entry)
             if any(not 0 <= c < q for c in entry):
                 raise InputError(
                     f"matrix coefficients must lie in [0, {p}^{n}) = [0, {q})"
                 )
             if len(entry) > uprec:
                 raise InputError("entry degree exceeds the u-precision")
-            out_row.append(poly_trim(entry))
+            out_row.append(entry)
         ent.append(tuple(out_row))
     return KisinModule(p, n, E, d, tuple(ent), uprec)
 

@@ -189,6 +189,28 @@ def test_jset_pi_s_is_derived():
         assert err.startswith("error: ") and "model" in err and "--" not in err
 
 
+KISIN_HEIGHT_UPREC_2 = [
+    "kisin-height", "--E", "3,1", "--n", "1", "--r", "1", "--uprec", "2",
+]
+
+
+def test_kisin_height_entry_degree_ignores_trailing_zeros():
+    """An entry's degree ignores trailing zero u-coefficients: at
+    u-precision 2, 1:0:0, and 1:3:3 at n = 1 (3 = 0 mod 3), print exactly
+    what 1 prints."""
+    code, want = run_cli(KISIN_HEIGHT_UPREC_2 + ["--matrix", "1"])
+    assert code == 0
+    for matrix in ("1:0:0", "1:3:3"):
+        assert run_cli(KISIN_HEIGHT_UPREC_2 + ["--matrix", matrix]) == (0, want)
+
+
+def test_kisin_height_entry_degree_exceeds_uprec():
+    """u^2 at u-precision 2 exits 2 with the degree message."""
+    code, out, err = run_cli_err(KISIN_HEIGHT_UPREC_2 + ["--matrix", "0:0:1"])
+    assert (code, out) == (2, "")
+    assert err == "error: entry degree exceeds the u-precision\n"
+
+
 def test_grid_tsv_mixed_shape_has_empty_uep_cell():
     code, out = run_cli(
         ["grid", "--p", "3", "--e", "1", "--n", "1", "--r", "1",

@@ -614,52 +614,88 @@ def single_shifts(elem, k):
     return elem
 
 
-@pytest.mark.parametrize("coeffs", MODELS)
-def test_one_pass_shift_matches_single_shifts(coeffs):
-    """shift_down(k) and div_by(k, inv) run all k divisions by x on one list:
-    same coefficients mod q, precision and refusal as k single shifts, also
-    for coefficients outside [0, q)."""
-    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 4)
-    rng = random.Random(5 * len(coeffs) + 1)
+def expect(cond, *info):
+    """A check that raises by itself, so it also runs under ``python -O``,
+    where plain asserts are dropped."""
+    if not cond:
+        raise AssertionError(info)
+
+
+def shift_cases(model, rng):
+    """(element, k) pairs for shift_down: 300 of x^a times a random element,
+    k up to a + 2 < 2m + 2, at full precision, below it, or near a; then 400
+    of a random number of p-divisible coefficients followed by any, k up to
+    m, at full precision, below m + 2, 0 or 1.  Coefficients are moved off
+    [0, q) by multiples of q."""
     m, q, full = model.m, model.q, model.full_aprec
-    seen = set()
     for _ in range(300):
         a = rng.randrange(2 * m)
         rest = tuple(rng.randrange(q) for _ in range(m))
         base = model.uniformizer_pow(a) * model.from_coeffs(rest)
         aprec = rng.choice([full, rng.randrange(full + 1), a, a + 1, max(a - 1, 0)])
         vec = tuple(c + q * rng.randrange(-2, 3) for c in base.coeffs)
-        elem = LocalElement(model, vec, aprec)
-        k = rng.randrange(a + 3)
-        unit = model.from_coeffs((rng.choice([1, 2]),) + rest[1:])
-        inv = unit.unit_inverse()
+        yield LocalElement(model, vec, aprec), rng.randrange(a + 3)
+    for _ in range(400):
+        good = rng.randrange(m + 1)
+        vec = [3 * rng.randrange(q) for _ in range(good)]
+        vec += [rng.randrange(q) for _ in range(m - good)]
+        vec = tuple(v + q * rng.randrange(-2, 3) for v in vec)
+        aprec = rng.choice([full, rng.randrange(m + 2), 0, 1])
+        yield LocalElement(model, vec, aprec), rng.randrange(m + 1)
+
+
+# MODELS, then the binomials x + 3, x^2 - 3 and x^12 - 3
+@pytest.mark.parametrize(
+    "coeffs", MODELS + [(3, 1), (-3, 0, 1), (-3,) + (0,) * 11 + (1,)]
+)
+def test_one_pass_shift_matches_single_shifts(coeffs):
+    """shift_down(k) and div_by(k, inv) run all k divisions by x on one list:
+    same coefficients mod q, precision and refusal as k single shifts, the
+    refusal being that of the first single division that fails (no
+    precision left before not divisible).  Only g with a low term of degree
+    1 or more (the DENSE_MODELS) feed coefficients below the top."""
+    model = LocalFieldModel(eisenstein_validate(coeffs, 3), 4)
+    m, q = model.m, model.q
+    rng = random.Random(5 * len(coeffs) + 1)
+    seen = set()
+    for elem, k in shift_cases(model, rng):
+        rest = tuple(rng.randrange(q) for _ in range(m - 1))
+        inv = model.from_coeffs((rng.choice([1, 2]),) + rest).unit_inverse()
         try:
             want = single_shifts(elem, k)
         except PrecisionError as exc:
             with pytest.raises(PrecisionError) as got:
                 elem.shift_down(k)
-            assert str(got.value) == str(exc), (elem, k)
+            expect(str(got.value) == str(exc), elem, k)
             if not elem.is_zero_at_prec():
                 with pytest.raises(PrecisionError) as got:
                     elem.div_by(k, inv)
-                assert str(got.value) == str(exc), (elem, k)
+                expect(str(got.value) == str(exc), elem, k)
             seen.add(str(exc))
             continue
         got = elem.shift_down(k)
-        assert (got.coeffs, got.aprec) == (want.coeffs, want.aprec), (elem, k)
+        expect((got.coeffs, got.aprec) == (want.coeffs, want.aprec), elem, k)
         quot = elem.div_by(k, inv)
         if elem.is_zero_at_prec():
-            assert quot.is_zero_at_prec() and quot.aprec == max(aprec - k, 0)
+            zero = quot.is_zero_at_prec() and quot.aprec == max(elem.aprec - k, 0)
+            expect(zero, elem, k)
         else:
             prod = want * inv
-            assert (quot.coeffs, quot.aprec) == (prod.coeffs, prod.aprec), (elem, k)
+            expect((quot.coeffs, quot.aprec) == (prod.coeffs, prod.aprec), elem, k)
         seen.add("divided" if k else "k = 0")
-    assert seen == {
+    expect(seen == {
         "divided",
         "k = 0",
         "no precision left for division",
         "element is not divisible by the uniformizer",
-    }
+    }, seen)
+    # both refusals apply: the first failing division decides
+    if m >= 3:
+        vec = (3, 3, 1) + (3,) * (m - 3)
+        with pytest.raises(PrecisionError, match="no precision left"):
+            LocalElement(model, vec, 2).shift_down(3)
+        with pytest.raises(PrecisionError, match="not divisible"):
+            LocalElement(model, vec, 3).shift_down(3)
 
 
 def test_ghost_solve_divides_by_no_unit_power():

@@ -3,10 +3,9 @@ path it replaces: single-term products against the reduced convolution,
 dense products modulo a binomial against the dense product, the packed
 power there against square-and-multiply, the element power's precision
 against the chain of element products, the one-pass Witt subtraction
-against adding the negative, the one-pass shift modulo a binomial against
-single divisions, and ``padic.mat_mul`` with the solver's Witt dot against
-a plain product of Witt products and sums, with the two Witt facts its skip
-of zero entries rests on.
+against adding the negative, and ``padic.mat_mul`` with the solver's Witt
+dot against a plain product of Witt products and sums, with the two Witt
+facts its skip of zero entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""
@@ -18,7 +17,6 @@ from functools import partial
 import pytest
 
 from ramibound import padic, solver
-from ramibound.errors import PrecisionError
 from ramibound.padic import (
     LocalElement,
     LocalFieldModel,
@@ -37,13 +35,8 @@ from ramibound.witt import (
     witt_sub,
 )
 
-from test_kernel import dense_divmod_monic, schoolbook_convolve, single_shifts
+from test_kernel import dense_divmod_monic, expect, schoolbook_convolve
 from test_kisin import ops_mat_mul
-
-
-def expect(cond, *info):
-    if not cond:
-        raise AssertionError(info)
 
 
 def binomial(m, a0=3):
@@ -323,49 +316,6 @@ def test_witt_sub_matches_adding_the_negative(n):
             d0 = x[0] - y[0]
             s0 = x[0] + (-y[0])
             expect((d0.coeffs, d0.aprec) == (s0.coeffs, s0.aprec), x[0], y[0])
-
-
-@pytest.mark.parametrize("g", [(3, 1), (-3, 0, 1), binomial(6), binomial(12, -3)])
-def test_rotation_shift_matches_single_shifts(g):
-    """shift_down(k) for k <= m modulo a binomial, one rotation, against k
-    single divisions: the same quotient, or the same refusal, precision
-    before divisibility at the first division that fails."""
-    model = LocalFieldModel(eisenstein_validate(g, 3), 4)
-    m, q, full = model.m, model.q, model.full_aprec
-    rng = random.Random(7 * m)
-    seen = set()
-    for _ in range(400):
-        # p-divisible coefficients first, then anything
-        good = rng.randrange(m + 1)
-        vec = [3 * rng.randrange(q) for _ in range(good)]
-        vec += [rng.randrange(q) for _ in range(m - good)]
-        vec = tuple(v + q * rng.randrange(-2, 3) for v in vec)
-        aprec = rng.choice([full, rng.randrange(m + 2), 0, 1])
-        elem = LocalElement(model, vec, aprec)
-        k = rng.randrange(m + 1)
-        try:
-            want = single_shifts(elem, k)
-        except PrecisionError as exc:
-            with pytest.raises(PrecisionError) as got:
-                elem.shift_down(k)
-            expect(str(got.value) == str(exc), elem, k)
-            seen.add(str(exc))
-            continue
-        got = elem.shift_down(k)
-        expect((got.coeffs, got.aprec) == (want.coeffs, want.aprec), elem, k)
-        seen.add("divided")
-    expect(seen == {
-        "divided",
-        "no precision left for division",
-        "element is not divisible by the uniformizer",
-    }, seen)
-    # both refusals apply: the first failing division decides
-    vec = (3, 3, 1) + (3,) * (m - 3) if m >= 3 else None
-    if vec:
-        with pytest.raises(PrecisionError, match="no precision left"):
-            LocalElement(model, vec, 2).shift_down(3)
-        with pytest.raises(PrecisionError, match="not divisible"):
-            LocalElement(model, vec, 3).shift_down(3)
 
 
 def witt_entry(model, rng, n):
