@@ -644,19 +644,15 @@ def shift_cases(model, rng):
         yield LocalElement(model, vec, aprec), rng.randrange(m + 1)
 
 
-# MODELS, then the binomials x + 3, x^2 - 3 and x^12 - 3
-@pytest.mark.parametrize(
-    "coeffs", MODELS + [(3, 1), (-3, 0, 1), (-3,) + (0,) * 11 + (1,)]
-)
-def test_one_pass_shift_matches_single_shifts(coeffs):
-    """shift_down(k) and div_by(k, inv) run all k divisions by x on one list:
-    same coefficients mod q, precision and refusal as k single shifts, the
-    refusal being that of the first single division that fails (no
-    precision left before not divisible).  Only g with a low term of degree
-    1 or more (the DENSE_MODELS) feed coefficients below the top."""
+def check_shifts_match_single_shifts(coeffs, seed):
+    """shift_down(k) and div_by(k, inv) modulo g = coeffs run all k divisions
+    by x on one list: same coefficients mod q, precision and refusal as k
+    single shifts, the refusal being that of the first single division that
+    fails (no precision left before not divisible), on the shift_cases drawn
+    with the given seed."""
     model = LocalFieldModel(eisenstein_validate(coeffs, 3), 4)
     m, q = model.m, model.q
-    rng = random.Random(5 * len(coeffs) + 1)
+    rng = random.Random(seed)
     seen = set()
     for elem, k in shift_cases(model, rng):
         rest = tuple(rng.randrange(q) for _ in range(m - 1))
@@ -696,6 +692,14 @@ def test_one_pass_shift_matches_single_shifts(coeffs):
             LocalElement(model, vec, 2).shift_down(3)
         with pytest.raises(PrecisionError, match="not divisible"):
             LocalElement(model, vec, 3).shift_down(3)
+
+
+@pytest.mark.parametrize("coeffs", MODELS)
+def test_one_pass_shift_matches_single_shifts(coeffs):
+    """The one-pass shift against single shifts modulo the MODELS.  Only g
+    with a low term of degree 1 or more (the DENSE_MODELS) feed coefficients
+    below the top."""
+    check_shifts_match_single_shifts(coeffs, 5 * len(coeffs) + 1)
 
 
 def test_ghost_solve_divides_by_no_unit_power():

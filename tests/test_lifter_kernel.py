@@ -3,9 +3,10 @@ path it replaces: single-term products against the reduced convolution,
 dense products modulo a binomial against the dense product, the packed
 power there against square-and-multiply, the element power's precision
 against the chain of element products, the one-pass Witt subtraction
-against adding the negative, and ``padic.mat_mul`` with the solver's Witt
-dot against a plain product of Witt products and sums, with the two Witt
-facts its skip of zero entries rests on.
+against adding the negative, the shift modulo a binomial against single
+divisions, and ``padic.mat_mul`` with the solver's Witt dot against a plain
+product of Witt products and sums, with the two Witt facts its skip of zero
+entries rests on.
 
 Every comparison goes through ``expect``, which raises by itself, so the
 tests compare under ``python -O`` too, where plain asserts are dropped."""
@@ -35,7 +36,12 @@ from ramibound.witt import (
     witt_sub,
 )
 
-from test_kernel import dense_divmod_monic, expect, schoolbook_convolve
+from test_kernel import (
+    check_shifts_match_single_shifts,
+    dense_divmod_monic,
+    expect,
+    schoolbook_convolve,
+)
 from test_kisin import ops_mat_mul
 
 
@@ -316,6 +322,14 @@ def test_witt_sub_matches_adding_the_negative(n):
             d0 = x[0] - y[0]
             s0 = x[0] + (-y[0])
             expect((d0.coeffs, d0.aprec) == (s0.coeffs, s0.aprec), x[0], y[0])
+
+
+@pytest.mark.parametrize("g", [(3, 1), (-3, 0, 1), binomial(6), binomial(12, -3)])
+def test_rotation_shift_matches_single_shifts(g):
+    """shift_down(k) and div_by(k, inv) modulo a binomial, where each
+    division by x only moves coefficients down, against k single divisions.
+    The name is kept from the rotation shift_down once ran for binomials."""
+    check_shifts_match_single_shifts(g, 7 * (len(g) - 1))
 
 
 def witt_entry(model, rng, n):
