@@ -50,6 +50,7 @@ from .kisin import (
     tame_character_oracle,
     tame_lift_build,
     u_power_witness,
+    witnesses,
 )
 from .padic import (
     EisensteinPoly,

@@ -2,9 +2,10 @@
 
 Every subcommand prints one JSON document (or TSV with --format tsv) built
 from insertion-ordered dicts, so identical invocations produce byte-identical
-output.  Rationals are serialized as reduced "num/den" strings, integers
-bare.  Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded,
-4 non-convergence or precision exhaustion.
+output.  ``json`` writes each value it cannot encode as its ``str``, so
+rationals are reduced "num/den" strings and integers bare.  Exit codes: 0
+success, 2 invalid input, 3 enumeration cap exceeded, 4 non-convergence or
+precision exhaustion.
 
 The parser is built from the ``COMMANDS`` table on the first ``main`` call
 and reused by later calls.  Parsing never changes it and every call reads
@@ -20,7 +21,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import herbrand as herbrand_mod
@@ -36,7 +36,7 @@ from .errors import (
     UndecidableError,
 )
 from .padic import LocalFieldModel, eisenstein_validate, is_odd_prime, parse_poly
-from .padic import odd_prime_factors
+from .padic import odd_prime_factors, parse_rat
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,53 +44,19 @@ EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
 
-def format_rat(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-        raise InputError(f"bad rational {text!r}: {why}") from None
-
-
-def jsonable(value):
-    """Recursively convert report values: Fractions become num/den strings."""
-    if isinstance(value, Fraction):
-        return format_rat(value)
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return str(value)
-
-
 def emit_report(report, fmt: str = "json") -> str:
-    data = jsonable(report)
     if fmt == "json":
-        return json.dumps(data, indent=2) + "\n"
+        return json.dumps(report, indent=2, default=str) + "\n"
     if fmt == "tsv":
-        rows = data if isinstance(data, list) else [data]
+        rows = report if isinstance(report, list) else [report]
         if not rows:
             return "\n"
         keys = list(rows[0].keys())
         def cell(v):
             if v is None:
                 return ""
-            if isinstance(v, (dict, list)):
-                return json.dumps(v, separators=(",", ":"))
+            if isinstance(v, (dict, list, tuple)):
+                return json.dumps(v, separators=(",", ":"), default=str)
             return str(v)
         lines = ["\t".join(keys)]
         for row in rows:
@@ -194,7 +160,9 @@ def _default_cap(args) -> int:
     return cap
 
 
-def _build_problem(args):
+def _module(args, uprec=None):
+    """The Kisin module of --eisenstein and --matrix over the given or
+    inferred prime, at ``uprec`` or the default u-precision for --r."""
     p = _infer_prime(args)
     E = _eisenstein_from_args(args, p)
     if E is None:
@@ -202,11 +170,17 @@ def _build_problem(args):
     if args.matrix is None:
         raise InputError("--matrix is required for this command")
     matrix = _parse_matrix(args.matrix, p, args.n)
-    module = kisin_mod.kisin_new(p, args.n, E, matrix, r_hint=max(args.r, 1))
+    return kisin_mod.kisin_new(
+        p, args.n, E, matrix, uprec=uprec, r_hint=max(args.r, 1)
+    )
+
+
+def _build_problem(args):
+    module = _module(args)
     if args.model is None:
         raise InputError("--model is required for this command")
-    g = eisenstein_validate(parse_poly(args.model), p)
-    model = LocalFieldModel(g, args.prec, e_norm=E.e)
+    g = eisenstein_validate(parse_poly(args.model), module.p)
+    model = LocalFieldModel(g, args.prec, e_norm=module.E.e)
     return solver_mod.build_jset_problem(
         module,
         model,
@@ -258,7 +232,7 @@ def _parse_filtration(text: str, order: int) -> herbrand_mod.LowerFiltration:
             raise InputError(
                 f"bad filtration segment {part!r}: expected 'lam:card'"
             ) from None
-        entries.append((parse_rat(lam_text.strip()), card))
+        entries.append((parse_rat(lam_text.strip(), "rational"), card))
     if entries[0][1] != order:
         raise InputError("first segment order must equal the group order")
     breaks = []
@@ -272,7 +246,7 @@ def _parse_filtration(text: str, order: int) -> herbrand_mod.LowerFiltration:
 def cmd_herbrand(args) -> dict:
     filt = _parse_filtration(args.filtration, args.order)
     phi = herbrand_mod.phi_from_filtration(filt)
-    lam, mu = herbrand_mod.last_breaks(filt)
+    lam = filt.last_break()
     return {
         "order": filt.order,
         "breaks": [[b, o] for b, o in filt.breaks],
@@ -280,7 +254,7 @@ def cmd_herbrand(args) -> dict:
         "phi_final_slope": phi.final_slope,
         "concave": phi.is_concave(),
         "last_lower_break": lam,
-        "last_upper_break": mu,
+        "last_upper_break": phi(lam),
     }
 
 
@@ -293,68 +267,42 @@ def cmd_tame_lift(args) -> dict:
     return {
         "p": p,
         "period": d,
-        "seq": list(seq),
-        "matrix": [
-            [list(entry) for entry in row] for row in spec.module.entries
-        ],
-        "filtration": list(spec.filtration_jumps),
-        "filtered_frobenius": list(spec.filtered_frobenius),
+        "seq": seq,
+        "matrix": spec.module.entries,
+        "filtration": spec.filtration_jumps,
+        "filtered_frobenius": spec.filtered_frobenius,
         "height": spec.height,
         "exponent": spec.exponent,
         "oracle_exponent": oracle.exponent,
         "agree": spec.exponent == oracle.exponent,
-        "oracle_field_modulus": list(oracle.field_modulus),
+        "oracle_field_modulus": oracle.field_modulus,
     }
-
-
-def _witnesses(module, args):
-    """The height witness, N and the u^N witness of the module."""
-    wit = kisin_mod.height_witness(module, args.r)
-    N = args.N
-    if N is None:
-        N = bounds_mod.exact_nilpotency_index(module.E, args.n, args.r)
-    return wit, N, kisin_mod.u_power_witness(module, wit, N)
 
 
 def cmd_kisin_height(args) -> dict:
-    """Without --uprec, a precision refusal is retried at twice the
-    u-precision, with at most as many doublings as the lifter's ladder; an
-    explicit --uprec is used as given."""
-    p = _infer_prime(args)
-    E = _eisenstein_from_args(args, p)
-    if E is None or args.matrix is None:
-        raise InputError("--eisenstein and --matrix are required")
-    matrix = _parse_matrix(args.matrix, p, args.n)
-    module = kisin_mod.kisin_new(
-        p, args.n, E, matrix, uprec=args.uprec, r_hint=max(args.r, 1)
-    )
+    """The witnesses of ``kisin.witnesses``: without --uprec, a precision
+    refusal is retried at twice the u-precision, up to
+    ``kisin.UPREC_DOUBLINGS`` times; an explicit --uprec is used as given."""
+    module = _module(args, args.uprec)
     out = {
-        "p": p,
+        "p": module.p,
         "n": args.n,
-        "e": E.e,
+        "e": module.E.e,
         "r": args.r,
         "rank": module.rank,
     }
-    doublings = 0 if args.uprec is not None else solver_mod.LIFT_ATTEMPTS - 1
-    for attempt in range(doublings + 1):
-        try:
-            wit, N, wu = _witnesses(module, args)
-            break
-        except NotHeightError as exc:
-            out["has_height_witness"] = False
-            out["reason"] = str(exc)
-            return out
-        except PrecisionError:
-            if attempt == doublings:
-                raise
-            module = kisin_mod.kisin_new(
-                p, args.n, E, matrix, uprec=2 * module.uprec, r_hint=max(args.r, 1)
-            )
+    doublings = 0 if args.uprec is not None else kisin_mod.UPREC_DOUBLINGS
+    try:
+        wit, N, wu = kisin_mod.witnesses(module, args.r, args.N, doublings)
+    except NotHeightError as exc:
+        out["has_height_witness"] = False
+        out["reason"] = str(exc)
+        return out
     out["has_height_witness"] = True
-    out["B"] = [[list(e) for e in row] for row in wit.B]
+    out["B"] = wit.B
     out["verified_uprec"] = wit.uprec
     out["N"] = N
-    out["B_u_power"] = [[list(e) for e in row] for row in wu.B]
+    out["B_u_power"] = wu.B
     return out
 
 
@@ -407,13 +355,13 @@ def cmd_solve_lift(args) -> dict:
     if args.trace:
         out["lifts"] = [
             {
-                "member": [[list(c) for c in vec] for vec in member],
+                "member": member,
                 "iterations": lr.iterations,
                 "gamma": lr.gamma,
                 "congruence_defect": lr.a_prime,
                 "residual_vp_at_least": lr.certified_digits,
                 "trace": [
-                    {"witt_level": lv, "iteration": it, "increment_vals": list(vals)}
+                    {"witt_level": lv, "iteration": it, "increment_vals": vals}
                     for lv, it, vals in lr.trace
                 ],
             }

@@ -9,6 +9,9 @@ is unavailable because the coefficient ring is not a domain for n > 1.
 Every witness is re-verified before it is returned: A*B, by the one matrix
 product :func:`ramibound.padic.mat_mul` with a series dot over (Z/p^n)[u],
 must equal c*I modulo u^prec (:func:`is_scalar_mod_u`).
+:func:`witnesses` is the one path from a module to its witnesses: the
+height witness, the exponent N and the u^N witness, each precision refusal
+retried at twice the u-precision, at most ``UPREC_DOUBLINGS`` times.
 
 A finite field F_{p^f} is the quotient ring F_p[y]/(m) that does its
 arithmetic, a :class:`ramibound.padic.MonicQuotient` from
@@ -32,10 +35,11 @@ homomorphism values.  The uniformizer here is pinned to -p, so E(u) = u + p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, count, product, zip_longest
 
+from .bounds import exact_nilpotency_index
 from .errors import (
     InputError,
     NotHeightError,
@@ -439,6 +443,28 @@ def u_power_witness(mod: KisinModule, wit: HeightWitness, N: int) -> HeightWitne
     if not is_scalar_mod_u(prod, (0,) * N + (1,), avail, q):
         raise AssertionError("u-power witness re-verification failed")
     return HeightWitness(Bp, avail, wit.r)
+
+
+UPREC_DOUBLINGS = 4  # retries of a precision refusal, each at twice the u-precision
+
+
+def witnesses(
+    mod: KisinModule, r: int, N: int | None = None, doublings: int = UPREC_DOUBLINGS
+) -> tuple[HeightWitness, int, HeightWitness]:
+    """(height-r witness, N, u^N witness) of the module; N defaults to the
+    exact nilpotency index, taken after the height witness is found.  A
+    precision refusal is retried on the module at twice the u-precision, at
+    most ``doublings`` times, and the last refusal is raised."""
+    for attempt in range(doublings + 1):
+        try:
+            wit = height_witness(mod, r)
+            if N is None:
+                N = exact_nilpotency_index(mod.E, mod.n, r)
+            return wit, N, u_power_witness(mod, wit, N)
+        except PrecisionError:
+            if attempt == doublings:
+                raise
+            mod = replace(mod, uprec=2 * mod.uprec)
 
 
 # ---------------------------------------------------------------------------

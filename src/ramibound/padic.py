@@ -522,6 +522,16 @@ def parse_poly(text: str) -> tuple[int, ...]:
         raise InputError(f"bad polynomial {text!r}: {exc}") from None
 
 
+def parse_rat(text, what: str) -> Fraction:
+    """A rational in any spelling ``Fraction`` reads ('3/2', '1.5', '-7');
+    a refusal names the ``what`` being read and says why in words."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise InputError(f"bad {what} {text!r}: {why}") from None
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein polynomials
 # ---------------------------------------------------------------------------

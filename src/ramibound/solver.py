@@ -54,13 +54,14 @@ from .errors import (
     PrecisionError,
     UndecidableError,
 )
-from .kisin import KisinModule, height_witness, u_power_witness
+from .kisin import KisinModule, witnesses
 from .padic import (
     LocalElement,
     LocalFieldModel,
     LowerBound,
     Rat,
     mat_mul,
+    parse_rat,
 )
 from .witt import (
     LocalRing,
@@ -301,8 +302,10 @@ def build_jset_problem(
 ) -> JSetProblem:
     """Assemble the lifted matrices and the normalization A~ * B~ = [pi_s]^N.
 
-    Checks: the model normalization matches the base ramification index, s
-    clears the minimal-level threshold, and the correction matrix lies in the
+    The u^N witness comes from :func:`ramibound.kisin.witnesses`, which
+    retries a precision refusal at doubled u-precision.  Checks: the model
+    normalization matches the base ramification index, s clears the
+    minimal-level threshold, and the correction matrix lies in the
     positive-valuation ideal before the geometric series is applied.
     """
     if model.p != module.p:
@@ -328,7 +331,7 @@ def build_jset_problem(
     add, sub = partial(witt_add, ring, p), partial(witt_sub, ring, p)
     lift = partial(_lift_poly, ring, p, n, pi_s)
     A_t = tuple([tuple(map(lift, row)) for row in module.entries])
-    wit = u_power_witness(module, height_witness(module, r), N)
+    _, _, wit = witnesses(module, r, N)
     B_t0 = tuple([tuple(map(lift, row)) for row in wit.B])
 
     pi_n = pi_s.pow(N)
@@ -488,11 +491,7 @@ def resolve_level(prob: JSetProblem, level) -> Rat:
         return prob.level_a
     if level == "b":
         return prob.level_b
-    try:
-        return Fraction(level)
-    except (ValueError, ZeroDivisionError) as exc:
-        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-        raise InputError(f"bad level {level!r}: {why}") from None
+    return parse_rat(level, "level")
 
 
 def jset_enumerate(prob: JSetProblem, level="a") -> JSolutionSet:

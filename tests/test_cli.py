@@ -8,13 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from ramibound.bounds import BoundReport, ramification_report
-from ramibound.cli import (
-    emit_report,
-    format_rat,
-    main,
-    parse_rat,
-)
+from ramibound.cli import emit_report, main
 from ramibound.errors import InputError
+from ramibound.padic import parse_rat
 
 
 def run_cli(argv):
@@ -26,7 +22,7 @@ def run_cli(argv):
 
 def bound_report_from_json(data: dict) -> BoundReport:
     """Inverse of the JSON serialization of a bound report."""
-    parse = {"int": int, "str": str, "Rat": lambda v: parse_rat(str(v))}
+    parse = {"int": int, "str": str, "Rat": lambda v: parse_rat(str(v), "rational")}
     return BoundReport(
         **{f.name: parse[f.type](data[f.name]) for f in fields(BoundReport)}
     )
@@ -39,12 +35,18 @@ def run_json(argv):
 
 
 def test_format_and_parse_rat():
-    assert format_rat(F(3, 2)) == "3/2"
-    assert format_rat(F(2, 1)) == "2"
-    assert parse_rat("3/2") == F(3, 2)
-    assert parse_rat("7") == 7
-    with pytest.raises(InputError):
-        parse_rat("x")
+    """A report writes a rational as "num/den", an integral one as the
+    integer, in JSON and in TSV cells and nested values alike."""
+    report = {"a": F(3, 2), "b": F(2, 1), "c": [F(-1, 3), (F(4, 2), 5)]}
+    assert json.loads(emit_report(report)) == {
+        "a": "3/2", "b": "2", "c": ["-1/3", ["2", 5]],
+    }
+    assert emit_report(report, "tsv") == 'a\tb\tc\n3/2\t2\t["-1/3",["2",5]]\n'
+    assert parse_rat("3/2", "rational") == F(3, 2)
+    assert parse_rat("1.5", "rational") == F(3, 2)
+    assert parse_rat("7", "rational") == 7
+    with pytest.raises(InputError, match="^bad rational 'x'"):
+        parse_rat("x", "rational")
 
 
 def test_bounds_command():

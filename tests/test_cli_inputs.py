@@ -87,6 +87,19 @@ def test_rational_level_spellings(level):
     assert '"level": "3/2"' in out
 
 
+def test_filtration_reads_the_rational_spellings_of_levels():
+    """--filtration reads its breaks with the one rational parser that --c
+    uses: 1.5 is 3/2, and an inner space is refused by both."""
+    herbrand = ["herbrand", "--order", "2", "--filtration"]
+    answer = run(herbrand + ["3/2:2"])
+    assert answer[0] == 0
+    assert run(herbrand + ["1.5:2"]) == answer
+    code, out, err = run(herbrand + ["3/ 2:2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational '3/ 2': ")
+    assert run(JSET + ["--c", "3/ 2"])[2].startswith("error: bad level '3/ 2': ")
+
+
 @pytest.mark.parametrize("digits", ["0", "-1"])
 def test_digits_below_one_is_refused(digits):
     code, out, err = run(["solve-lift"] + JSET[1:] + ["--digits", digits])
@@ -137,8 +150,8 @@ def test_kisin_height_retries_at_doubled_uprec():
 
 def test_kisin_height_retry_stops_after_the_ladder(monkeypatch):
     """An N that no u-precision certifies: the default and its 2, 4, 8 and
-    16 times are tried, as many as the lifter's ladder, then exit 4; with
-    --uprec only the given one is tried."""
+    16 times are tried, ``kisin.UPREC_DOUBLINGS`` doublings, then exit 4;
+    with --uprec only the given one is tried."""
     seen = []
     real = cli.kisin_mod.height_witness
 
@@ -152,7 +165,7 @@ def test_kisin_height_retry_stops_after_the_ladder(monkeypatch):
     assert (code, out) == (4, "")
     assert err == "error: u-precision too small to verify the u^N witness\n"
     assert seen == [10, 20, 40, 80, 160]
-    assert len(seen) == cli.solver_mod.LIFT_ATTEMPTS
+    assert len(seen) == cli.kisin_mod.UPREC_DOUBLINGS + 1
     seen.clear()
     assert run(argv + ["--N", "1000", "--uprec", "10"])[0] == 4
     assert seen == [10]
@@ -169,7 +182,7 @@ def test_singular_matrix_has_no_witness(monkeypatch, n, matrix):
     """det A mod p vanishes identically (the zero matrix, entries divisible
     by p, or a second row u times the first): no u-precision helps, so
     kisin-height answers at once without a witness, and jset and
-    solve-lift refuse the input with exit 2."""
+    solve-lift refuse the input with exit 2 after one attempt each."""
     seen = []
     real = cli.kisin_mod.height_witness
 
@@ -187,21 +200,57 @@ def test_singular_matrix_has_no_witness(monkeypatch, n, matrix):
     assert len(seen) == 1
     problem = module + ["--model", "3,0,0,0,0,0,0,0,0,1", "--s", "2"]
     for command in ("jset", "solve-lift"):
+        seen.clear()
         assert run([command] + problem) == (2, "", f"error: {SINGULAR}\n")
+        assert len(seen) == 1
 
 
 def test_determinant_vanishing_below_the_truncation_is_a_precision_refusal():
-    """det A = u^8 is not zero, but it vanishes modulo u^8, and so does
-    u^10 modulo the default u-precision 10 of jset: only more u-precision
-    can tell, so these still exit 4."""
-    vanished = (4, "", "error: matrix determinant vanishes at this u-precision\n")
+    """det A = u^8 is not zero, but it vanishes modulo u^8: only more
+    u-precision can tell, so kisin-height at --uprec 8 exits 4.  det A =
+    u^10 vanishes modulo the default u-precision 10 of jset too, and the
+    ladder climbs to 40, where the solve decides that no witness of height 1
+    exists (exit 2)."""
     argv = [
         "kisin-height", "--eisenstein", "3,1", "--n", "1", "--r", "1",
         "--matrix", "0:0:0:0:1,;,0:0:0:0:1", "--uprec", "8",
     ]
+    vanished = (4, "", "error: matrix determinant vanishes at this u-precision\n")
     assert run(argv) == vanished
     jset = JSET[:-6] + ["--matrix", "0:0:0:0:0:1,;,0:0:0:0:0:1"] + JSET[-4:]
-    assert run(jset) == vanished
+    pole = (2, "", "error: solution acquires a pole: no witness at this height\n")
+    assert run(jset) == pole
+
+
+DIAG_E = [
+    "--E", "3,0,1", "--n", "1", "--r", "1",
+    "--matrix", "3:0:1,,;,3:0:1,;,,3:0:1",
+]
+
+
+def test_jset_seeks_the_witness_on_the_kisin_height_ladder(monkeypatch):
+    """diag(E, E, E) with E = u^2 + 3: its height witness is refused for
+    precision at the default u-precision 12 and found at 24, for jset as
+    for kisin-height (which reports verified_uprec 12)."""
+    seen = []
+    real = cli.kisin_mod.height_witness
+
+    def recording(module, r):
+        seen.append(module.uprec)
+        return real(module, r)
+
+    monkeypatch.setattr(cli.kisin_mod, "height_witness", recording)
+    code, out, err = run(["jset"] + DIAG_E + ["--model", "3,0,0,0,0,0,1", "--s", "1"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["count"], report["count_b"], report["image_ab"]) == (19683, 27, 27)
+    assert report["splitting"] is True
+    assert seen == [12, 24]
+    seen.clear()
+    code, out, err = run(["kisin-height"] + DIAG_E)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified_uprec"] == 12
+    assert seen == [12, 24]
 
 
 def test_solve_lift_has_no_level_option():

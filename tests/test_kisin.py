@@ -678,6 +678,23 @@ def test_u_power_witness():
             u_power_witness(m1, w1, N)
 
 
+def test_witnesses_double_the_u_precision_on_a_precision_refusal():
+    """diag(E, E, E) over E = u^2 + 3 (u^2 mod 3) is refused for precision
+    at its default u-precision 12 and answers at 24, with the witness
+    certified to u^12; N is the exact nilpotency index unless given."""
+    E = eisenstein_validate((3, 0, 1), 3)
+    diag = [[(0, 0, 1) if i == j else () for j in range(3)] for i in range(3)]
+    m = kisin_new(3, 1, E, diag)
+    assert m.uprec == 12
+    with pytest.raises(PrecisionError):
+        kisin.witnesses(m, 1, doublings=0)
+    wit, N, wu = kisin.witnesses(m, 1)
+    assert (wit.uprec, N) == (12, 2)
+    assert_witness(m, wit, E.power(1, 3))
+    assert_witness(m, wu, (0,) * N + (1,))
+    assert kisin.witnesses(m, 1, N=3)[1] == 3
+
+
 def test_uprec_guard():
     m = kisin_new(3, 1, E13, [[(0, 1)]], uprec=2, r_hint=1)
     with pytest.raises(PrecisionError):
