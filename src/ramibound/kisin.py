@@ -64,11 +64,19 @@ from .padic import (
 
 
 def _fp_polgcd(a: tuple, b: tuple, p: int) -> tuple:
-    """Euclid over F_p, each step a remainder by the divisor made monic."""
+    """Euclid over F_p, each step a plain remainder loop: the divisor's
+    leading coefficient is inverted once, and each eliminated digit
+    subtracts a multiple of the divisor's lower terms."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
-        inv = pow(b[-1], -1, p)
-        a, b = b, MonicQuotient([(inv * c) % p for c in b], p).reduce(a)
+        d, inv = len(b) - 1, pow(b[-1], -1, p)
+        rem = list(a)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i] * inv % p
+            if c:
+                for k in range(d):
+                    rem[i - d + k] -= c * b[k]
+        a, b = b, poly_mod(rem[:d], p)
     return a
 
 

@@ -35,12 +35,17 @@ the current model precision the problem is rebuilt at twice the digit count
 and the computation retried.  A lift skips, without iterating, a precision
 at which the precision rules prove that no iterate can be certified, and
 each rebuilt problem is kept on the problem the caller passed, so all lifts
-of one call share it.
+of one call in one process share it.  ``exact_solution_set`` splits its
+lifts over forked worker processes, one per CPU it may run on, when there
+are at least 2 * LIFTS_PER_WORKER classes; its output is the serial one.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -54,7 +59,7 @@ from .errors import (
     PrecisionError,
     UndecidableError,
 )
-from .kisin import KisinModule, witnesses
+from .kisin import HeightWitness, KisinModule, witnesses
 from .padic import (
     LocalElement,
     LocalFieldModel,
@@ -80,6 +85,7 @@ from .witt import (
 
 DEFAULT_CAP = 10 ** 6
 LIFT_ATTEMPTS = 5  # model precisions tried by lift_solution, each double the last
+LIFTS_PER_WORKER = 8  # least level-a classes per lifting process, exact_solution_set
 
 Member = tuple  # tuple over coords of tuples over Witt components of coeffs
 
@@ -102,6 +108,8 @@ class JSetProblem:
     cap: int
     A_tilde: tuple
     B_tilde: tuple
+    # the u^N witness B~ is built from, which with_precision passes on
+    witness: HeightWitness | None = field(default=None, compare=False, repr=False)
     # write-once memos, filled by the functions named
     jset_memo: dict = _memo()  # {level: JSolutionSet}, jset_enumerate
     lift_memo: dict = _memo()  # {a': _LiftConstants}, _lift_attempt
@@ -299,11 +307,14 @@ def build_jset_problem(
     r: int,
     N: int | None = None,
     cap: int = DEFAULT_CAP,
+    witness: HeightWitness | None = None,
 ) -> JSetProblem:
     """Assemble the lifted matrices and the normalization A~ * B~ = [pi_s]^N.
 
-    The u^N witness comes from :func:`ramibound.kisin.witnesses`, which
-    retries a precision refusal at doubled u-precision.  Checks: the model
+    The u^N witness, unless given, comes from
+    :func:`ramibound.kisin.witnesses`, which retries a precision refusal at
+    doubled u-precision; it depends on the module, r and N only, so
+    :func:`with_precision` passes its problem's.  Checks: the model
     normalization matches the base ramification index, s clears the
     minimal-level threshold, and the correction matrix lies in the
     positive-valuation ideal before the geometric series is applied.
@@ -331,8 +342,9 @@ def build_jset_problem(
     add, sub = partial(witt_add, ring, p), partial(witt_sub, ring, p)
     lift = partial(_lift_poly, ring, p, n, pi_s)
     A_t = tuple([tuple(map(lift, row)) for row in module.entries])
-    _, _, wit = witnesses(module, r, N)
-    B_t0 = tuple([tuple(map(lift, row)) for row in wit.B])
+    if witness is None:
+        _, _, witness = witnesses(module, r, N)
+    B_t0 = tuple([tuple(map(lift, row)) for row in witness.B])
 
     pi_n = pi_s.pow(N)
     pi_n_parts = tuple(zp.divisor() for zp in teichmuller_powers(ring, p, pi_n, n))
@@ -366,12 +378,12 @@ def build_jset_problem(
                for row, wants in zip(check, pi_I) for x, y in zip(row, wants)):
         raise PrecisionError("normalized witness check failed at precision")
 
-    return JSetProblem(module, model, s, r, N, constants, pi_s, cap, A_t, B_t)
+    return JSetProblem(module, model, s, r, N, constants, pi_s, cap, A_t, B_t, witness)
 
 
 def with_precision(prob: JSetProblem, prec_digits: int) -> JSetProblem:
     """The problem rebuilt on its model at ``prec_digits``, which derives
-    its own pi_s there."""
+    its own pi_s there, from the problem's u^N witness."""
     return build_jset_problem(
         prob.module,
         prob.model.with_prec(prec_digits),
@@ -379,6 +391,7 @@ def with_precision(prob: JSetProblem, prec_digits: int) -> JSetProblem:
         prob.r,
         prob.N,
         prob.cap,
+        prob.witness,
     )
 
 
@@ -777,10 +790,12 @@ def lift_solution(
     precision.  Non-convergence means the starting point violated the
     level-a precondition and is reported as such.
 
-    The problem at 2^i P is ``with_precision(prob, 2^i P)``, built once and
-    kept in ``prob.boosted``; all lifts on ``prob`` share it, and with it the
-    lift constants it keeps per a'.  The state lives on the caller's
-    problem, so two calls that build their problems share nothing.
+    The problem at 2^i P is ``with_precision(prob, 2^i P)``, built once per
+    process and kept in ``prob.boosted``; all lifts on ``prob`` in one
+    process share it, and with it the lift constants it keeps per a' (a
+    worker forked by ``exact_solution_set`` builds its own, and the caller
+    rebuilds the problem of a lift it receives).  The state lives on the
+    caller's problem, so two calls that build their problems share nothing.
     """
     cur = prob
     for _ in range(LIFT_ATTEMPTS - 1):
@@ -1075,11 +1090,161 @@ def exact_solution_set(
     prob: JSetProblem, target_digits: int = 6
 ) -> tuple[JSolutionSet, list[LiftResult]]:
     """Lift every level-a class; the lifts' level-b classes must be exactly
-    the members of rho(J_a -> b), which is returned with the lifts."""
+    the members of rho(J_a -> b), which is returned with the lifts.
+
+    The lifts are independent and deterministic, so with at least
+    2 * LIFTS_PER_WORKER classes they are split over the CPUs in the
+    process's affinity mask (``_lift_classes``).  The lifts, and the refusal
+    raised (that of the first class in order that is refused), are those of
+    lifting the classes one by one in order."""
     level_a = jset_enumerate(prob, "a")
-    lifts = [lift_solution(prob, member, target_digits) for member in level_a.members]
+    lifts = _lift_classes(prob, level_a.members, target_digits)
     image = rho_reduce(prob, level_a, "b")
     classes = {truncate_solution(lr.problem, lr.X, prob.level_b) for lr in lifts}
     if classes != set(image.members):
         raise AssertionError("the lifts' level-b classes are not the reduced image")
     return image, lifts
+
+
+def _lift_workers(count: int) -> int:
+    """The number of processes that lift ``count`` classes: one per CPU in
+    the process's affinity mask, each with at least LIFTS_PER_WORKER
+    classes, and at least 1.  It is 1, this process alone, where the
+    platform has no ``os.fork`` or no affinity mask, or where another thread
+    runs, which a forked child would not have."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    if cpus is None or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(cpus(0)), count // LIFTS_PER_WORKER))
+
+
+def _lift_classes(prob: JSetProblem, members: tuple, target_digits: int) -> list:
+    """The lifts of ``members`` in w = ``_lift_workers`` processes: worker k
+    lifts the classes i = k mod w (``_lift_share``), worker 0 in this process
+    and each other in a child forked for it (``_fork_share``), which sends
+    its lifts back pickled (``_lift_record``).  A share whose child could not
+    be forked, exited nonzero or sent a pickle that does not load is lifted
+    here after the children.  The refusal raised is that of the first class
+    in order that is refused: a share stops at its own first refusal, so
+    every class before that one is lifted.
+
+    Every child is reaped before this returns or raises; on an exception
+    here, the children left are killed first."""
+    workers = _lift_workers(len(members))
+    shares = [range(k, len(members), workers) for k in range(workers)]
+    children = []  # (pid, read end of its pipe, k) of each child not yet reaped
+    try:
+        for k in range(1, workers):
+            child = _fork_share(prob, members, shares[k], target_digits)
+            if child is not None:
+                children.append(child + (k,))
+        done = {0: _lift_share(prob, members, shares[0], target_digits)}
+        while children:
+            pid, pipe, k = children[0]
+            records = _receive(pid, pipe)
+            del children[0]
+            if records is not None:
+                done[k] = [_from_record(prob, rec) for rec in records]
+    finally:
+        if children:
+            import signal
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    lifts = [None] * len(members)
+    for k, share in enumerate(shares):
+        if k not in done:
+            done[k] = _lift_share(prob, members, share, target_digits)
+        for i, lr in zip(share, done[k]):
+            lifts[i] = lr
+    # a class left at None follows a refusal in its own share
+    for lr in lifts:
+        if isinstance(lr, Exception):
+            raise lr
+    return lifts
+
+
+def _lift_share(
+    prob: JSetProblem, members: tuple, share: range, target_digits: int
+) -> list:
+    """The lifts of the classes ``members[i]``, i in ``share``, in order, up
+    to the first refusal, which ends the list as the exception raised."""
+    out = []
+    for i in share:
+        try:
+            out.append(lift_solution(prob, members[i], target_digits))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def _fork_share(
+    prob: JSetProblem, members: tuple, share: range, target_digits: int
+) -> tuple | None:
+    """Fork a child that lifts ``share`` and writes ``_lift_record`` of each
+    lift to a pipe, pickled; (pid, the pipe's read end as a binary file), or
+    None when no child can be forked.  The child always leaves by
+    ``os._exit``, with status 0 once the pickle is written."""
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        records = [_lift_record(lr) for lr in _lift_share(prob, members, share, target_digits)]
+        data = pickle.dumps(records, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pid: int, pipe) -> list | None:
+    """The records a child wrote to its pipe, once it is reaped; None when
+    it exited nonzero or its pickle does not load."""
+    import pickle
+
+    with pipe:
+        data = pipe.read()
+    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+        return None
+    try:
+        return pickle.loads(data)
+    except Exception:  # a cut pickle raises any of several errors
+        return None
+
+
+def _lift_record(lr):
+    """A lift as plain data for a pipe: (model precision, X as (coeffs,
+    aprec) per component, iterations, gamma, a', certified digits, steps),
+    or the refusal itself."""
+    if isinstance(lr, Exception):
+        return lr
+    X = tuple(tuple((c.coeffs, c.aprec) for c in vec) for vec in lr.X)
+    return (lr.problem.model.prec, X, lr.iterations, lr.gamma, lr.a_prime,
+            lr.certified_digits, lr.steps)
+
+
+def _from_record(prob: JSetProblem, rec):
+    """The lift of a ``_lift_record``, on ``prob`` or the boosted problem at
+    its precision, which ``_boosted`` keeps on ``prob``."""
+    if isinstance(rec, Exception):
+        return rec
+    prec, X, *rest = rec
+    problem = prob if prec == prob.model.prec else _boosted(prob, prec)
+    model = problem.model
+    X = tuple(tuple(LocalElement(model, coeffs, aprec) for coeffs, aprec in vec) for vec in X)
+    return LiftResult(problem, X, *rest)

@@ -42,7 +42,12 @@ from ramibound.witt import (
 )
 
 from test_kisin import ops_mat_mul
-from test_solver import EXACT_LEN2, length_two_problem, perturbed_length_two_member
+from test_solver import (
+    EXACT_LEN2,
+    length_two_problem,
+    perturbed_length_two_member,
+    serial_lifts,
+)
 
 
 def expect(cond, *info):
@@ -326,6 +331,7 @@ def test_length_one_solve_lift_makes_no_ghost_solve(monkeypatch):
     ``_witt_combine`` and no ``LocalRing.lower``; the n = 2 lift still
     does, so the counters count."""
     calls = count_calls(monkeypatch)
+    serial_lifts(monkeypatch)
     for argv in (["--matrix", "0:1"] + X12 + ["--digits", "12"],
                  ["--matrix", ",0:1;1,"] + X6 + ["--digits", "5"]):
         out = io.StringIO()

@@ -20,7 +20,7 @@ from ramibound.errors import (
     UndecidableError,
 )
 from ramibound.kisin import kisin_new
-from ramibound import padic, solver
+from ramibound import kisin, padic, solver
 from ramibound.padic import LocalElement, LocalFieldModel, eisenstein_validate
 from ramibound.solver import (
     _teich_div,
@@ -59,6 +59,13 @@ def model_of_degree(m, prec=24):
 
 def u_module():
     return kisin_new(3, 1, E13, [[(0, 1)]], r_hint=1)
+
+
+def serial_lifts(monkeypatch):
+    """Lift every class of ``exact_solution_set`` in this process, where a
+    test's recording wrappers see each lift; a forked worker's calls would
+    not be recorded."""
+    monkeypatch.setattr(solver, "_lift_workers", lambda count: 1)
 
 
 @pytest.fixture(scope="module")
@@ -1334,6 +1341,33 @@ def test_residual_is_additive_modulo_the_ideal():
     assert outside.count(False) >= len(outside) // 2
 
 
+def test_rebuilt_problem_reuses_the_u_power_witness(monkeypatch):
+    """The rank-3 diag(E, E, E) module over E = u^2 + 3 finds its witness at
+    u-precision 24, after a refusal at 12 (``kisin.witnesses``).  Its lifts
+    at 24 digits rebuild the problem at 48 digits from the problem's u^N
+    witness, so ``height_witness`` is asked at [12, 24] once for the build
+    and the lifts, and the rebuilt problem equals one built from scratch."""
+    uprecs = []
+    real = kisin.height_witness
+
+    def recording(mod, r):
+        uprecs.append(mod.uprec)
+        return real(mod, r)
+
+    E = eisenstein_validate((3, 0, 1), 3)
+    mod = kisin_new(3, 1, E, [[(0, 0, 1) if i == j else () for j in range(3)]
+                              for i in range(3)], r_hint=1)
+    model = LocalFieldModel(eisenstein_validate((3, 0, 0, 0, 0, 0, 1), 3), 24, e_norm=2)
+    monkeypatch.setattr(kisin, "height_witness", recording)
+    prob = build_jset_problem(mod, model, s=1, r=1)
+    members = jset_enumerate(prob, "a").members
+    lifts = [lift_solution(prob, member, target_digits=24) for member in members[:3]]
+    assert [lr.problem.model.prec for lr in lifts] == [24, 48, 48]
+    assert uprecs == [12, 24]
+    assert prob.boosted[48] == build_jset_problem(mod, model.with_prec(48), s=1, r=1)
+    assert prob.boosted[48].witness is prob.witness
+
+
 def test_enumeration_memo(monkeypatch):
     prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
     first = jset_enumerate(prob, "a")
@@ -1355,6 +1389,7 @@ def test_enumeration_memo(monkeypatch):
 
     monkeypatch.setattr(solver, "jset_enumerate", enumerating)
     monkeypatch.setattr(solver, "_residual", counting)
+    serial_lifts(monkeypatch)
     assert solver.jset_enumerate(prob, "a") is first
     exact, _ = exact_solution_set(prob, target_digits=6)
     assert len(exact) == 3 and calls == []
@@ -1436,6 +1471,7 @@ def test_lift_trace_output_pinned(monkeypatch, digits, digest, retries):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "with_precision", counting)
+    serial_lifts(monkeypatch)
     code, out = run_cli(LIFT_ARGS + ["--digits", digits])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -1504,6 +1540,7 @@ def test_readme_lift_product_count(monkeypatch):
 
     monkeypatch.setattr(LocalElement, "__mul__", mul)
     monkeypatch.setattr(LocalFieldModel, "mul_coeffs", mul_coeffs)
+    serial_lifts(monkeypatch)
     code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
     assert code == 0
     digest = "7d696ea694ed24811b64ac0a740372e1c95bdce3479bfbc00685270b00b0021a"
@@ -1556,6 +1593,7 @@ def check_lift_work(done, n):
 
 def test_lifter_work_counts(monkeypatch):
     done = lift_work(monkeypatch)
+    serial_lifts(monkeypatch)
     code, _ = run_cli(LIFT_ARGS + ["--digits", "6"])
     assert code == 0
     assert len(done) == 27
@@ -1623,6 +1661,7 @@ def test_solve_lift_calls_share_no_lift_state(monkeypatch):
     27 classes.  The pinned count also holds when earlier tests ran the same
     instance, which a cache outliving the call would not allow."""
     calls = count_inversions(monkeypatch)
+    serial_lifts(monkeypatch)
     counts, outs = [], []
     for _ in range(2):
         code, out = run_cli(LIFT_ARGS + ["--digits", "6"])
@@ -1789,6 +1828,7 @@ def test_readme_lifts_at_24_digits_share_one_rebuilt_problem(monkeypatch):
         return real(prob, digits)
 
     monkeypatch.setattr(solver, "with_precision", counting)
+    serial_lifts(monkeypatch)
     prob = build_jset_problem(u_module(), model_of_degree(6), s=1, r=1)
     exact, lifts = exact_solution_set(prob, target_digits=24)
     assert len(exact) == 3 and len(lifts) == 27
