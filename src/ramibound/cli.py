@@ -235,6 +235,8 @@ def _parse_filtration(text: str, order: int) -> herbrand_mod.LowerFiltration:
         entries.append((parse_rat(lam_text.strip(), "rational"), card))
     if entries[0][1] != order:
         raise InputError("first segment order must equal the group order")
+    if any(b[0] <= a[0] for a, b in zip(entries, entries[1:])):
+        raise InputError("breaks must be strictly increasing and positive")
     breaks = []
     for i in range(len(entries) - 1):
         breaks.append((entries[i][0], entries[i + 1][1]))

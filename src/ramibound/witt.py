@@ -15,7 +15,11 @@ w_m = sum_{i<=m} p^i z_i^(p^(m-i)) serves two uses:
   polynomials P_m are bihomogeneous (X-weight and Y-weight p^m each), so
   along X_0 every run is one term, and along X_1 the runs are long.  Y_0's
   field must hold the largest x0 + y0 of the product, or the product
-  raises; X_1 is taken only when X_0's field holds the largest x0 + p x1;
+  raises; X_1 is taken only when X_0's field holds the largest x0 + p x1.
+  Their power splits off the free terms, those whose variables no other
+  term has, and expands by the multinomial theorem: every sum polynomial
+  is S_m = X_m + Y_m + C_m with neither X_m nor Y_m in C_m, so S_m^k takes
+  products only for C_m^2 .. C_m^k;
 * :func:`witt_add`, :func:`witt_mul` and :func:`int_to_witt` solve them on
   concrete values in an exact companion ring Z[x]/g, on integer coefficient
   tuples.  Every division by a power of p there is exact because the
@@ -68,6 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
+from math import comb
 
 from .errors import (
     IntegralityError,
@@ -117,6 +122,25 @@ from .padic import (
 # alone; a tie goes to X_0.  X_0's field Y_0 must hold the largest x0 + y0
 # of the product, or the product raises, whatever the other axis: in
 # :func:`universal_polys` it does, since x0 + y0 <= 2 p^(n-1) < 2**bits.
+#
+# The power a^k multiplies only part of a.  A term of a is free when it is
+# not constant and no other term has any of its variables.  With t_1..t_r
+# the free terms (t_i = c_i times the monomial of key k_i) and C the rest,
+#   a^k = sum over a_1 + .. + a_r + c = k of
+#         k!/(a_1! .. a_r! c!) c_1^a_1 .. c_r^a_r (key sum a_i k_i) C^c.
+# Blocks never share a key: in a key of block (a_1, .., a_r), the fields of
+# t_i's variables hold a_i times t_i's exponents, as neither C nor another
+# t_j has those variables, so the key gives back every a_i, and c with
+# them.  So each block is written into the result without adding, its keys
+# the bitwise or of two disjoint sets of fields, and only C^2 .. C^k take
+# products, C^c from C^(c-1) once the blocks of C^(c-1) are written.  Each
+# field must hold k times the exponents of the free terms, or the power
+# raises.  By the ghost equation p^m S_m = G_m - sum_{i<m} p^i
+# S_i^(p^(m-i)), X_m and Y_m occur in S_m only in the terms X_m and Y_m,
+# which G_m gives, so S_m^k takes k - 1 products of powers of C_m where
+# square-and-multiply takes up to 2 log2(k) of powers of S_m.  A monomial
+# is all free and its power takes none.  The product polynomials P_m,
+# m >= 1, have no free term and are raised by square-and-multiply.
 
 
 def _kronecker_axis(a: dict, b: dict, bits: int, n: int, p: int) -> tuple:
@@ -240,6 +264,74 @@ def _var(idx: int, bits: int, exp: int = 1) -> dict:
     return {exp << (bits * idx): 1}
 
 
+def _free_terms(a: dict, bits: int) -> dict:
+    """{key: coeff} of the non-constant terms of ``a`` whose variables occur
+    in no other term.  Each term's support is a bit mask with bit i set when
+    field i is nonzero; a variable is shared once two supports have it."""
+    mask = (1 << bits) - 1
+    supports = []
+    once = twice = 0
+    for k in a:
+        s, bit = 0, 1
+        while k:
+            if k & mask:
+                s |= bit
+            k >>= bits
+            bit <<= 1
+        twice |= once & s
+        once |= s
+        supports.append(s)
+    return {k: c for (k, c), s in zip(a.items(), supports) if s and not s & twice}
+
+
+def _free_power(terms: list, j: int) -> dict:
+    """(t_1 + ... + t_r)^j for monomials (key, coeff) in pairwise disjoint
+    variables: the term of exponents a_1 + ... + a_r = j is
+    j!/(a_1! ... a_r!) prod c_i^a_i at key sum a_i k_i, and no two share a
+    key, as each a_i is read off the fields of t_i's variables."""
+    parts = [(j, 0, 1)]  # (degree left, key, coefficient)
+    for k, c in terms[:-1]:
+        parts = [
+            (left - e, key + e * k, coef * comb(left, e) * c ** e)
+            for left, key, coef in parts
+            for e in range(left + 1)
+        ]
+    k, c = terms[-1]
+    return {key + left * k: coef * c ** left for left, key, coef in parts}
+
+
+def _ppow(a: dict, k: int, mul, bits: int) -> dict:
+    """a^k on packed polynomials with ``bits``-bit fields, with the product
+    ``mul``.  The free terms F of a (:func:`_free_terms`) are split off the
+    rest C, and a^k = sum_c binom(k, c) F^(k-c) C^c; see above.  Only the
+    powers C^2 .. C^k take products, one each, and each is dropped once its
+    blocks are written.  With no free term, or k < 2, it is
+    :func:`ramibound.padic.power`."""
+    free = _free_terms(a, bits) if k > 1 else None
+    if not free:
+        return power(a, k, mul, {0: 1})
+    mask = (1 << bits) - 1
+    top = k * max((f >> s) & mask for f in free for s in range(0, f.bit_length(), bits))
+    if top > mask:
+        raise InputError(f"power exponent {top} overflows a {bits}-bit field")
+    terms = list(free.items())
+    rest = {key: v for key, v in a.items() if key not in free}
+    if not rest:
+        return _free_power(terms, k)
+    out: dict = {}
+    cpow = {0: 1}
+    for c in range(k):
+        if c:
+            cpow = rest if c == 1 else mul(cpow, rest)
+        scale = comb(k, c)
+        for f, fc in _free_power(terms, k - c).items():
+            m = scale * fc
+            out.update(zip([f | g for g in cpow], [m * v for v in cpow.values()]))
+    cpow = mul(cpow, rest)  # the block of C^k is C^k itself
+    out.update(cpow)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Ghost components and the ghost equations, in any commutative ring
 # ---------------------------------------------------------------------------
@@ -269,14 +361,11 @@ def _solve_ghosts(ghosts: list, p: int, ops: tuple, known=()) -> list:
     return zs[len(known):]
 
 
-def _packed_ops(mul) -> tuple:
-    """(power, scaled sum, exact division) on packed polynomials, with the
-    product ``mul``."""
-
-    def pow_(a: dict, k: int) -> dict:
-        return power(a, k, mul, {0: 1})
-
-    return pow_, _padd, _pdiv_exact
+def _packed_ops(mul, bits: int) -> tuple:
+    """(power, scaled sum, exact division) on packed polynomials with
+    ``bits``-bit fields, with the product ``mul``; the power is
+    :func:`_ppow`."""
+    return partial(_ppow, mul=mul, bits=bits), _padd, _pdiv_exact
 
 
 @dataclass(frozen=True)
@@ -300,10 +389,10 @@ class WittUniversalPolys:
         return dict(zip(zip(*cols), poly.values()))
 
 
-def _solve_universal(p: int, n: int, bits: int, mul) -> tuple[tuple, tuple]:
+def _solve_universal(p: int, n: int, bits: int, mul, ops: tuple) -> tuple[tuple, tuple]:
     """Sum and product polynomials from the ghost equations over Q, with the
-    packed product ``mul``; every division is checked to be exact."""
-    ops = _packed_ops(mul)
+    packed product ``mul`` and the ghost solver's ``ops``; every division is
+    checked to be exact."""
     xs = [_var(i, bits) for i in range(n)]
     ys = [_var(n + i, bits) for i in range(n)]
     gx = [_ghost(xs, m, p, ops) for m in range(n)]
@@ -322,7 +411,8 @@ def universal_polys(p: int, n: int) -> WittUniversalPolys:
     if n < 1:
         raise InputError("length must be >= 1")
     bits = max(2, (p ** (n - 1)).bit_length() + 1)
-    sums, prods = _solve_universal(p, n, bits, partial(_pmul, bits=bits, n=n, p=p))
+    mul = partial(_pmul, bits=bits, n=n, p=p)
+    sums, prods = _solve_universal(p, n, bits, mul, _packed_ops(mul, bits))
     return WittUniversalPolys(p, n, bits, sums, prods)
 
 
@@ -331,7 +421,7 @@ def ghost_identity_holds_symbolically(p: int, n: int) -> bool:
     analogue) as polynomial identities over Z."""
     up = universal_polys(p, n)
     mul = partial(_pmul, bits=up.bits, n=n, p=p)
-    ops = _packed_ops(mul)
+    ops = _packed_ops(mul, up.bits)
     xs = [_var(i, up.bits) for i in range(n)]
     ys = [_var(n + i, up.bits) for i in range(n)]
     for m in range(n):

@@ -100,6 +100,17 @@ def test_filtration_reads_the_rational_spellings_of_levels():
     assert run(JSET + ["--c", "3/ 2"])[2].startswith("error: bad level '3/ 2': ")
 
 
+@pytest.mark.parametrize(
+    "filtration, order", [("2:2,1:1", "2"), ("1:2,1:1", "2"), ("1:4,3:2,2:1", "4")]
+)
+def test_filtration_levels_must_increase(filtration, order):
+    """Every level of --filtration exceeds the one before.  A level at or
+    below the one before was dropped with its entry, and the call exited 0."""
+    code, out, err = run(["herbrand", "--filtration", filtration, "--order", order])
+    assert (code, out) == (2, "")
+    assert err == "error: breaks must be strictly increasing and positive\n"
+
+
 @pytest.mark.parametrize("digits", ["0", "-1"])
 def test_digits_below_one_is_refused(digits):
     code, out, err = run(["solve-lift"] + JSET[1:] + ["--digits", digits])

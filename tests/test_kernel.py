@@ -167,7 +167,7 @@ def test_quotient_refuses_non_monic(q):
 def test_packed_ppow_matches_repeated_product():
     # X_0 + Y_0^2 - 3 in the two variables X_0, Y_0 (n = 1)
     x = _padd(_padd(_var(0, 8), _var(1, 8, 2)), {0: -3})
-    pow_ = _packed_ops(partial(_pmul, bits=8, n=1, p=3))[0]
+    pow_ = _packed_ops(partial(_pmul, bits=8, n=1, p=3), 8)[0]
     for k in range(9):
         assert pow_(x, k) == repeated(x, k, schoolbook_pmul, {0: 1}), k
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -215,8 +216,9 @@ def test_packed_product_x1_axis_field_guard():
 
 def test_universal_polys_run_pair_count(monkeypatch):
     """The solve of the (5, 4) universal polynomials and the symbolic ghost
-    check each multiply at most 40,612 pairs of runs (119,959 while every
-    product packed along X_0)."""
+    check each make 48 products of 11,705 pairs of runs in all (132
+    products of 40,612 pairs while every power was square-and-multiply,
+    119,959 pairs while every product packed along X_0)."""
     universal_polys(5, 4)  # cached, so the check below solves nothing
     real = witt._kronecker_axis
     pairs = []
@@ -229,10 +231,101 @@ def test_universal_polys_run_pair_count(monkeypatch):
     monkeypatch.setattr(witt, "_kronecker_axis", counting)
     solved = universal_polys.__wrapped__(5, 4)
     assert solved.sums == universal_polys(5, 4).sums
-    solve_pairs, pairs[:] = sum(pairs), []
+    solve, pairs[:] = list(pairs), []
     assert ghost_identity_holds_symbolically(5, 4)
-    assert len(pairs) == 132
-    assert solve_pairs <= 40612 and sum(pairs) <= 40612, (solve_pairs, sum(pairs))
+    assert (len(solve), sum(solve)) == (48, 11705)
+    assert (len(pairs), sum(pairs)) == (48, 11705)
+
+
+def _support(key, bits, nvars):
+    """The variables of a packed monomial, read field by field."""
+    return {i for i in range(nvars) if key >> (bits * i) & ((1 << bits) - 1)}
+
+
+def test_packed_power_matches_schoolbook_power():
+    """The ghost solver's packed power against square-and-multiply with the
+    schoolbook product, on polynomials in X_0..X_2, Y_0..Y_2 with no free
+    term, with one or two (non-unit and negative coefficients on them),
+    with a term that looks free but shares its variable, with a constant
+    term, and with free terms alone; k is 0, 1, 2, p and p^2 for p = 3.
+    The free terms found are those whose variables no other term has."""
+    rng = random.Random(90)
+    p, n, bits = 3, 3, 7
+    X0, X1, X2, Y0, Y1, Y2 = (1 << (bits * i) for i in range(2 * n))
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return _pmul(a, b, bits, n, p)
+
+    pow_ = witt._packed_ops(counted, bits)[0]
+    shared = {X0 + Y0: 1, 2 * X0: 1, Y0 + X1: 1, X1 + 2 * Y0: 1}  # no free term
+    cases = [
+        (shared, {}),
+        ({**shared, 2 * Y1: 6}, {2 * Y1: 6}),
+        ({**shared, Y1: -4}, {Y1: -4}),
+        ({**shared, Y1: 9, X2 + 2 * Y2: -2}, {Y1: 9, X2 + 2 * Y2: -2}),
+        # Y1 occurs in X0 Y1 too, so neither term is split off
+        ({**shared, Y1: 3, X0 + Y1: 1}, {}),
+        ({**shared, 0: 5, X2: -3}, {X2: -3}),
+        ({0: -7, Y1: 2}, {Y1: 2}),
+        ({X0: 1, Y0: 1}, {X0: 1, Y0: 1}),
+        ({X2 + Y1: -6, Y2: 10}, {X2 + Y1: -6, Y2: 10}),
+    ]
+    for _ in range(12):
+        # a rest in X_0, X_1 (the two fields of n = 1) and Y_0, and a free
+        # term or none from each of two groups with disjoint variables
+        a = _random_packed(rng, 1, bits, 2, rng.randrange(1, 5), 50)
+        a = {k + (Y0 if rng.randrange(2) else 0): v for k, v in a.items()}
+        free = {
+            rng.choice(group): rng.choice([-1, 1]) * rng.randrange(1, 10 ** 6)
+            for group in ([Y1, 2 * Y1], [X2, Y2, X2 + Y2])
+            if rng.randrange(2)
+        }
+        cases.append(({**a, **free}, None))
+    for a, free in cases:
+        sets = [_support(k, bits, 2 * n) for k in a]
+        want_free = {
+            k: v
+            for (k, v), s in zip(a.items(), sets)
+            if s and all(not s & t for t in sets if t is not s)
+        }
+        assert free is None or want_free == free, a
+        assert witt._free_terms(a, bits) == want_free, a
+        for k in (0, 1, 2, p, p * p):
+            products.clear()
+            got = pow_(a, k)
+            assert got == power(a, k, schoolbook_pmul, {0: 1}), (a, k)
+            if want_free and k > 1:  # one product per power C^2 .. C^k
+                rest = len(a) - len(want_free)
+                assert len(products) == (k - 1 if rest else 0), (a, k)
+    # (X_0 + Y_0)^125, S_0^(p^3) for p = 5: no product at all
+    products.clear()
+    assert pow_({X0: 1, Y0: 1}, 125) == {
+        e * X0 + (125 - e) * Y0: math.comb(125, e) for e in range(126)
+    }
+    assert not products
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 4), (7, 3)])
+def test_sum_polynomials_have_free_linear_terms(p, n):
+    """The free terms of S_m are X_m and Y_m, so its powers split; the
+    product polynomials P_m (m >= 1) have none."""
+    up = universal_polys(p, n)
+    for m in range(n):
+        xm, ym = _var(m, up.bits), _var(n + m, up.bits)
+        assert witt._free_terms(up.sums[m], up.bits) == {**xm, **ym}
+        assert (witt._free_terms(up.prods[m], up.bits) == {}) == (m > 0)
+
+
+def test_packed_power_field_guard():
+    """A power whose free term would carry out of its field is refused."""
+    pow_ = witt._packed_ops(partial(_pmul, bits=7, n=1, p=3), 7)[0]
+    assert pow_({1: 2}, 127) == {127: 2 ** 127}
+    with pytest.raises(InputError, match="power exponent 128 overflows a 7-bit field"):
+        pow_({1: 1}, 128)
+    with pytest.raises(InputError, match="power exponent 130 overflows"):
+        pow_({0: 1, 2 << 7: -1}, 65)
 
 
 def test_add_scaled_matches_add_and_scale():
@@ -270,7 +363,8 @@ ORACLE_CASES += [(7, n) for n in (1, 2, 3)]
 @pytest.mark.parametrize("p, n", ORACLE_CASES)
 def test_universal_polys_match_schoolbook_oracle(p, n):
     up = universal_polys(p, n)
-    sums, prods = _solve_universal(p, n, up.bits, schoolbook_pmul)
+    ops = (partial(power, mul=schoolbook_pmul, one={0: 1}), _padd, witt._pdiv_exact)
+    sums, prods = _solve_universal(p, n, up.bits, schoolbook_pmul, ops)
     assert [up.exponent_dict(s) for s in up.sums] == [up.exponent_dict(s) for s in sums]
     assert [up.exponent_dict(s) for s in up.prods] == [
         up.exponent_dict(s) for s in prods
@@ -294,6 +388,19 @@ def test_universal_polys_p5_n4_digests():
     )
     assert _poly_digest(up, up.prods) == (
         "3aae4577114002cd77d561e488967c776be65bd656b148cd22d20772c828af8e"
+    )
+
+
+def test_universal_polys_p3_n5_digests():
+    """The longest power chains of the solve: S_1^27, S_2^9 and S_3^3."""
+    up = universal_polys(3, 5)
+    assert [len(s) for s in up.sums] == [2, 4, 24, 640, 83640]
+    assert [len(s) for s in up.prods] == [1, 3, 13, 283, 38191]
+    assert _poly_digest(up, up.sums) == (
+        "4927d597691a3963ff6fb9c0edc9b2c2fdfaedcb0a90a0fc04d391a4ee693422"
+    )
+    assert _poly_digest(up, up.prods) == (
+        "2ceb961b55a6996679c94c96c48ea117d7eaef54019815d04feb1363f6f0b6cb"
     )
 
 
